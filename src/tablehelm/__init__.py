@@ -20,7 +20,6 @@ from .feedback import (
 )
 from .evidence_lab import (
     LabeledSample,
-    distill_labels,
     exhaustive_search,
     greedy_search,
     merge_labels,
@@ -55,7 +54,6 @@ __all__ = [
     "SamplingConfig",
     "feedback_reward",
     "LabeledSample",
-    "distill_labels",
     "exhaustive_search",
     "greedy_search",
     "merge_labels",

@@ -1,11 +1,12 @@
 """Operator commands: ingest, search-labels, distill-labels, merge-labels,
 highlight, export-train, pipeline, evaluate.
 
-Batch commands share one pattern: samples fan out over a thread pool, while
-results are written from the main thread in dataset order, one full line at
-a time, to id-keyed JSONL files. Reruns skip ids already present in the
-output, so an interrupted job resumes where it stopped (with a warm response
-cache, finished work costs nothing to skip past).
+Batch commands share one runner, `run_batch`: samples fan out over a thread
+pool, while results are written from the main thread in dataset order, one
+full line at a time, to id-keyed JSONL files. Reruns skip ids already present
+in the output, so an interrupted job resumes where it stopped (with a warm
+response cache, finished work costs nothing to skip past); a last line that
+the interruption cut short is dropped, and its sample redone.
 
 Exit codes: 0 success, 2 validation problem, 3 backend/transport failure,
 4 finished but with a success rate below the configured threshold.
@@ -17,8 +18,11 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from contextlib import nullcontext
+from dataclasses import asdict, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -35,6 +39,7 @@ from .errors import (
 )
 from .evidence_lab import (
     LabeledSample,
+    SearchTrace,
     distill_one,
     export_highlighter_training,
     export_summarizer_training,
@@ -74,6 +79,10 @@ EXIT_PARTIAL = 4
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# Calls queued or running per pool worker in `map_ordered`: keeps every
+# worker busy while the main thread writes, without a future per sample.
+WINDOW_PER_WORKER = 2
 
 
 def make_client(endpoint: str, model_id: str, run: RunConfig) -> GeneratorClient:
@@ -115,13 +124,21 @@ def template_for(role: str, run: RunConfig) -> PromptTemplate:
 
 
 def existing_ids(path: str | Path) -> set[str]:
-    """Ids already present in an output file (resume support)."""
+    """Ids already present in an output file (resume support). A last line
+    without its newline is a record cut short by an interrupted job: it is
+    cut off, so that its sample is redone and appends start on a fresh line."""
     target = Path(path)
     if not target.exists():
         return set()
     ids: set[str] = set()
-    with open(target, encoding="utf-8") as handle:
+    complete = 0
+    with open(target, "r+b") as handle:
         for line in handle:
+            if not line.endswith(b"\n"):
+                handle.truncate(complete)
+                print(f"{path}: dropped {len(line)} bytes of an unfinished last line", file=sys.stderr)
+                break
+            complete += len(line)
             line = line.strip()
             if not line:
                 continue
@@ -140,20 +157,64 @@ def map_ordered(
 ) -> Iterator[tuple[T, R | None, Exception | None]]:
     """Run fn over items in a pool, yielding results in input order.
 
-    Per-item exceptions are yielded, not raised, except AuthError, which
-    aborts the whole job: every subsequent call would fail identically.
+    At most WINDOW_PER_WORKER * workers calls are queued or running at
+    once; one more is submitted as each result is taken. Per-item
+    exceptions are yielded, not raised, except AuthError, which aborts the
+    whole job: every subsequent call would fail identically, so nothing more
+    is submitted and queued calls are cancelled.
     """
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        for item, future in zip(items, futures):
+    source = iter(items)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = deque(
+            (item, pool.submit(fn, item))
+            for item in islice(source, WINDOW_PER_WORKER * workers)
+        )
+        while pending:
+            item, future = pending.popleft()
             try:
-                yield item, future.result(), None
+                outcome = (item, future.result(), None)
             except AuthError:
-                for pending in futures:
-                    pending.cancel()
                 raise
             except Exception as exc:
-                yield item, None, exc
+                outcome = (item, None, exc)
+            for following in islice(source, 1):
+                pending.append((following, pool.submit(fn, following)))
+            yield outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_batch(
+    dataset: Dataset,
+    output: str,
+    run: RunConfig,
+    work: Callable[[Sample], R],
+    encode: Callable[[R], dict],
+    summary: Callable[[int, int, int], str],
+    after_write: Callable[[R], bool] | None = None,
+) -> int:
+    """The resumable loop of the batch commands: skip ids already in
+    `output`, run `work` over the other samples on `run.workers` threads, and
+    append each result in dataset order as the JSON line `encode` makes,
+    flushed. `after_write` then sees the result; a false return keeps it out
+    of the success count. Prints `summary(succeeded, attempted, skipped)` and
+    returns the exit code."""
+    done = existing_ids(output)
+    todo = [s for s in dataset if s.id not in done]
+    succeeded = 0
+    failures: list[tuple[str, Exception]] = []
+    with open(output, "a", encoding="utf-8") as out:
+        for sample, result, exc in map_ordered(work, todo, run.workers):
+            if exc is not None:
+                failures.append((sample.id, exc))
+                continue
+            out.write(json.dumps(encode(result), ensure_ascii=False) + "\n")
+            out.flush()
+            if after_write is None or after_write(result):
+                succeeded += 1
+    print(summary(succeeded, len(todo), len(done)))
+    return _job_exit(succeeded, len(todo), failures, run)
 
 
 def _load_input(path: str, run: RunConfig) -> Dataset:
@@ -212,8 +273,7 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
     cache = cache_for(run)
     cfg = sampling_for("feedbacker", run)
     template = template_for("summarizer", run)
-    done = existing_ids(args.output)
-    todo = [s for s in dataset if s.id not in done]
+    oracle_total = 0
 
     def work(sample: Sample):
         evidence, reward, trace = greedy_search(
@@ -228,62 +288,49 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
         )
         if "no_usable_candidates" in trace.flags:
             raise TransportError(f"every candidate evaluation failed for {sample.id}")
-        return evidence, reward, trace
+        labeled = LabeledSample(
+            sample_id=sample.id,
+            e_search=evidence,
+            e_manual=sample.manual_evidence,
+            merge_rewards=(("search", reward),),
+            flags=trace.flags,
+        )
+        return labeled, trace
 
-    succeeded = 0
-    failures: list[tuple[str, Exception]] = []
-    oracle_total = 0
-    trace_handle = open(args.trace, "a", encoding="utf-8") if args.trace else None
-    try:
-        with open(args.output, "a", encoding="utf-8") as out:
-            for sample, result, exc in map_ordered(work, todo, run.workers):
-                if exc is not None:
-                    failures.append((sample.id, exc))
-                    continue
-                evidence, reward, trace = result
-                oracle_total += trace.oracle_calls
-                labeled = LabeledSample(
-                    sample_id=sample.id,
-                    e_search=evidence,
-                    e_manual=sample.manual_evidence,
-                    merge_rewards=(("search", reward),),
-                    flags=trace.flags,
-                )
-                out.write(json.dumps(labeled_to_record(labeled), ensure_ascii=False))
-                out.write("\n")
-                out.flush()
-                if trace_handle is not None:
-                    trace_handle.write(
-                        json.dumps(_trace_record(sample.id, trace), ensure_ascii=False)
-                    )
-                    trace_handle.write("\n")
-                    trace_handle.flush()
-                succeeded += 1
-    finally:
-        if trace_handle is not None:
-            trace_handle.close()
-    print(
-        f"searched {succeeded}/{len(todo)} samples"
-        f" (skipped {len(done)} already labeled);"
-        f" oracle evaluations {oracle_total}, generator calls {feedbacker.calls}"
-    )
-    return _job_exit(succeeded, len(todo), failures, run)
+    def after_write(result: tuple[LabeledSample, SearchTrace]) -> bool:
+        nonlocal oracle_total
+        labeled, trace = result
+        oracle_total += trace.oracle_calls
+        if trace_out is not None:
+            record = _trace_record(labeled.sample_id, trace)
+            trace_out.write(json.dumps(record, ensure_ascii=False) + "\n")
+            trace_out.flush()
+        return True
+
+    def summary(searched: int, total: int, skipped: int) -> str:
+        return (
+            f"searched {searched}/{total} samples (skipped {skipped} already labeled);"
+            f" oracle evaluations {oracle_total}, generator calls {feedbacker.calls}"
+        )
+
+    trace_file = open(args.trace, "a", encoding="utf-8") if args.trace else nullcontext()
+    with trace_file as trace_out:
+        return run_batch(
+            dataset, args.output, run, work, _first_record, summary, after_write
+        )
 
 
-def _trace_record(sample_id: str, trace) -> dict[str, object]:
+def _first_record(result: tuple[LabeledSample, object]) -> dict[str, object]:
+    return labeled_to_record(result[0])
+
+
+def _trace_record(sample_id: str, trace: SearchTrace) -> dict[str, object]:
     return {
         "id": sample_id,
         "oracle_calls": trace.oracle_calls,
         "flags": list(trace.flags),
         "candidates": [
-            {
-                "evidence": list(c.evidence.indices),
-                "reward": c.reward,
-                "phase": c.phase,
-                "accepted": c.accepted,
-                "note": c.note,
-            }
-            for c in trace.candidates
+            {**asdict(c), "evidence": list(c.evidence.indices)} for c in trace.candidates
         ],
     }
 
@@ -297,8 +344,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
     cfg = sampling_for("feedbacker", run)
     template = template_for("distill", run)
     examples = load_example_blocks(run.distill_examples or None)
-    done = existing_ids(args.output)
-    todo = [s for s in dataset if s.id not in done]
+    written = 0
 
     def work(sample: Sample):
         return distill_one(
@@ -311,30 +357,25 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
             token_budget=run.token_budget,
         )
 
-    parsed = 0
-    written = 0
-    failures: list[tuple[str, Exception]] = []
-    with open(args.output, "a", encoding="utf-8") as out:
-        for sample, result, exc in map_ordered(work, todo, run.workers):
-            if exc is not None:
-                failures.append((sample.id, exc))
-                continue
-            labeled, notes = result
-            for note in notes:
-                print(note, file=sys.stderr)
-            out.write(json.dumps(labeled_to_record(labeled), ensure_ascii=False))
-            out.write("\n")
-            out.flush()
-            written += 1
-            if labeled.e_distill is not None:
-                parsed += 1
-    print(
-        f"distilled {parsed}/{len(todo)} samples parsed"
-        f" ({written} records written, {len(done)} skipped);"
-        f" generator calls {client.calls}"
+    def after_write(result: tuple[LabeledSample, list[str]]) -> bool:
+        nonlocal written
+        written += 1
+        labeled, notes = result
+        for note in notes:
+            print(note, file=sys.stderr)
+        # Unparseable outputs count against the threshold like failures do.
+        return labeled.e_distill is not None
+
+    def summary(parsed: int, total: int, skipped: int) -> str:
+        return (
+            f"distilled {parsed}/{total} samples parsed"
+            f" ({written} records written, {skipped} skipped);"
+            f" generator calls {client.calls}"
+        )
+
+    return run_batch(
+        dataset, args.output, run, work, _first_record, summary, after_write
     )
-    # Unparseable outputs count against the threshold like failures do.
-    return _job_exit(parsed, len(todo), failures, run)
 
 
 def cmd_merge_labels(args: argparse.Namespace) -> int:
@@ -347,10 +388,8 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
     cache = cache_for(run)
     cfg = sampling_for("feedbacker", run)
     template = template_for("summarizer", run)
-    done = existing_ids(args.output)
-    todo = [s for s in dataset if s.id not in done]
 
-    def combined(sample: Sample) -> LabeledSample:
+    def work(sample: Sample) -> LabeledSample:
         merged = LabeledSample(sample_id=sample.id, e_manual=sample.manual_evidence)
         for source in sources:
             record = source.get(sample.id)
@@ -363,11 +402,8 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
                 e_manual=record.e_manual or merged.e_manual,
                 flags=tuple(dict.fromkeys(merged.flags + record.flags)),
             )
-        return merged
-
-    def work(sample: Sample) -> LabeledSample:
         return merge_labels(
-            combined(sample),
+            merged,
             sample,
             feedbacker,
             cache=cache,
@@ -376,22 +412,13 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
             token_budget=run.token_budget,
         )
 
-    succeeded = 0
-    failures: list[tuple[str, Exception]] = []
-    with open(args.output, "a", encoding="utf-8") as out:
-        for sample, result, exc in map_ordered(work, todo, run.workers):
-            if exc is not None:
-                failures.append((sample.id, exc))
-                continue
-            out.write(json.dumps(labeled_to_record(result), ensure_ascii=False))
-            out.write("\n")
-            out.flush()
-            succeeded += 1
-    print(
-        f"merged {succeeded}/{len(todo)} samples"
-        f" ({len(done)} skipped); generator calls {feedbacker.calls}"
-    )
-    return _job_exit(succeeded, len(todo), failures, run)
+    def summary(merged: int, total: int, skipped: int) -> str:
+        return (
+            f"merged {merged}/{total} samples ({skipped} skipped);"
+            f" generator calls {feedbacker.calls}"
+        )
+
+    return run_batch(dataset, args.output, run, work, labeled_to_record, summary)
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
@@ -480,10 +507,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     s_cfg = sampling_for("summarizer", run)
     h_template = template_for("highlighter", run)
     s_template = template_for("summarizer", run)
-    done = existing_ids(args.output)
-    todo = [s for s in dataset if s.id not in done]
 
-    def work(sample: Sample) -> tuple[Evidence, str, list[str]]:
+    def work(sample: Sample) -> dict[str, object]:
         flags: list[str] = []
         evidence = Evidence(())
         if run.ablation != "no_highlight":
@@ -505,63 +530,34 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 flags.append("no-evidence")
         else:
             flags.append("no_highlight")
+        shown, marked = sample.table, None
         if run.ablation == "subtab" and len(evidence) > 0:
             shown = subtable(sample.table, evidence)
-            s_prompt = build_summarizer_prompt(
-                shown,
-                None,
-                sample.query,
-                None,
-                template=s_template,
-                sample_id=sample.id,
-                token_budget=run.token_budget,
-            )
         elif run.ablation == "full" and len(evidence) > 0:
-            s_prompt = build_summarizer_prompt(
-                sample.table,
-                evidence,
-                sample.query,
-                None,
-                template=s_template,
-                sample_id=sample.id,
-                token_budget=run.token_budget,
-            )
-        else:
-            s_prompt = build_summarizer_prompt(
-                sample.table,
-                None,
-                sample.query,
-                None,
-                template=s_template,
-                sample_id=sample.id,
-                token_budget=run.token_budget,
-            )
-        prediction = cached_generate(summarizer, cache, s_prompt.text, s_cfg)
-        return evidence, prediction, flags
+            marked = evidence
+        s_prompt = build_summarizer_prompt(
+            shown,
+            marked,
+            sample.query,
+            None,
+            template=s_template,
+            sample_id=sample.id,
+            token_budget=run.token_budget,
+        )
+        return {
+            "id": sample.id,
+            "evidence": list(evidence.indices),
+            "prediction": cached_generate(summarizer, cache, s_prompt.text, s_cfg),
+            "flags": flags,
+        }
 
-    succeeded = 0
-    failures: list[tuple[str, Exception]] = []
-    with open(args.output, "a", encoding="utf-8") as out:
-        for sample, result, exc in map_ordered(work, todo, run.workers):
-            if exc is not None:
-                failures.append((sample.id, exc))
-                continue
-            evidence, prediction, flags = result
-            record = {
-                "id": sample.id,
-                "evidence": list(evidence.indices),
-                "prediction": prediction,
-                "flags": flags,
-            }
-            out.write(json.dumps(record, ensure_ascii=False))
-            out.write("\n")
-            out.flush()
-            succeeded += 1
-    print(
-        f"predicted {succeeded}/{len(todo)} samples ({len(done)} skipped);"
-        f" highlighter calls {highlighter.calls}, summarizer calls {summarizer.calls}"
-    )
-    return _job_exit(succeeded, len(todo), failures, run)
+    def summary(predicted: int, total: int, skipped: int) -> str:
+        return (
+            f"predicted {predicted}/{total} samples ({skipped} skipped);"
+            f" highlighter calls {highlighter.calls}, summarizer calls {summarizer.calls}"
+        )
+
+    return run_batch(dataset, args.output, run, work, lambda record: record, summary)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -64,7 +64,6 @@ class RunConfig:
 
     search_fallback: bool = True
     step_cap: int = 0  # accepted-additions cap; 0 = unbounded
-    n_max: int = 12  # exhaustive-search row limit
 
     ablation: str = "full"
     token_budget: int = 2048
@@ -83,8 +82,6 @@ class RunConfig:
             raise SchemaError("max_in_flight", "must be at least 1")
         if self.step_cap < 0:
             raise SchemaError("step_cap", "must be 0 (unbounded) or positive")
-        if self.n_max < 1:
-            raise SchemaError("n_max", "must be at least 1")
         if self.token_budget < 1:
             raise SchemaError("token_budget", "must be at least 1")
         if not 0.0 <= self.success_threshold <= 1.0:

@@ -42,7 +42,6 @@ from .prompting import (
     build_highlighter_prompt,
     build_summarizer_prompt,
     format_evidence,
-    load_example_blocks,
     parse_evidence_output,
 )
 from .table_core import Dataset, Evidence, Sample
@@ -51,7 +50,6 @@ __all__ = [
     "LabeledSample",
     "SearchCandidate",
     "SearchTrace",
-    "distill_labels",
     "distill_one",
     "exhaustive_search",
     "export_highlighter_training",
@@ -121,12 +119,8 @@ class LabeledSample:
 
     def candidates(self) -> dict[str, Evidence]:
         """Present label sources in merge-priority order."""
-        pairs = (
-            ("manual", self.e_manual),
-            ("distill", self.e_distill),
-            ("search", self.e_search),
-        )
-        return {name: ev for name, ev in pairs if ev is not None}
+        present = {name: getattr(self, f"e_{name}") for name in MERGE_PRIORITY}
+        return {name: ev for name, ev in present.items() if ev is not None}
 
 
 def _evaluate_with_retry(
@@ -312,41 +306,6 @@ def distill_one(
     except _SKIPPABLE_ERRORS as exc:
         return base, [f"{sample.id}: generation failed: {exc}"]
     return replace(base, e_distill=evidence), [f"{sample.id}: {w}" for w in warnings]
-
-
-def distill_labels(
-    dataset: Dataset,
-    client: GeneratorClient,
-    *,
-    cache: ResponseCache | None = None,
-    cfg: SamplingConfig = SEARCH_SAMPLING,
-    template: PromptTemplate | None = None,
-    examples: tuple[str, ...] | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
-) -> tuple[list[LabeledSample], list[str]]:
-    """Ask a model which rows support each reference answer.
-
-    Returns labels in dataset order plus a report of per-sample problems.
-    A sample whose output cannot be parsed (or whose generation fails on a
-    transient error) gets no e_distill and a report entry; the job continues.
-    """
-    if examples is None:
-        examples = load_example_blocks()
-    labels: list[LabeledSample] = []
-    report: list[str] = []
-    for sample in dataset:
-        labeled, notes = distill_one(
-            sample,
-            client,
-            examples,
-            cache=cache,
-            cfg=cfg,
-            template=template,
-            token_budget=token_budget,
-        )
-        labels.append(labeled)
-        report.extend(notes)
-    return labels, report
 
 
 def merge_labels(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -28,6 +30,18 @@ class AuthFailingClient:
 
     def generate(self, prompt, cfg):
         raise AuthError("HTTP 401 from nowhere")
+
+
+class SequenceClient:
+    """Returns scripted outputs in call order."""
+
+    model_id = "scripted"
+
+    def __init__(self, outputs) -> None:
+        self.outputs = list(outputs)
+
+    def generate(self, prompt, cfg):
+        return self.outputs.pop(0)
 
 
 @pytest.fixture
@@ -136,6 +150,39 @@ class TestIngest:
         assert parsed["title"] == "Eredivisie - Champions"
 
 
+class TestMapOrdered:
+    def test_results_keep_input_order_past_the_window(self):
+        def work(item):
+            if item % 7 == 3:
+                raise ValueError(f"bad {item}")
+            time.sleep(0.001 * (item % 3))
+            return item * item
+
+        seen = list(cli.map_ordered(work, list(range(25)), workers=2))
+        assert [item for item, _, _ in seen] == list(range(25))
+        for item, result, exc in seen:
+            if item % 7 == 3:
+                assert result is None and str(exc) == f"bad {item}"
+            else:
+                assert result == item * item and exc is None
+
+    def test_auth_failure_starts_no_more_than_the_window(self):
+        started = []
+        lock = threading.Lock()
+
+        def work(item):
+            with lock:
+                started.append(item)
+            if item == 0:
+                time.sleep(0.05)
+                raise AuthError("HTTP 401 from nowhere")
+            return item
+
+        with pytest.raises(AuthError):
+            list(cli.map_ordered(work, list(range(200)), workers=2))
+        assert 0 < len(started) <= cli.WINDOW_PER_WORKER * 2
+
+
 class TestSearchLabels:
     def test_labels_and_counts(self, two_planted, tmp_path, capsys):
         data, (first, first_planted), (second, second_planted) = two_planted
@@ -164,6 +211,28 @@ class TestSearchLabels:
             "searched 0/0 samples (skipped 2 already labeled);"
             " oracle evaluations 0, generator calls 0"
         )
+
+    def test_rerun_after_a_torn_last_record_relabels_it(
+        self, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "search.jsonl"
+        run_cli(["search-labels", data, out], capsys)
+        whole = out.read_bytes()
+        first_line = whole.index(b"\n") + 1
+        out.write_bytes(whole[: first_line + 20])
+        code, stdout, stderr = run_cli(["search-labels", data, out], capsys)
+        assert code == EXIT_OK
+        assert stdout.strip() == (
+            "searched 1/1 samples (skipped 1 already labeled);"
+            " oracle evaluations 8, generator calls 8"
+        )
+        assert stderr == f"{out}: dropped 20 bytes of an unfinished last line\n"
+        assert out.read_bytes() == whole
+        code, _, _ = run_cli(
+            ["merge-labels", data, tmp_path / "merged.jsonl", "--labels", out], capsys
+        )
+        assert code == EXIT_OK
 
     def test_trace_file_records_every_candidate(self, two_planted, tmp_path, capsys):
         data, (first, _), _ = two_planted
@@ -257,6 +326,26 @@ class TestDistillLabels:
         )
         assert code == EXIT_OK
         assert load_labels(out)["cli-1"].e_distill == Evidence((2,))
+
+    def test_dataset_level_distillation_reports_per_sample(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        first, _ = support.planted_sample("dl-1", 3, 2, (1,))
+        second, _ = support.planted_sample("dl-2", 3, 2, (2,))
+        data = tmp_path / "data.jsonl"
+        support.write_dataset(data, [first, second])
+        client = SequenceClient(["{1}", "junk"])
+        monkeypatch.setattr(cli, "make_client", lambda *a, **k: client)
+        out = tmp_path / "distill.jsonl"
+        code, _, stderr = run_cli(
+            ["distill-labels", data, out, "--workers", "1"], capsys
+        )
+        assert code == EXIT_PARTIAL
+        records = [json.loads(l) for l in out.read_text("utf-8").splitlines()]
+        assert [r["id"] for r in records] == ["dl-1", "dl-2"]
+        assert [r["e_distill"] for r in records] == [[1], None]
+        notes = stderr.splitlines()
+        assert len(notes) == 1 and notes[0].startswith("dl-2:")
 
 
 class TestMergeLabels:

@@ -20,7 +20,7 @@ class TestDefaults:
         assert (cfg.summarizer_nucleus_p, cfg.summarizer_temperature) == (0.9, 0.1)
         assert cfg.workers == 4
         assert cfg.step_cap == 0
-        assert cfg.n_max == 12
+        assert cfg.max_new_tokens == 256
         assert cfg.ablation == "full"
         assert cfg.token_budget == 2048
         assert cfg.success_threshold == 0.95
@@ -113,14 +113,14 @@ class TestCoercion:
 
     def test_numbers_are_coerced(self):
         cfg = build_config(
-            env={}, overrides={"workers": " 8 ", "timeout": "0.25", "n_max": "6"}
+            env={}, overrides={"workers": " 8 ", "timeout": "0.25", "step_cap": "6"}
         )
         assert cfg.workers == 8
         assert cfg.timeout == 0.25
-        assert cfg.n_max == 6
+        assert cfg.step_cap == 6
 
     @pytest.mark.parametrize(
-        ("key", "raw"), [("workers", "abc"), ("timeout", "fast"), ("n_max", "6.5")]
+        ("key", "raw"), [("workers", "abc"), ("timeout", "fast"), ("step_cap", "6.5")]
     )
     def test_bad_numbers_are_rejected(self, key, raw):
         with pytest.raises(SchemaError) as exc_info:
@@ -142,7 +142,7 @@ class TestValidation:
             ({"max_attempts": 0}, "max_attempts"),
             ({"max_in_flight": 0}, "max_in_flight"),
             ({"step_cap": -1}, "step_cap"),
-            ({"n_max": 0}, "n_max"),
+            ({"timeout": -1.0}, "timeout"),
             ({"token_budget": 0}, "token_budget"),
             ({"success_threshold": 1.5}, "success_threshold"),
             ({"success_threshold": -0.1}, "success_threshold"),

@@ -18,7 +18,6 @@ from tablehelm.errors import (
 )
 from tablehelm.evidence_lab import (
     LabeledSample,
-    distill_labels,
     distill_one,
     exhaustive_search,
     export_highlighter_training,
@@ -60,18 +59,6 @@ class AlwaysFailingClient:
     def generate(self, prompt, cfg):
         self.calls += 1
         raise TransportError("scripted permanent failure")
-
-
-class SequenceClient:
-    """Returns scripted outputs in call order."""
-
-    model_id = "scripted"
-
-    def __init__(self, outputs) -> None:
-        self.outputs = list(outputs)
-
-    def generate(self, prompt, cfg):
-        return self.outputs.pop(0)
 
 
 class TestGreedySearch:
@@ -293,16 +280,6 @@ class TestDistill:
         assert labeled.e_distill is None
         assert len(notes) == 1
         assert "exceeds budget" in notes[0]
-
-    def test_dataset_level_distillation_reports_per_sample(self):
-        first, _ = support.planted_sample("dl-1", 3, 2, (1,))
-        second, _ = support.planted_sample("dl-2", 3, 2, (2,))
-        dataset = Dataset((first, second))
-        labels, report = distill_labels(dataset, SequenceClient(["{1}", "junk"]))
-        assert [lab.sample_id for lab in labels] == ["dl-1", "dl-2"]
-        assert labels[0].e_distill == Evidence((1,))
-        assert labels[1].e_distill is None
-        assert len(report) == 1 and report[0].startswith("dl-2:")
 
 
 class TestMergeLabels:
