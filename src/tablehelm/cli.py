@@ -34,7 +34,6 @@ from .errors import (
     NoIndicesError,
     SchemaError,
     TableHelmError,
-    TransportError,
     UnmatchedIdError,
 )
 from .evidence_lab import (
@@ -286,8 +285,6 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
             template=template,
             token_budget=run.token_budget,
         )
-        if "no_usable_candidates" in trace.flags:
-            raise TransportError(f"every candidate evaluation failed for {sample.id}")
         labeled = LabeledSample(
             sample_id=sample.id,
             e_search=evidence,
@@ -313,7 +310,10 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
             f" oracle evaluations {oracle_total}, generator calls {feedbacker.calls}"
         )
 
-    trace_file = open(args.trace, "a", encoding="utf-8") if args.trace else nullcontext()
+    trace_file = nullcontext()
+    if args.trace:
+        existing_ids(args.trace)  # cuts a torn last line, as for the output
+        trace_file = open(args.trace, "a", encoding="utf-8")
     with trace_file as trace_out:
         return run_batch(
             dataset, args.output, run, work, _first_record, summary, after_write

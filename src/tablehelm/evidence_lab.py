@@ -6,6 +6,11 @@ The greedy search evaluates the n singleton rows first, reorders them by
 reward, then accumulates rows one at a time, keeping an addition only when
 it strictly improves the reward. That costs exactly 2n feedback evaluations
 instead of 2^n.
+
+Each candidate is evaluated once. Retrying transient backend failures is
+the HTTP client's job, within its `max_attempts`; a candidate whose call
+still fails, or whose prompt is over the token budget, is skipped with a
+"skipped:" note in the trace and never evaluated again.
 """
 
 from __future__ import annotations
@@ -123,37 +128,6 @@ class LabeledSample:
         return {name: ev for name, ev in present.items() if ev is not None}
 
 
-def _evaluate_with_retry(
-    sample: Sample,
-    evidence: Evidence,
-    feedbacker: GeneratorClient,
-    cache: ResponseCache | None,
-    cfg: SamplingConfig,
-    template: PromptTemplate | None,
-    token_budget: int,
-) -> tuple[float | None, str]:
-    """(reward, note). A transient failure is retried once, then skipped."""
-    for attempt in (1, 2):
-        try:
-            reward = feedback_reward(
-                sample.table,
-                evidence,
-                sample.query,
-                sample.reference,
-                "subtable",
-                feedbacker,
-                cache=cache,
-                cfg=cfg,
-                template=template,
-                token_budget=token_budget,
-            )
-            return reward, ""
-        except _SKIPPABLE_ERRORS as exc:
-            if attempt == 2:
-                return None, f"skipped after retry: {exc}"
-    raise AssertionError("unreachable")
-
-
 def greedy_search(
     sample: Sample,
     feedbacker: GeneratorClient,
@@ -171,21 +145,36 @@ def greedy_search(
     descending-reward order (ties: ascending row index) and grows the result
     set, accepting an addition only on strict reward improvement. `step_cap`
     bounds the number of accepted additions. If nothing is ever accepted and
-    `fallback` is set, the best singleton is returned and flagged.
+    `fallback` is set, the best singleton is returned and flagged. A
+    candidate whose evaluation fails is skipped; if no singleton scores at
+    all, the last such failure is raised.
     """
     n = sample.table.n_rows
     candidates: list[SearchCandidate] = []
     flags: list[str] = []
     calls = 0
+    last_error: Exception | None = None
 
     def evaluate(evidence: Evidence) -> tuple[float | None, str]:
-        nonlocal calls
-        reward, note = _evaluate_with_retry(
-            sample, evidence, feedbacker, cache, cfg, template, token_budget
-        )
-        if reward is not None:
-            calls += 1
-        return reward, note
+        nonlocal calls, last_error
+        try:
+            reward = feedback_reward(
+                sample.table,
+                evidence,
+                sample.query,
+                sample.reference,
+                "subtable",
+                feedbacker,
+                cache=cache,
+                cfg=cfg,
+                template=template,
+                token_budget=token_budget,
+            )
+        except _SKIPPABLE_ERRORS as exc:
+            last_error = exc
+            return None, f"skipped: {exc}"
+        calls += 1
+        return reward, ""
 
     singles: list[tuple[float, int]] = []
     for i in range(1, n + 1):
@@ -194,6 +183,8 @@ def greedy_search(
         candidates.append(SearchCandidate(evidence, reward, "singleton", False, note))
         if reward is not None:
             singles.append((reward, i))
+    if not singles and last_error is not None:
+        raise last_error
     singles.sort(key=lambda pair: (-pair[0], pair[1]))
 
     held: tuple[int, ...] = ()
@@ -205,13 +196,8 @@ def greedy_search(
             break
         evidence = Evidence(tuple(sorted(set(held) | {row})))
         reward, note = evaluate(evidence)
-        if reward is None:
-            candidates.append(
-                SearchCandidate(evidence, None, "accumulate", False, note)
-            )
-            continue
-        accepted = reward > held_reward
-        candidates.append(SearchCandidate(evidence, reward, "accumulate", accepted))
+        accepted = reward is not None and reward > held_reward
+        candidates.append(SearchCandidate(evidence, reward, "accumulate", accepted, note))
         if accepted:
             held = evidence.indices
             held_reward = reward

@@ -89,6 +89,11 @@ class GeneratorClient(Protocol):
     def generate(self, prompt: str, cfg: SamplingConfig) -> str: ...
 
 
+def _cache_identity(client: GeneratorClient) -> str:
+    """The backend's name in cache keys: its `cache_id`, else its model id."""
+    return getattr(client, "cache_id", client.model_id)
+
+
 def _prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12]
 
@@ -96,10 +101,11 @@ def _prompt_digest(prompt: str) -> str:
 class HttpClient:
     """Chat-completions client over HTTP with retry and backoff.
 
-    Transient failures (connection errors, 429, 5xx) are retried up to
-    `max_attempts` times with exponential backoff; auth failures are not.
-    `last_attempts` records how many attempts the most recent call used.
-    A semaphore bounds concurrent in-flight requests.
+    This is the only layer that retries. Transient failures (connection
+    errors, 429, 5xx) are retried up to `max_attempts` times with
+    exponential backoff, then raised; auth and other 4xx failures are
+    raised at once. A semaphore bounds concurrent in-flight requests.
+    Cache entries are keyed by endpoint and model (`cache_id`).
     """
 
     API_KEY_ENV = "HELM_API_KEY"
@@ -119,10 +125,10 @@ class HttpClient:
     ) -> None:
         self.endpoint = endpoint
         self.model_id = model_id
+        self.cache_id = f"{endpoint} {model_id}"
         self.api_key = api_key if api_key is not None else os.environ.get(self.API_KEY_ENV)
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.last_attempts = 0
         self._backoff_base = backoff_base
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
@@ -159,7 +165,6 @@ class HttpClient:
         last_transient = "no attempt made"
         rate_limited = False
         for attempt in range(1, self.max_attempts + 1):
-            self.last_attempts = attempt
             if attempt > 1:
                 self._sleep(self._backoff_base * 2 ** (attempt - 2))
             try:
@@ -233,6 +238,7 @@ class FixedClient:
     def __init__(self, text: str, model_id: str = "fixed") -> None:
         self.text = text
         self.model_id = model_id
+        self.cache_id = f"fixed:{text}"
 
     def generate(self, prompt: str, cfg: SamplingConfig) -> str:
         return self.text
@@ -244,6 +250,7 @@ class CountingClient:
     def __init__(self, inner: GeneratorClient) -> None:
         self.inner = inner
         self.model_id = inner.model_id
+        self.cache_id = _cache_identity(inner)
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -256,9 +263,10 @@ class CountingClient:
 class ResponseCache:
     """Content-addressed completion store: one JSON file per request key.
 
-    Keys cover model id, sampling config, and the full prompt bytes, so any
-    change misses. Writes go through a temp file and an atomic rename, which
-    keeps concurrent writers from leaving torn entries.
+    Keys cover the backend's identity (`_cache_identity`), sampling config,
+    and the full prompt bytes, so any change misses. Writes go through a temp
+    file and an atomic rename, which keeps concurrent writers from leaving
+    torn entries.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -327,20 +335,21 @@ def cached_generate(
     Cache trouble is never fatal: a failed read or write logs a warning and
     the call falls through to the client.
     """
-    if cache is not None:
-        try:
-            hit = cache.get(client.model_id, prompt, cfg)
-        except CacheIoError as exc:
-            logger.warning("cache read failed, generating instead: %s", exc)
-            hit = None
-        if hit is not None:
-            return hit
+    if cache is None:
+        return client.generate(prompt, cfg)
+    identity = _cache_identity(client)
+    try:
+        hit = cache.get(identity, prompt, cfg)
+    except CacheIoError as exc:
+        logger.warning("cache read failed, generating instead: %s", exc)
+        hit = None
+    if hit is not None:
+        return hit
     text = client.generate(prompt, cfg)
-    if cache is not None:
-        try:
-            cache.put(client.model_id, prompt, cfg, text)
-        except CacheIoError as exc:
-            logger.warning("cache write failed, continuing: %s", exc)
+    try:
+        cache.put(identity, prompt, cfg, text)
+    except CacheIoError as exc:
+        logger.warning("cache write failed, continuing: %s", exc)
     return text
 
 

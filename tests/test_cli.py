@@ -234,6 +234,56 @@ class TestSearchLabels:
         )
         assert code == EXIT_OK
 
+    def test_rerun_after_a_torn_trace_line_repairs_the_trace(
+        self, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "search.jsonl"
+        trace_path = tmp_path / "trace.jsonl"
+        argv = ["search-labels", data, out, "--trace", trace_path]
+        run_cli(argv, capsys)
+        whole_out, whole_trace = out.read_bytes(), trace_path.read_bytes()
+        out.write_bytes(whole_out[: whole_out.index(b"\n") + 1])
+        trace_path.write_bytes(whole_trace[: whole_trace.index(b"\n") + 1 + 20])
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert stderr == f"{trace_path}: dropped 20 bytes of an unfinished last line\n"
+        assert trace_path.read_bytes() == whole_trace
+        assert out.read_bytes() == whole_out
+
+    def test_over_budget_prompts_exit_4_with_the_real_cause(
+        self, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        code, stdout, stderr = run_cli(
+            ["search-labels", data, out, "--token-budget", "5"], capsys
+        )
+        assert code == EXIT_PARTIAL
+        assert "generator calls 0" in stdout
+        for sample_id in ("cli-1", "cli-2"):
+            assert f"failed {sample_id}: prompt estimate" in stderr
+        assert "exceeds budget 5" in stderr
+        assert out.read_text("utf-8") == ""
+
+    def test_no_improvement_without_fallback_writes_an_empty_label(
+        self, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        code, _, stderr = run_cli(
+            [
+                "search-labels", data, out,
+                "--feedbacker-endpoint", "fixed:", "--search-fallback", "false",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert stderr == ""
+        labels = load_labels(out)
+        assert labels["cli-1"].e_search == labels["cli-2"].e_search == Evidence(())
+        assert labels["cli-1"].flags == ("no_usable_candidates",)
+
     def test_trace_file_records_every_candidate(self, two_planted, tmp_path, capsys):
         data, (first, _), _ = two_planted
         out = tmp_path / "search.jsonl"
@@ -326,6 +376,24 @@ class TestDistillLabels:
         )
         assert code == EXIT_OK
         assert load_labels(out)["cli-1"].e_distill == Evidence((2,))
+
+    def test_cache_entries_of_one_fixed_text_do_not_serve_another(
+        self, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        cache_dir = tmp_path / "cache"
+        for text, label in (("{1}", [1]), ("{2}", [2])):
+            out = tmp_path / f"distill-{label[0]}.jsonl"
+            code, stdout, _ = run_cli(
+                [
+                    "distill-labels", data, out,
+                    "--distill-endpoint", f"fixed:{text}", "--cache-dir", cache_dir,
+                ],
+                capsys,
+            )
+            assert code == EXIT_OK
+            assert stdout.strip().endswith("generator calls 2")
+            assert load_labels(out)["cli-1"].e_distill == Evidence(tuple(label))
 
     def test_dataset_level_distillation_reports_per_sample(
         self, tmp_path, capsys, monkeypatch

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from tablehelm.config import ENV_PREFIX, RunConfig, build_config, load_config_file
@@ -167,3 +171,16 @@ class TestValidation:
 
     def test_empty_template_path_means_packaged_default(self):
         assert RunConfig(highlighter_template="").highlighter_template == ""
+
+
+def test_readme_configuration_table_matches_run_config():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text("utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    keys = {f.name for f in fields(RunConfig)}
+    assert documented - keys == set(), "README documents keys RunConfig lacks"
+    assert keys - documented == set(), "RunConfig keys missing from README"

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from tablehelm import feedback
 from tablehelm.errors import (
     MissingLabelError,
+    NoTableFoundError,
+    PromptTooLongError,
     SchemaError,
     TableTooLargeError,
     TransportError,
@@ -29,8 +33,12 @@ from tablehelm.evidence_lab import (
     merge_labels,
     save_labels,
 )
-from tablehelm.feedback import CountingClient, EchoClient, FixedClient
-from tablehelm.prompting import OUTPUT_MARKER, load_example_blocks
+from tablehelm.feedback import CountingClient, EchoClient, FixedClient, HttpClient
+from tablehelm.prompting import (
+    OUTPUT_MARKER,
+    build_summarizer_prompt,
+    load_example_blocks,
+)
 from tablehelm.table_core import Dataset, Evidence, Sample, Table
 
 
@@ -53,12 +61,25 @@ class FlakyClient:
 class AlwaysFailingClient:
     model_id = "doomed"
 
-    def __init__(self) -> None:
+    def __init__(self, error=TransportError) -> None:
+        self.error = error
         self.calls = 0
 
     def generate(self, prompt, cfg):
         self.calls += 1
-        raise TransportError("scripted permanent failure")
+        raise self.error("scripted permanent failure")
+
+
+class AlwaysStatusSession:
+    """requests.Session stand-in that answers every post with one status."""
+
+    def __init__(self, status: int) -> None:
+        self.status = status
+        self.requests = 0
+
+    def post(self, url, **kwargs):
+        self.requests += 1
+        return SimpleNamespace(status_code=self.status)
 
 
 class TestGreedySearch:
@@ -130,43 +151,74 @@ class TestGreedySearch:
         assert reward == 0.0
         assert trace.flags == ("no_usable_candidates",)
 
-    def test_total_failure_yields_no_usable_candidates(self, champions_sample):
+    def test_total_failure_raises_the_last_error(self, champions_sample):
         client = AlwaysFailingClient()
-        evidence, reward, trace = greedy_search(champions_sample, client)
-        assert evidence == Evidence(())
-        assert reward == 0.0
-        assert trace.flags == ("no_usable_candidates",)
-        assert trace.oracle_calls == 0
-        # Each singleton burned its retry; nothing reached the growth phase.
-        assert client.calls == 2 * champions_sample.table.n_rows
-        assert all(
-            c.reward is None and c.note.startswith("skipped after retry")
-            for c in trace.candidates
-        )
+        with pytest.raises(TransportError, match="scripted permanent failure"):
+            greedy_search(champions_sample, client)
+        # One call per singleton; nothing reached the growth phase.
+        assert client.calls == champions_sample.table.n_rows
 
-    def test_one_transient_failure_is_retried_invisibly(self):
+    def test_a_failed_call_skips_its_candidate_without_a_second_call(self):
         sample, planted = support.planted_sample("gs-6", 3, 2, (2,))
-        clean = greedy_search(sample, EchoClient())
         flaky_client = FlakyClient(EchoClient(), fail_calls={1})
-        flaky = greedy_search(sample, flaky_client)
-        assert flaky[0] == clean[0] == planted
-        assert flaky[1] == clean[1]
-        assert flaky[2].oracle_calls == clean[2].oracle_calls == 6
-        assert flaky_client.calls == 7
+        evidence, _, _ = greedy_search(sample, flaky_client)
+        assert evidence == planted
+        # Three singletons, the first failing, then two growth steps.
+        assert flaky_client.calls == 5
 
     def test_persistent_candidate_failure_is_skipped(self):
         sample, planted = support.planted_sample("gs-7", 3, 2, (2,))
         evidence, reward, trace = greedy_search(
-            sample, FlakyClient(EchoClient(), fail_calls={1, 2})
+            sample, FlakyClient(EchoClient(), fail_calls={1})
         )
         assert evidence == planted
         assert reward == 1.0
         first = trace.candidates[0]
         assert first.evidence == Evidence((1,))
         assert first.reward is None
-        assert first.note.startswith("skipped after retry")
+        assert first.note == "skipped: scripted failure on call 1"
         # Row 1 never re-enters the walk, so two evaluations are saved.
         assert trace.oracle_calls == 4
+
+    def test_an_always_failing_backend_spends_one_retry_budget_per_candidate(
+        self, champions_sample
+    ):
+        session = AlwaysStatusSession(500)
+        sleeps: list[float] = []
+        client = HttpClient(
+            "https://api.test/v1/chat",
+            "test-model",
+            max_attempts=2,
+            session=session,
+            sleep=sleeps.append,
+        )
+        with pytest.raises(TransportError, match="gave up after 2 attempts"):
+            greedy_search(champions_sample, client)
+        n = champions_sample.table.n_rows
+        assert session.requests == 2 * n
+        assert sleeps == [0.5] * n
+
+    def test_an_over_budget_prompt_is_rendered_once_per_candidate(
+        self, champions_sample, monkeypatch
+    ):
+        rendered = []
+
+        def counting_build(*args, **kwargs):
+            rendered.append(args)
+            return build_summarizer_prompt(*args, **kwargs)
+
+        monkeypatch.setattr(feedback, "build_summarizer_prompt", counting_build)
+        client = CountingClient(EchoClient())
+        with pytest.raises(PromptTooLongError):
+            greedy_search(champions_sample, client, token_budget=5)
+        assert len(rendered) == champions_sample.table.n_rows
+        assert client.calls == 0
+
+    def test_a_prompt_without_a_table_is_evaluated_once(self, champions_sample):
+        client = AlwaysFailingClient(NoTableFoundError)
+        with pytest.raises(NoTableFoundError):
+            greedy_search(champions_sample, client)
+        assert client.calls == champions_sample.table.n_rows
 
 
 class TestExhaustiveSearch:

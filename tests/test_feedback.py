@@ -122,7 +122,7 @@ class TestHttpClient:
         client, session, sleeps = make_http([ok("hello")], api_key="secret")
         cfg = SamplingConfig(nucleus_p=0.8, temperature=0.3, max_new_tokens=99)
         assert client.generate("a prompt", cfg) == "hello"
-        assert client.last_attempts == 1
+        assert len(session.requests) == 1
         assert sleeps == []
         [request] = session.requests
         assert request["url"] == "https://api.test/v1/chat"
@@ -161,9 +161,8 @@ class TestHttpClient:
             [StubResponse(429), StubResponse(429), ok("eventually")]
         )
         assert client.generate("p", SamplingConfig()) == "eventually"
-        assert client.last_attempts == 3
-        assert sleeps == [0.5, 1.0]
         assert len(session.requests) == 3
+        assert sleeps == [0.5, 1.0]
 
     def test_persistent_rate_limit_raises_after_max_attempts(self):
         client, session, sleeps = make_http([StubResponse(429)] * 5)
@@ -192,11 +191,11 @@ class TestHttpClient:
         assert len(session.requests) == 1
 
     def test_connection_failures_are_retried(self):
-        client, _, sleeps = make_http(
+        client, session, sleeps = make_http(
             [requests.ConnectionError("refused"), ok("recovered")]
         )
         assert client.generate("p", SamplingConfig()) == "recovered"
-        assert client.last_attempts == 2
+        assert len(session.requests) == 2
         assert sleeps == [0.5]
 
     def test_connection_failures_exhaust_into_transport_error(self):
@@ -364,6 +363,21 @@ class TestCachedGenerate:
         got = cached_generate(client, ExplodingCache(tmp_path), "p", SamplingConfig())
         assert got == "answer"
         assert client.calls == 1
+
+    def test_entries_are_keyed_by_the_backend_not_the_model_id(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        assert cached_generate(FixedClient("one"), cache, "p", cfg) == "one"
+        assert cached_generate(FixedClient("two"), cache, "p", cfg) == "two"
+        first = HttpClient(
+            "https://a.test/v1/chat", "m", session=ScriptedSession([ok("from a")])
+        )
+        second = HttpClient(
+            "https://b.test/v1/chat", "m", session=ScriptedSession([ok("from b")])
+        )
+        assert cached_generate(first, cache, "q", cfg) == "from a"
+        assert cached_generate(CountingClient(second), cache, "q", cfg) == "from b"
+        assert cached_generate(CountingClient(first), cache, "q", cfg) == "from a"
 
 
 class TestFeedbackReward:
