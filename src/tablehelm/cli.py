@@ -192,14 +192,23 @@ def run_batch(
     encode: Callable[[R], dict],
     summary: Callable[[int, int, int], str],
     after_write: Callable[[R], bool] | None = None,
+    side_ids: set[str] | None = None,
 ) -> int:
     """The resumable loop of the batch commands: skip ids already in
     `output`, run `work` over the other samples on `run.workers` threads, and
     append each result in dataset order as the JSON line `encode` makes,
     flushed. `after_write` then sees the result; a false return keeps it out
     of the success count. Prints `summary(succeeded, attempted, skipped)` and
-    returns the exit code."""
+    returns the exit code.
+
+    `side_ids` are the ids already in a side file that `after_write` appends
+    to (search's `--trace`): a sample is then skipped only when its id is in
+    both files, so an interrupted side write is redone too. The redone
+    sample's second output record supersedes its first (the last record of
+    an id wins when labels are read)."""
     done = existing_ids(output)
+    if side_ids is not None:
+        done &= side_ids
     todo = [s for s in dataset if s.id not in done]
     succeeded = 0
     failures: list[tuple[str, Exception]] = []
@@ -311,12 +320,14 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
         )
 
     trace_file = nullcontext()
+    traced_ids = None
     if args.trace:
-        existing_ids(args.trace)  # cuts a torn last line, as for the output
+        traced_ids = existing_ids(args.trace)  # also cuts a torn last line
         trace_file = open(args.trace, "a", encoding="utf-8")
     with trace_file as trace_out:
         return run_batch(
-            dataset, args.output, run, work, _first_record, summary, after_write
+            dataset, args.output, run, work, _first_record, summary, after_write,
+            side_ids=traced_ids,
         )
 
 

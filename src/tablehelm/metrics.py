@@ -5,6 +5,13 @@ standalone tokens) so scores are comparable across metrics. Sentence-level
 values live in [0, 1]; corpus reports scale by 100 and round only when
 formatted. METEOR uses exact and stemmed matching but no synonym stage, and
 every report carries a note saying so.
+
+Sentence BLEU is the reward of the label search, which scores 2n candidates
+of one n-row table against the same reference. The reference is therefore
+prepared once: its tokens are counted into n-grams per order on first use,
+and the result is memoised for the last `_PREPARED_REFERENCES` distinct
+(reference, order) pairs, a fixed bound, so memory does not grow with the
+dataset. Scores are the same as counting the reference afresh on every call.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ._porter import porter_stem
 from .errors import EmptyCorpusError
@@ -47,21 +55,40 @@ def tokenize(text: str) -> list[str]:
     return _PUNCT_RE.sub(r" \1 ", text.lower()).split()
 
 
+# How many prepared references `bleu` keeps. A search or a merge scores all
+# its candidates against one reference, so a few per worker thread suffice.
+_PREPARED_REFERENCES = 64
+
+
 def _ngram_counts(tokens: list[str], n: int) -> Counter[tuple[str, ...]]:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-def _clipped_matches(hyp: list[str], ref: list[str], n: int) -> tuple[int, int]:
-    """(clipped match count, hypothesis n-gram count) for order n."""
+def _clipped_matches(
+    hyp: list[str], ref_counts: Counter[tuple[str, ...]], n: int
+) -> tuple[int, int]:
+    """(clipped match count, hypothesis n-gram count) for order n, given the
+    reference's order-n counts."""
     total = max(len(hyp) - n + 1, 0)
     if total == 0:
         return 0, 0
-    ref_counts = _ngram_counts(ref, n)
-    matched = sum(
-        min(count, ref_counts[gram])
-        for gram, count in _ngram_counts(hyp, n).items()
-    )
+    ref_count_of = ref_counts.get
+    matched = 0
+    for gram, count in _ngram_counts(hyp, n).items():
+        ref_count = ref_count_of(gram)
+        if ref_count:
+            matched += count if count < ref_count else ref_count
     return matched, total
+
+
+@lru_cache(maxsize=_PREPARED_REFERENCES)
+def _prepared_reference(
+    reference: str, max_order: int
+) -> tuple[int, tuple[Counter[tuple[str, ...]], ...]]:
+    """(token count, n-gram counts of orders 1..max_order) of a reference.
+    Shared between callers and threads: read it, never change it."""
+    ref = tokenize(reference)
+    return len(ref), tuple(_ngram_counts(ref, n) for n in range(1, max_order + 1))
 
 
 def _bleu_from_stats(
@@ -84,16 +111,20 @@ def bleu(hypothesis: str, reference: str, max_order: int = 4) -> float:
     exact hypotheses are not punished for lacking higher-order n-grams.
     Zero match counts at some order are replaced by a small epsilon instead
     of zeroing the score. An empty hypothesis scores 0.
+
+    The reference's tokens and n-gram counts are prepared once and memoised
+    for a fixed number of recent references (see the module docstring), so
+    scoring many hypotheses against one reference counts it once.
     """
     hyp = tokenize(hypothesis)
-    ref = tokenize(reference)
+    ref_len, ref_counts = _prepared_reference(reference, max_order)
     order = min(max_order, len(hyp))
     matches, totals = [], []
     for n in range(1, order + 1):
-        m, t = _clipped_matches(hyp, ref, n)
+        m, t = _clipped_matches(hyp, ref_counts[n - 1], n)
         matches.append(m)
         totals.append(t)
-    return _bleu_from_stats(matches, totals, len(hyp), len(ref), order)
+    return _bleu_from_stats(matches, totals, len(hyp), ref_len, order)
 
 
 def eval_reward(hypothesis: str, reference: str) -> float:
@@ -105,7 +136,7 @@ def rouge_n(hypothesis: str, reference: str, n: int) -> float:
     """ROUGE-N F1 over clipped n-gram overlap."""
     hyp = tokenize(hypothesis)
     ref = tokenize(reference)
-    overlap, hyp_total = _clipped_matches(hyp, ref, n)
+    overlap, hyp_total = _clipped_matches(hyp, _ngram_counts(ref, n), n)
     ref_total = max(len(ref) - n + 1, 0)
     if overlap == 0 or hyp_total == 0 or ref_total == 0:
         return 0.0
@@ -249,7 +280,7 @@ def corpus_evaluate(pairs: list[tuple[str, str]], max_order: int = 4) -> ScoreRe
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, order + 1):
-            m, t = _clipped_matches(hyp, ref, n)
+            m, t = _clipped_matches(hyp, _ngram_counts(ref, n), n)
             matches[n - 1] += m
             totals[n - 1] += t
     pooled_bleu = _bleu_from_stats(matches, totals, hyp_len, ref_len, order)

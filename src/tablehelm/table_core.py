@@ -79,6 +79,23 @@ class Table:
             for cell in row:
                 _check_cell(cell, f"row {i} cell")
 
+    def with_rows(self, rows: tuple[Row, ...]) -> Table:
+        """This table's header and title over `rows`, built without checks.
+
+        For tables derived from this one: `rows` must be a tuple of tuples
+        of this table's arity, each cell one of its own cells, possibly
+        star-wrapped, and there must be at least one row. Validation is safe
+        to skip then: a valid cell has no control whitespace and no outer
+        whitespace, and wrapping it in '*' adds neither, so the result would
+        pass every check `Table(...)` makes, and it equals (and hashes like)
+        the table `Table(...)` would build from the same cells.
+        """
+        derived = object.__new__(self.__class__)
+        object.__setattr__(derived, "header", self.header)
+        object.__setattr__(derived, "rows", rows)
+        object.__setattr__(derived, "title", self.title)
+        return derived
+
     @property
     def n_rows(self) -> int:
         return len(self.rows)

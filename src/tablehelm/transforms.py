@@ -13,6 +13,12 @@ Data rows are numbered from 1 so generated evidence indices line up with
 what a model reads. Cells containing "|" are escaped as "\\|" to keep
 distinct tables distinct after rendering; runs of three or more "#" are
 capped at two so table content can never fake a prompt-control marker.
+
+Escaping is skipped where it would change nothing: a cell with neither "|"
+nor "#" is rendered as it is, the "#"-run regex runs only on text that
+contains "###", and `parse_row_lines` unescapes only row bodies that
+contain "\\|". `highlight` and `subtable` build their result with
+`Table.with_rows`, without re-validating cells that came from a valid table.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def cap_hash_runs(text: str) -> str:
     Applied to every piece of data interpolated into a prompt so no cell,
     query, or reference can smuggle in a prompt-control marker.
     """
-    return _HASH_RUN_RE.sub("##", text)
+    return _HASH_RUN_RE.sub("##", text) if "###" in text else text
 
 
 def star_cell(cell: str) -> str:
@@ -72,7 +78,7 @@ def highlight(table: Table, evidence: Evidence) -> Table:
         tuple(star_cell(c) for c in row) if i in marked else row
         for i, row in enumerate(table.rows, start=1)
     )
-    return Table(header=table.header, rows=rows, title=table.title)
+    return table.with_rows(rows)
 
 
 def subtable(table: Table, evidence: Evidence) -> Table:
@@ -80,8 +86,7 @@ def subtable(table: Table, evidence: Evidence) -> Table:
     if len(evidence) == 0:
         raise EmptyEvidenceError("sub-table extraction needs at least one evidence row")
     evidence.check_range(table.n_rows)
-    rows = tuple(table.rows[i - 1] for i in evidence)
-    return Table(header=table.header, rows=rows, title=table.title)
+    return table.with_rows(tuple(table.rows[i - 1] for i in evidence))
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,8 @@ class LinearizedTable:
 
 
 def _render_cell(cell: str) -> str:
+    if "|" not in cell and "#" not in cell:
+        return cell
     return cap_hash_runs(cell.replace("|", "\\|"))
 
 
@@ -108,11 +115,11 @@ def linearize(table: Table) -> LinearizedTable:
     lines = []
     if table.title:
         lines.append(f"title : {_render_cell(table.title)}")
-    lines.append("col : " + " | ".join(_render_cell(c) for c in table.header))
+    lines.append("col : " + " | ".join(map(_render_cell, table.header)))
     style = "plain"
     for i, row in enumerate(table.rows, start=1):
-        lines.append(f"row {i} : " + " | ".join(_render_cell(c) for c in row))
-        if all(is_starred(c) for c in row):
+        lines.append(f"row {i} : " + " | ".join(map(_render_cell, row)))
+        if all(map(is_starred, row)):
             style = "highlighted"
     return LinearizedTable(text="\n".join(lines), style=style)
 
@@ -129,9 +136,11 @@ def parse_row_lines(text: str) -> list[tuple[int, list[str], bool]]:
         m = ROW_LINE_RE.match(line)
         if not m:
             continue
-        rendered_cells = m.group(2).split(" | ")
-        cells = [unescape_cell(c) for c in rendered_cells]
-        starred = all(is_starred(c) for c in cells)
+        body = m.group(2)
+        cells = body.split(" | ")
+        if "\\|" in body:
+            cells = [unescape_cell(c) for c in cells]
+        starred = all(map(is_starred, cells))
         if starred:
             cells = [strip_star(c) for c in cells]
         rows.append((int(m.group(1)), cells, starred))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from tablehelm.errors import AuthError, SchemaError, TransportError
 from tablehelm.evidence_lab import LabeledSample, load_labels, save_labels
 from tablehelm.feedback import EchoClient, FixedClient, HttpClient
 from tablehelm.table_core import Evidence
+
+TOY = Path(__file__).resolve().parent.parent / "data" / "toy.jsonl"
 
 
 class FailingClient:
@@ -250,6 +253,29 @@ class TestSearchLabels:
         assert stderr == f"{trace_path}: dropped 20 bytes of an unfinished last line\n"
         assert trace_path.read_bytes() == whole_trace
         assert out.read_bytes() == whole_out
+
+    def test_rerun_redoes_a_sample_whose_trace_record_was_lost(self, tmp_path, capsys):
+        # The output holds six whole records but the trace only five and part
+        # of the sixth: toy-06 must be searched again, or its trace is lost.
+        whole_out, whole_trace = tmp_path / "whole.jsonl", tmp_path / "whole-trace.jsonl"
+        run_cli(["search-labels", TOY, whole_out, "--trace", whole_trace], capsys)
+        out, trace_path = tmp_path / "search.jsonl", tmp_path / "trace.jsonl"
+        out_lines = whole_out.read_bytes().splitlines(keepends=True)
+        trace_lines = whole_trace.read_bytes().splitlines(keepends=True)
+        assert len(out_lines) == len(trace_lines) == 10
+        out.write_bytes(b"".join(out_lines[:6]))
+        trace_path.write_bytes(b"".join(trace_lines[:5]) + trace_lines[5][:40])
+        code, stdout, stderr = run_cli(
+            ["search-labels", TOY, out, "--trace", trace_path], capsys
+        )
+        assert code == EXIT_OK
+        assert stderr == f"{trace_path}: dropped 40 bytes of an unfinished last line\n"
+        assert stdout.startswith("searched 5/5 samples (skipped 5 already labeled);")
+        trace_ids = [json.loads(line)["id"] for line in trace_path.read_text("utf-8").splitlines()]
+        assert trace_ids == [f"toy-{i:02d}" for i in range(1, 11)]
+        assert trace_path.read_bytes() == whole_trace.read_bytes()
+        assert len(out.read_bytes().splitlines()) == 11  # toy-06 twice, the last one wins
+        assert load_labels(out) == load_labels(whole_out)
 
     def test_over_budget_prompts_exit_4_with_the_real_cause(
         self, two_planted, tmp_path, capsys

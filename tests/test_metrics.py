@@ -9,7 +9,10 @@ implementation.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -19,6 +22,8 @@ from tablehelm.errors import EmptyCorpusError
 from tablehelm.metrics import (
     BLEU_EPSILON,
     METRIC_NOTES,
+    _bleu_from_stats,
+    _prepared_reference,
     bleu,
     corpus_evaluate,
     eval_reward,
@@ -263,3 +268,136 @@ def test_rouge_1_matches_independent_counter_arithmetic(hyp, ref):
         recall = overlap / len(ref_tokens)
         want = 2.0 * precision * recall / (precision + recall)
     assert rouge_n(hyp, ref, 1) == pytest.approx(want, abs=1e-12)
+
+
+# ------------------------------------------------ naive counting oracle
+# BLEU's n-gram counting as it was before references were prepared once:
+# every call recounts both sides. Rewards steer the label search, so the
+# metrics must equal this exactly, not approximately.
+
+
+def naive_ngram_counts(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def naive_clipped_matches(hyp: list[str], ref: list[str], n: int) -> tuple[int, int]:
+    total = max(len(hyp) - n + 1, 0)
+    if total == 0:
+        return 0, 0
+    ref_counts = naive_ngram_counts(ref, n)
+    matched = sum(
+        min(count, ref_counts[gram]) for gram, count in naive_ngram_counts(hyp, n).items()
+    )
+    return matched, total
+
+
+def naive_bleu(hypothesis: str, reference: str, max_order: int = 4) -> float:
+    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    order = min(max_order, len(hyp))
+    stats = [naive_clipped_matches(hyp, ref, n) for n in range(1, order + 1)]
+    return _bleu_from_stats(
+        [m for m, _ in stats], [t for _, t in stats], len(hyp), len(ref), order
+    )
+
+
+def naive_rouge_n(hypothesis: str, reference: str, n: int) -> float:
+    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    overlap, hyp_total = naive_clipped_matches(hyp, ref, n)
+    ref_total = max(len(ref) - n + 1, 0)
+    if overlap == 0 or hyp_total == 0 or ref_total == 0:
+        return 0.0
+    precision, recall = overlap / hyp_total, overlap / ref_total
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def naive_pooled_bleu(pairs: list[tuple[str, str]], max_order: int = 4) -> float:
+    token_pairs = [(tokenize(h), tokenize(r)) for h, r in pairs]
+    order = min(max_order, max(len(h) for h, _ in token_pairs))
+    matches, totals = [0] * order, [0] * order
+    for hyp, ref in token_pairs:
+        for n in range(1, order + 1):
+            m, t = naive_clipped_matches(hyp, ref, n)
+            matches[n - 1] += m
+            totals[n - 1] += t
+    hyp_len = sum(len(h) for h, _ in token_pairs)
+    ref_len = sum(len(r) for _, r in token_pairs)
+    return _bleu_from_stats(matches, totals, hyp_len, ref_len, order)
+
+
+# Three words, so n-grams repeat and clipping matters; short hypotheses
+# (0-3 tokens) exercise the effective order.
+_FEW_WORDS = ("rain", "in", "spain")
+
+
+def repetitive(min_size: int = 0, max_size: int = 10) -> st.SearchStrategy[str]:
+    return st.lists(st.sampled_from(_FEW_WORDS), min_size=min_size, max_size=max_size).map(
+        " ".join
+    )
+
+
+hypotheses = st.one_of(repetitive(max_size=3), repetitive())
+
+
+@given(
+    st.lists(repetitive(), min_size=1, max_size=3),
+    st.lists(hypotheses, min_size=1, max_size=8),
+    st.integers(1, 5),
+)
+def test_bleu_equals_naive_counting(references, hyps, max_order):
+    # Hypotheses take the references in turn, so the prepared-reference
+    # cache both misses (first use of each) and hits (every later one).
+    _prepared_reference.cache_clear()
+    for i, hyp in enumerate(hyps):
+        reference = references[i % len(references)]
+        assert bleu(hyp, reference, max_order) == naive_bleu(hyp, reference, max_order)
+        assert eval_reward(hyp, reference) == naive_bleu(hyp, reference)
+    if len(hyps) > len(references):
+        assert _prepared_reference.cache_info().hits > 0
+
+
+@given(hypotheses, repetitive(), st.integers(1, 4))
+def test_rouge_n_equals_naive_counting(hyp, ref, n):
+    assert rouge_n(hyp, ref, n) == naive_rouge_n(hyp, ref, n)
+
+
+@given(st.lists(st.tuples(hypotheses, repetitive()), min_size=1, max_size=5))
+def test_corpus_scores_equal_naive_counting(pairs):
+    report = corpus_evaluate(pairs)
+    count = len(pairs)
+    expected = replace(
+        report,
+        bleu=100.0 * naive_pooled_bleu(pairs),
+        rouge1=100.0 * sum(naive_rouge_n(h, r, 1) for h, r in pairs) / count,
+        rouge2=100.0 * sum(naive_rouge_n(h, r, 2) for h, r in pairs) / count,
+    )
+    assert report == expected
+
+
+def test_threads_share_prepared_references_without_corrupting_them():
+    # Search workers score against the one memoised table of prepared
+    # references; more references than it keeps force evictions under load.
+    references = [f"rain in spain {i} in spain rain {i % 7}" for i in range(100)]
+    hypotheses = ["rain in spain", "spain rain in spain 3", "in in rain 5 spain"]
+    expected = {(h, r): naive_bleu(h, r) for h in hypotheses for r in references}
+    mismatches: list[tuple[str, str]] = []
+
+    def score(offset: int) -> None:
+        for k in range(len(references)):
+            reference = references[(offset + k) % len(references)]
+            for hyp in hypotheses:
+                if bleu(hyp, reference) != expected[hyp, reference]:
+                    mismatches.append((hyp, reference))
+
+    _prepared_reference.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(13 * i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,34 @@ from tablehelm.transforms import (
     strip_star,
     subtable,
 )
+
+# Cells that take, and cells that skip, each escaping fast path: a pipe, an
+# already escaped pipe, hashes below and at the cap, and star wrapping.
+ESCAPE_PROBES = ("a|b", "a \\| b", "\\|", "#", "x##", "###", "a####b", "*x*", "*", "plain")
+
+
+@st.composite
+def probe_tables(
+    draw, probes: tuple[str, ...] = ESCAPE_PROBES, alphabet: str = support.CELL_ALPHABET
+) -> Table:
+    cell = st.one_of(st.sampled_from(probes), support.cells(alphabet=alphabet))
+    n_cols = draw(st.integers(1, 4))
+    row = st.tuples(*[cell] * n_cols)
+    rows = tuple(draw(row) for _ in range(draw(st.integers(1, 6))))
+    return Table(header=draw(row), rows=rows, title=draw(cell))
+
+
+def render_always_escaping(table: Table) -> str:
+    """linearize() without its fast paths: escape and cap every cell."""
+
+    def render(cell: str) -> str:
+        return re.sub(r"#{3,}", "##", cell.replace("|", "\\|"))
+
+    lines = [f"title : {render(table.title)}"] if table.title else []
+    lines.append("col : " + " | ".join(map(render, table.header)))
+    for i, row in enumerate(table.rows, start=1):
+        lines.append(f"row {i} : " + " | ".join(map(render, row)))
+    return "\n".join(lines)
 
 
 class TestStarring:
@@ -220,12 +250,46 @@ def test_empty_evidence_highlight_renders_identically(data):
 @given(st.data())
 def test_parse_row_lines_inverts_linearize(data):
     # A row whose cells are all naturally star-wrapped is indistinguishable
-    # from a highlighted one, so this inverse holds only for star-free cells.
+    # from a highlighted one, so this inverse holds only for star-free cells;
+    # capping "###" is lossy, so those probes are left out too.
     alphabet = support.CELL_ALPHABET.replace("*", "")
-    table = data.draw(support.tables(alphabet=alphabet))
+    probes = tuple(p for p in ESCAPE_PROBES if "###" not in p and "*" not in p)
+    table = data.draw(probe_tables(probes, alphabet))
     evidence = data.draw(support.evidence_for(table))
     parsed = parse_row_lines(linearize(highlight(table, evidence)).text)
     assert [n for n, _, _ in parsed] == list(range(1, table.n_rows + 1))
     for number, cells, starred in parsed:
         assert tuple(cells) == table.rows[number - 1]
         assert starred == (number in evidence)
+
+
+@given(st.data())
+def test_derived_tables_equal_validated_ones(data):
+    # highlight() and subtable() skip Table's checks; what they build must be
+    # the table Table(...) builds, and validates, from the same cells.
+    table = data.draw(probe_tables())
+    evidence = data.draw(support.evidence_for(table))
+    derived = [highlight(table, evidence)]
+    if len(evidence) > 0:
+        derived.append(subtable(table, evidence))
+    for result in derived:
+        validated = Table(
+            header=list(result.header),
+            rows=[list(row) for row in result.rows],
+            title=result.title,
+        )
+        assert result == validated
+        assert hash(result) == hash(validated)
+
+
+@given(st.data())
+def test_escaping_fast_paths_render_what_full_escaping_renders(data):
+    table = data.draw(probe_tables())
+    evidence = data.draw(support.evidence_for(table))
+    for shown in (table, highlight(table, evidence)):
+        assert linearize(shown).text == render_always_escaping(shown)
+
+
+@given(st.text(alphabet="#a|", max_size=12))
+def test_cap_hash_runs_fast_path_matches_the_regex(text):
+    assert cap_hash_runs(text) == re.sub(r"#{3,}", "##", text)
