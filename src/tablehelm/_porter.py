@@ -1,14 +1,20 @@
 """Porter's suffix-stripping stemmer for English (1980 rules), ASCII only.
 
 Used by the METEOR stem-match stage. Words of length <= 2 are returned
-unchanged, matching the reference behaviour.
+unchanged, matching the reference behaviour. Stems of the last
+`_REMEMBERED_STEMS` distinct words are memoised, a fixed bound, since an
+evaluation stems the same reference words again and again.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["porter_stem"]
 
 _VOWELS = "aeiou"
+
+_REMEMBERED_STEMS = 4096
 
 
 def _is_cons(w: str, i: int) -> bool:
@@ -80,6 +86,7 @@ _STEP4 = [
 ]
 
 
+@lru_cache(maxsize=_REMEMBERED_STEMS)
 def porter_stem(word: str) -> str:
     w = word.lower()
     if len(w) <= 2:

@@ -5,7 +5,11 @@ of label sources, and training-data export.
 The greedy search evaluates the n singleton rows first, reorders them by
 reward, then accumulates rows one at a time, keeping an addition only when
 it strictly improves the reward. That costs exactly 2n feedback evaluations
-instead of 2^n.
+instead of 2^n. The singletons do not depend on each other, so they run
+concurrently, up to the feedbacker's `max_in_flight` at once (serially when
+it has none, as the offline clients do); their outcomes are tallied in row
+order, so the trace is the same as a serial search would make. The merge
+scores its distinct candidate sets the same way.
 
 Each candidate is evaluated once. Retrying transient backend failures is
 the HTTP client's job, within its `max_attempts`; a candidate whose call
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import (
     MalformedResponseError,
@@ -78,6 +83,28 @@ _SKIPPABLE_ERRORS = (
 )
 
 MERGE_PRIORITY = ("manual", "distill", "search")
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def _map_in_order(fn: Callable[[T], R], items: list[T], width: int) -> list[R]:
+    """`fn` over `items`, results in item order.
+
+    With `width` > 1 the calls run on min(width, len(items)) threads;
+    otherwise in order on this thread. An exception from any call cancels
+    the calls not yet started and is raised once the running ones finish
+    (of several, the one from the earliest item).
+    """
+    if width <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=min(width, len(items)))
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -141,13 +168,15 @@ def greedy_search(
 ) -> tuple[Evidence, float, SearchTrace]:
     """Search evidence rows greedily, spending two evaluations per row.
 
-    Phase 1 scores each singleton sub-table. Phase 2 walks the singletons in
-    descending-reward order (ties: ascending row index) and grows the result
-    set, accepting an addition only on strict reward improvement. `step_cap`
-    bounds the number of accepted additions. If nothing is ever accepted and
+    Phase 1 scores each singleton sub-table, up to the feedbacker's
+    `max_in_flight` at once, and tallies the outcomes in row order. Phase 2
+    walks the singletons in descending-reward order (ties: ascending row
+    index) and grows the result set one evaluation at a time, accepting an
+    addition only on strict reward improvement. `step_cap` bounds the
+    number of accepted additions. If nothing is ever accepted and
     `fallback` is set, the best singleton is returned and flagged. A
     candidate whose evaluation fails is skipped; if no singleton scores at
-    all, the last such failure is raised.
+    all, the last such failure in row order is raised.
     """
     n = sample.table.n_rows
     candidates: list[SearchCandidate] = []
@@ -155,10 +184,11 @@ def greedy_search(
     calls = 0
     last_error: Exception | None = None
 
-    def evaluate(evidence: Evidence) -> tuple[float | None, str]:
-        nonlocal calls, last_error
+    def evaluate(evidence: Evidence) -> float | Exception:
+        """The reward, or the skippable error that replaced it. Runs on pool
+        threads, so it touches no shared state."""
         try:
-            reward = feedback_reward(
+            return feedback_reward(
                 sample.table,
                 evidence,
                 sample.query,
@@ -171,15 +201,22 @@ def greedy_search(
                 token_budget=token_budget,
             )
         except _SKIPPABLE_ERRORS as exc:
-            last_error = exc
-            return None, f"skipped: {exc}"
-        calls += 1
-        return reward, ""
+            return exc
 
+    def tally(outcome: float | Exception) -> tuple[float | None, str]:
+        nonlocal calls, last_error
+        if isinstance(outcome, Exception):
+            last_error = outcome
+            return None, f"skipped: {outcome}"
+        calls += 1
+        return outcome, ""
+
+    singletons = [Evidence((i,)) for i in range(1, n + 1)]
+    width = getattr(feedbacker, "max_in_flight", 1)
+    outcomes = _map_in_order(evaluate, singletons, width)
     singles: list[tuple[float, int]] = []
-    for i in range(1, n + 1):
-        evidence = Evidence((i,))
-        reward, note = evaluate(evidence)
+    for i, (evidence, outcome) in enumerate(zip(singletons, outcomes), start=1):
+        reward, note = tally(outcome)
         candidates.append(SearchCandidate(evidence, reward, "singleton", False, note))
         if reward is not None:
             singles.append((reward, i))
@@ -195,7 +232,7 @@ def greedy_search(
             flags.append("step_cap_reached")
             break
         evidence = Evidence(tuple(sorted(set(held) | {row})))
-        reward, note = evaluate(evidence)
+        reward, note = tally(evaluate(evidence))
         accepted = reward is not None and reward > held_reward
         candidates.append(SearchCandidate(evidence, reward, "accumulate", accepted, note))
         if accepted:
@@ -306,9 +343,10 @@ def merge_labels(
 ) -> LabeledSample:
     """Pick the best label source by reward on the highlighted full table.
 
-    Identical candidate sets are evaluated once. Ties go to the earlier
-    source in manual > distill > search order. A single candidate wins
-    outright, with no evaluation at all.
+    Identical candidate sets are evaluated once, up to the feedbacker's
+    `max_in_flight` at once. Ties go to the earlier source in
+    manual > distill > search order. A single candidate wins outright, with
+    no evaluation at all.
     """
     candidates = labeled.candidates()
     if not candidates:
@@ -316,21 +354,24 @@ def merge_labels(
     if len(candidates) == 1:
         (evidence,) = candidates.values()
         return replace(labeled, e_merge=evidence)
-    distinct: dict[Evidence, float] = {}
-    for evidence in candidates.values():
-        if evidence not in distinct:
-            distinct[evidence] = feedback_reward(
-                sample.table,
-                evidence,
-                sample.query,
-                sample.reference,
-                "highlight",
-                feedbacker,
-                cache=cache,
-                cfg=cfg,
-                template=template,
-                token_budget=token_budget,
-            )
+
+    def score(evidence: Evidence) -> float:
+        return feedback_reward(
+            sample.table,
+            evidence,
+            sample.query,
+            sample.reference,
+            "highlight",
+            feedbacker,
+            cache=cache,
+            cfg=cfg,
+            template=template,
+            token_budget=token_budget,
+        )
+
+    sets = list(dict.fromkeys(candidates.values()))
+    width = getattr(feedbacker, "max_in_flight", 1)
+    distinct = dict(zip(sets, _map_in_order(score, sets, width)))
     rewards = tuple((name, distinct[ev]) for name, ev in candidates.items())
     best_name, best_evidence, best_reward = "", None, -1.0
     for name, evidence in candidates.items():

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import (
     AuthError,
@@ -104,8 +105,16 @@ class HttpClient:
     This is the only layer that retries. Transient failures (connection
     errors, 429, 5xx) are retried up to `max_attempts` times with
     exponential backoff, then raised; auth and other 4xx failures are
-    raised at once. A semaphore bounds concurrent in-flight requests.
-    Cache entries are keyed by endpoint and model (`cache_id`).
+    raised at once. A semaphore bounds concurrent in-flight requests to
+    `max_in_flight`, which also bounds how many evaluations one label
+    search or merge runs at once. Cache entries are keyed by endpoint and
+    model (`cache_id`).
+
+    Unless a `session` is passed in, the client builds its own, with a
+    connection pool of `max_in_flight` connections, and reads the proxy,
+    CA-bundle and client-certificate settings for its endpoint from the
+    environment once, here. Requests then never consult the environment
+    or `~/.netrc`, so the only credential sent is the API key.
     """
 
     API_KEY_ENV = "HELM_API_KEY"
@@ -129,10 +138,23 @@ class HttpClient:
         self.api_key = api_key if api_key is not None else os.environ.get(self.API_KEY_ENV)
         self.timeout = timeout
         self.max_attempts = max_attempts
+        self.max_in_flight = max_in_flight
         self._backoff_base = backoff_base
-        self._session = session if session is not None else requests.Session()
+        self._session = session if session is not None else self._own_session()
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_in_flight)
+
+    def _own_session(self) -> requests.Session:
+        session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=self.max_in_flight)
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
+        settings = session.merge_environment_settings(self.endpoint, {}, None, None, None)
+        session.proxies = settings["proxies"]
+        session.verify = settings["verify"]
+        session.cert = settings["cert"]
+        session.trust_env = False
+        return session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -251,6 +273,7 @@ class CountingClient:
         self.inner = inner
         self.model_id = inner.model_id
         self.cache_id = _cache_identity(inner)
+        self.max_in_flight = getattr(inner, "max_in_flight", 1)
         self.calls = 0
         self._lock = threading.Lock()
 

@@ -4,7 +4,8 @@ All metrics share one tokenizer (lowercase, ASCII punctuation split into
 standalone tokens) so scores are comparable across metrics. Sentence-level
 values live in [0, 1]; corpus reports scale by 100 and round only when
 formatted. METEOR uses exact and stemmed matching but no synonym stage, and
-every report carries a note saying so.
+every report carries a note saying so; only the tokens left unpaired by the
+exact stage are stemmed.
 
 Sentence BLEU is the reward of the label search, which scores 2n candidates
 of one n-row table against the same reference. The reference is therefore
@@ -171,7 +172,8 @@ def rouge_l(hypothesis: str, reference: str) -> float:
 
 
 def _align(hyp: list[str], ref: list[str]) -> list[tuple[int, int]]:
-    """Greedy one-to-one alignment: exact matches first, then stem matches."""
+    """Greedy one-to-one alignment: exact matches first, then stem matches.
+    Only tokens the exact stage left unpaired are stemmed."""
     ref_used = [False] * len(ref)
     hyp_pair: list[int | None] = [None] * len(hyp)
     for i, tok in enumerate(hyp):
@@ -180,16 +182,17 @@ def _align(hyp: list[str], ref: list[str]) -> list[tuple[int, int]]:
                 ref_used[j] = True
                 hyp_pair[i] = j
                 break
-    hyp_stems = [porter_stem(t) for t in hyp]
-    ref_stems = [porter_stem(t) for t in ref]
-    for i in range(len(hyp)):
-        if hyp_pair[i] is not None:
-            continue
-        for j in range(len(ref)):
-            if not ref_used[j] and ref_stems[j] == hyp_stems[i]:
-                ref_used[j] = True
-                hyp_pair[i] = j
-                break
+    unpaired = [i for i, j in enumerate(hyp_pair) if j is None]
+    free = [j for j, used in enumerate(ref_used) if not used]
+    if unpaired and free:
+        ref_stems = {j: porter_stem(ref[j]) for j in free}
+        for i in unpaired:
+            stem = porter_stem(hyp[i])
+            for j in free:
+                if not ref_used[j] and ref_stems[j] == stem:
+                    ref_used[j] = True
+                    hyp_pair[i] = j
+                    break
     return [(i, j) for i, j in enumerate(hyp_pair) if j is not None]
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import support
 from tablehelm import feedback
 from tablehelm.errors import (
+    AuthError,
     MissingLabelError,
     NoTableFoundError,
     PromptTooLongError,
@@ -33,7 +36,13 @@ from tablehelm.evidence_lab import (
     merge_labels,
     save_labels,
 )
-from tablehelm.feedback import CountingClient, EchoClient, FixedClient, HttpClient
+from tablehelm.feedback import (
+    CountingClient,
+    EchoClient,
+    FixedClient,
+    HttpClient,
+    echo_oracle_generate,
+)
 from tablehelm.prompting import (
     OUTPUT_MARKER,
     build_summarizer_prompt,
@@ -76,10 +85,61 @@ class AlwaysStatusSession:
     def __init__(self, status: int) -> None:
         self.status = status
         self.requests = 0
+        self._lock = threading.Lock()
 
     def post(self, url, **kwargs):
-        self.requests += 1
+        with self._lock:
+            self.requests += 1
         return SimpleNamespace(status_code=self.status)
+
+
+class JitteryClient:
+    """The echo oracle, answering after a seeded random few milliseconds so
+    that concurrent calls finish out of order. A prompt showing a row of
+    `fail_rows` (found by the row's first cell) raises `error` naming that
+    row; `instant_rows` answer (or fail) without the delay. `max_in_flight`
+    sets how many evaluations a search or merge runs at once."""
+
+    model_id = "jittery"
+
+    def __init__(
+        self,
+        max_in_flight,
+        sample,
+        seed=0,
+        fail_rows=(),
+        error=TransportError,
+        instant_rows=(),
+        delay_s=(0.001, 0.006),
+    ) -> None:
+        self.max_in_flight = max_in_flight
+        rows = sample.table.rows
+        self._fail = [(row, f": {rows[row - 1][0]} |") for row in fail_rows]
+        self._instant = [f": {rows[row - 1][0]} |" for row in instant_rows]
+        self._error = error
+        self._rng = random.Random(seed)
+        self._delay_s = delay_s
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.running = 0
+        self.most_running = 0
+
+    def generate(self, prompt, cfg):
+        with self._lock:
+            self.calls += 1
+            self.running += 1
+            self.most_running = max(self.most_running, self.running)
+            delay = self._rng.uniform(*self._delay_s)
+        try:
+            if not any(marker in prompt for marker in self._instant):
+                time.sleep(delay)
+            for row, marker in self._fail:
+                if marker in prompt:
+                    raise self._error(f"scripted failure on row {row}")
+            return echo_oracle_generate(prompt, cfg)
+        finally:
+            with self._lock:
+                self.running -= 1
 
 
 class TestGreedySearch:
@@ -219,6 +279,85 @@ class TestGreedySearch:
         with pytest.raises(NoTableFoundError):
             greedy_search(champions_sample, client)
         assert client.calls == champions_sample.table.n_rows
+
+
+class TestFanOut:
+    """Phase 1 and the merge run up to the feedbacker's `max_in_flight`
+    evaluations at once; everything they report must be what one thread
+    reports."""
+
+    @pytest.mark.parametrize("fail_rows", [(), (4,)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_out_of_order_completion_gives_the_serial_search(self, seed, fail_rows):
+        sample, planted = support.planted_sample("fan-1", 8, 2, (2, 5, 7), salt="q")
+        serial = JitteryClient(1, sample, seed, fail_rows)
+        fanned = JitteryClient(4, sample, seed, fail_rows)
+        want = greedy_search(sample, serial)
+        got = greedy_search(sample, fanned)
+        assert got == want
+        assert got[0] == planted
+        assert serial.most_running == 1
+        assert fanned.most_running > 1
+        n = sample.table.n_rows
+        # 2n evaluations, less the walk step a skipped singleton never gets.
+        assert fanned.calls == serial.calls == 2 * n - len(fail_rows)
+        assert got[2].oracle_calls == 2 * n - 2 * len(fail_rows)
+        singletons = got[2].candidates[:n]
+        assert [c.evidence for c in singletons] == [Evidence((i,)) for i in range(1, n + 1)]
+        for row in fail_rows:
+            assert singletons[row - 1].reward is None
+            assert singletons[row - 1].note == f"skipped: scripted failure on row {row}"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_with_no_singleton_scored_the_last_error_in_row_order_is_raised(self, seed):
+        sample, _ = support.planted_sample("fan-2", 6, 2, (3,), salt="q")
+        client = JitteryClient(4, sample, seed, fail_rows=range(1, 7))
+        with pytest.raises(TransportError, match="on row 6$"):
+            greedy_search(sample, client)
+        assert client.calls == 6
+
+    def test_an_auth_error_stops_the_fan_out(self):
+        sample, _ = support.planted_sample("fan-3", 12, 2, (3,), salt="q")
+        width = 3
+        client = JitteryClient(
+            width,
+            sample,
+            fail_rows=(1,),
+            error=AuthError,
+            instant_rows=(1,),
+            delay_s=(0.05, 0.05),
+        )
+        with pytest.raises(AuthError, match="on row 1$"):
+            greedy_search(sample, client)
+        # Singleton 1 plus the calls already running beside it; the rest of
+        # the queue is cancelled.
+        assert client.calls <= 1 + width
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merge_keeps_rewards_and_tie_break(self, seed):
+        table = Table(header=("h1", "h2"), rows=(("dup", "row"), ("dup", "row"), ("x", "y")))
+        sample = Sample(id="tie-2", table=table, query="q?", reference="dup row")
+        labeled = LabeledSample(
+            sample_id="tie-2",
+            e_manual=Evidence((2,)),
+            e_distill=Evidence((3,)),
+            e_search=Evidence((1,)),
+        )
+        # Longer delays than the search's: three calls must still overlap.
+        serial = JitteryClient(1, sample, seed, delay_s=(0.01, 0.03))
+        fanned = JitteryClient(4, sample, seed, delay_s=(0.01, 0.03))
+        want = merge_labels(labeled, sample, serial)
+        got = merge_labels(labeled, sample, fanned)
+        assert got == want
+        assert got.e_merge == Evidence((2,))
+        assert [name for name, _ in got.merge_rewards] == ["manual", "distill", "search"]
+        assert fanned.calls == serial.calls == 3
+        assert fanned.most_running > 1
+
+    def test_counting_client_passes_the_cap_on(self):
+        sample, _ = support.planted_sample("fan-4", 2, 2, (1,))
+        assert CountingClient(JitteryClient(5, sample)).max_in_flight == 5
+        assert CountingClient(EchoClient()).max_in_flight == 1
 
 
 class TestExhaustiveSearch:

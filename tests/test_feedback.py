@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import logging
+import threading
+import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -92,6 +97,71 @@ class RecordingClient:
     def generate(self, prompt: str, cfg: SamplingConfig) -> str:
         self.seen.append((prompt, cfg))
         return self.text
+
+
+class RecordingHandler(BaseHTTPRequestHandler):
+    """Answers every POST with one completion after the server's `delay_s`,
+    and every CONNECT (a proxy tunnel request) with 403; records what it
+    saw. Replies go out in one write, so Nagle's algorithm adds no delay."""
+
+    protocol_version = "HTTP/1.1"
+
+    def _reply(self, status: int, payload: bytes) -> None:
+        head = f"HTTP/1.1 {status} X\r\nContent-Length: {len(payload)}\r\n\r\n"
+        self.wfile.write(head.encode("ascii") + payload)
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.server.seen.append(
+            ("POST", self.path, self.headers.get("Authorization"))
+        )
+        time.sleep(self.server.delay_s)
+        self._reply(200, json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode())
+
+    def do_CONNECT(self) -> None:
+        self.server.seen.append(("CONNECT", self.path, None))
+        self._reply(403, b"")
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+class RecordingServer(ThreadingHTTPServer):
+    # Room for every connection of the concurrency test at once; the default
+    # backlog of 5 drops the rest, which then reconnect a second later.
+    request_queue_size = 64
+
+
+@contextmanager
+def serving(delay_s: float = 0.0):
+    """A RecordingHandler server on 127.0.0.1; yields (server, base URL)."""
+    server = RecordingServer(("127.0.0.1", 0), RecordingHandler)
+    server.seen = []
+    server.delay_s = delay_s
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+PROXY_VARIABLES = [
+    name
+    for base in ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+    for name in (base, base.upper())
+]
+
+
+@pytest.fixture
+def plain_environment(monkeypatch, tmp_path):
+    """No proxy variables, no netrc, and an empty home directory."""
+    for name in PROXY_VARIABLES + ["NETRC", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"]:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    return monkeypatch
 
 
 class TestSamplingConfig:
@@ -234,6 +304,64 @@ class TestHttpClient:
         client, session, _ = make_http([ok("x")], timeout=7.5)
         client.generate("p", SamplingConfig())
         assert session.requests[0]["timeout"] == 7.5
+
+
+class TestHttpClientSession:
+    """The client's own requests.Session, against servers on 127.0.0.1."""
+
+    def test_the_api_key_is_sent_even_with_a_netrc_entry(self, plain_environment, tmp_path):
+        netrc = tmp_path / ".netrc"
+        netrc.write_text("machine 127.0.0.1 login someone password hunter2\n")
+        netrc.chmod(0o600)
+        with serving() as (server, base):
+            client = HttpClient(f"{base}/v1/chat", "m", api_key="SECRET")
+            assert client.generate("p", SamplingConfig()) == "ok"
+        assert server.seen == [("POST", "/v1/chat", "Bearer SECRET")]
+
+    def test_proxy_variables_at_construction_route_the_endpoint(self, plain_environment):
+        with serving() as (target, target_url), serving() as (proxy, proxy_url):
+            https_endpoint = target_url.replace("http:", "https:") + "/v1/chat"
+            plain_environment.setenv("HTTPS_PROXY", proxy_url)
+            proxied = HttpClient(https_endpoint, "m", max_attempts=1)
+            plain_environment.setenv("HTTP_PROXY", proxy_url)
+            plain_environment.setenv("NO_PROXY", "127.0.0.1")
+            direct = HttpClient(f"{target_url}/v1/chat", "m")
+            # Settings were read at construction; later changes do not count.
+            for name in PROXY_VARIABLES:
+                plain_environment.delenv(name, raising=False)
+            plain_environment.setenv("NO_PROXY", "*")
+            with pytest.raises(TransportError):
+                proxied.generate("p", SamplingConfig())
+            plain_environment.setenv("HTTP_PROXY", proxy_url)
+            plain_environment.delenv("NO_PROXY")
+            assert direct.generate("p", SamplingConfig()) == "ok"
+        host_port = target_url.removeprefix("http://")
+        assert proxy.seen == [("CONNECT", host_port, None)]
+        assert target.seen == [("POST", "/v1/chat", None)]
+
+    def test_the_connection_pool_holds_max_in_flight_connections(
+        self, plain_environment, caplog
+    ):
+        width = 16
+        with serving(delay_s=0.1) as (server, base):
+            client = HttpClient(f"{base}/v1/chat", "m", max_in_flight=width)
+            start = threading.Barrier(width)
+            answers: list[str] = []
+
+            def call() -> None:
+                start.wait(timeout=10)
+                answers.append(client.generate("p", SamplingConfig()))
+
+            threads = [threading.Thread(target=call) for _ in range(width)]
+            with caplog.at_level(logging.WARNING, logger="urllib3"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == ["ok"] * width
+        assert len(server.seen) == width
+        assert [r.getMessage() for r in caplog.records if "pool is full" in r.getMessage()] == []
 
 
 class TestEchoOracle:

@@ -18,11 +18,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tablehelm._porter import porter_stem
 from tablehelm.errors import EmptyCorpusError
 from tablehelm.metrics import (
     BLEU_EPSILON,
     METRIC_NOTES,
+    _align,
     _bleu_from_stats,
+    _chunk_count,
     _prepared_reference,
     bleu,
     corpus_evaluate,
@@ -401,3 +404,60 @@ def test_threads_share_prepared_references_without_corrupting_them():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+# ------------------------------------------------ naive METEOR alignment
+# The alignment as it was before stemming was limited to the tokens the
+# exact stage leaves unpaired: every token of both sides is stemmed, with
+# the stemmer unmemoised. METEOR must equal it exactly.
+
+
+def naive_align(hyp: list[str], ref: list[str]) -> list[tuple[int, int]]:
+    stem = porter_stem.__wrapped__
+    ref_used = [False] * len(ref)
+    hyp_pair: list[int | None] = [None] * len(hyp)
+    for i, tok in enumerate(hyp):
+        for j, ref_tok in enumerate(ref):
+            if not ref_used[j] and ref_tok == tok:
+                ref_used[j] = True
+                hyp_pair[i] = j
+                break
+    hyp_stems = [stem(t) for t in hyp]
+    ref_stems = [stem(t) for t in ref]
+    for i in range(len(hyp)):
+        if hyp_pair[i] is not None:
+            continue
+        for j in range(len(ref)):
+            if not ref_used[j] and ref_stems[j] == hyp_stems[i]:
+                ref_used[j] = True
+                hyp_pair[i] = j
+                break
+    return [(i, j) for i, j in enumerate(hyp_pair) if j is not None]
+
+
+def naive_meteor(hypothesis: str, reference: str, alpha: float = 0.9) -> float:
+    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    if not hyp or not ref:
+        return 0.0
+    pairs = naive_align(hyp, ref)
+    if not pairs:
+        return 0.0
+    precision, recall = len(pairs) / len(hyp), len(pairs) / len(ref)
+    f_mean = precision * recall / (alpha * precision + (1.0 - alpha) * recall)
+    return f_mean * (1.0 - 0.5 * (_chunk_count(pairs) / len(pairs)) ** 3)
+
+
+# Words that share stems in several ways (plural, -ing, -ed), so both the
+# exact and the stem stage pair tokens, and repeats make the greedy order
+# matter.
+_STEMMY_WORDS = ("rain", "rains", "raining", "rained", "spain", "in", "fall", "falls", "cat", "cats")
+
+
+def stemmy(max_size: int = 8) -> st.SearchStrategy[str]:
+    return st.lists(st.sampled_from(_STEMMY_WORDS), max_size=max_size).map(" ".join)
+
+
+@given(stemmy(), stemmy(), st.sampled_from((0.5, 0.9)))
+def test_meteor_equals_the_naive_alignment(hyp, ref, alpha):
+    assert _align(tokenize(hyp), tokenize(ref)) == naive_align(tokenize(hyp), tokenize(ref))
+    assert meteor(hyp, ref, alpha) == naive_meteor(hyp, ref, alpha)
