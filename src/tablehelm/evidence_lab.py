@@ -24,7 +24,7 @@ import json
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from .errors import (
     MalformedResponseError,
@@ -69,7 +69,6 @@ __all__ = [
     "labeled_to_record",
     "load_labels",
     "merge_labels",
-    "save_labels",
 ]
 
 # Failures that disqualify one candidate without sinking the whole search.
@@ -436,17 +435,6 @@ def labeled_from_record(record: dict[str, object]) -> LabeledSample:
         merge_rewards=tuple(rewards),
         flags=tuple(raw_flags),
     )
-
-
-def save_labels(
-    path: str | Path, labels: Iterable[LabeledSample], append: bool = False
-) -> None:
-    """Write labels as JSONL, one record per sample."""
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as handle:
-        for labeled in labels:
-            handle.write(json.dumps(labeled_to_record(labeled), ensure_ascii=False))
-            handle.write("\n")
 
 
 def load_labels(path: str | Path) -> dict[str, LabeledSample]:

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
+from urllib.parse import urlsplit
 
 import requests
 from requests.adapters import HTTPAdapter
@@ -31,6 +32,7 @@ from .errors import (
     MalformedResponseError,
     NoTableFoundError,
     RateLimitError,
+    SchemaError,
     TransportError,
 )
 from .metrics import eval_reward
@@ -41,7 +43,6 @@ from .transforms import parse_row_lines, subtable
 __all__ = [
     "SamplingConfig",
     "SEARCH_SAMPLING",
-    "SUMMARY_SAMPLING",
     "GeneratorClient",
     "HttpClient",
     "EchoClient",
@@ -78,7 +79,6 @@ class SamplingConfig:
 # Greedy decoding for label search: reward comparisons are meaningless under
 # sampling noise. The (0.9, 0.1) pair is the default for final summaries.
 SEARCH_SAMPLING = SamplingConfig(nucleus_p=1.0, temperature=0.0)
-SUMMARY_SAMPLING = SamplingConfig(nucleus_p=0.9, temperature=0.1)
 
 
 @runtime_checkable
@@ -99,6 +99,18 @@ def _prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12]
 
 
+def _check_endpoint(endpoint: str) -> None:
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # raises ValueError unless the port is absent or numeric
+    except ValueError as exc:
+        raise SchemaError("endpoint", f"bad endpoint {endpoint!r}: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise SchemaError(
+            "endpoint", f"bad endpoint {endpoint!r}: expected http(s)://host[:port]/path"
+        )
+
+
 class HttpClient:
     """Chat-completions client over HTTP with retry and backoff.
 
@@ -108,7 +120,9 @@ class HttpClient:
     raised at once. A semaphore bounds concurrent in-flight requests to
     `max_in_flight`, which also bounds how many evaluations one label
     search or merge runs at once. Cache entries are keyed by endpoint and
-    model (`cache_id`).
+    model (`cache_id`). The endpoint must be an http(s) URL with a host
+    and, if it names a port, a numeric one; any other endpoint raises
+    `SchemaError` here, since no retry could make it work.
 
     Unless a `session` is passed in, the client builds its own, with a
     connection pool of `max_in_flight` connections, and reads the proxy,
@@ -132,6 +146,7 @@ class HttpClient:
         session: requests.Session | None = None,
         sleep=time.sleep,
     ) -> None:
+        _check_endpoint(endpoint)
         self.endpoint = endpoint
         self.model_id = model_id
         self.cache_id = f"{endpoint} {model_id}"

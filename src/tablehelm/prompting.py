@@ -58,7 +58,6 @@ class PromptTemplate:
 
     name: str
     text: str
-    example_blocks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.name not in ROLES:
@@ -83,13 +82,6 @@ class PromptTemplate:
             if slot not in declared:
                 raise TemplateError(
                     f"{self.name} template does not take {{{{{slot}}}}}"
-                )
-        if self.example_blocks and self.name != "distill":
-            raise TemplateError("example blocks are only used by the distill role")
-        for block in self.example_blocks:
-            if OUTPUT_MARKER in block:
-                raise TemplateError(
-                    f"example block may not contain {OUTPUT_MARKER!r}"
                 )
         # Normalized form: head, marker, single trailing newline.
         object.__setattr__(self, "text", head + OUTPUT_MARKER + "\n")

@@ -8,6 +8,13 @@ The canonical on-disk format is JSON Lines, one sample per line:
 Evidence indices are 1-based data-row indices; the header is never
 indexable. All types here are immutable after construction and safe to
 share between workers.
+
+`parse_sample` is the only code that turns an input record into a Sample.
+The FeTaQA and QTSumm adapters check their own source fields, map them
+onto a canonical record and hand it to `parse_sample`, so cell coercion,
+row checks and evidence checks are the same for every format, and a bad
+table in a source record is reported under the canonical field name
+(`header`, `rows`, `evidence`). Row arity is checked by `Table` alone.
 """
 
 from __future__ import annotations
@@ -124,9 +131,6 @@ class Evidence:
         """Build from any iterable of indices, sorting and deduplicating."""
         return cls(tuple(sorted(set(int(v) for v in values))))
 
-    def union(self, other: Evidence) -> Evidence:
-        return Evidence.from_any(self.indices + other.indices)
-
     def check_range(self, n_rows: int) -> None:
         for i in self.indices:
             if i > n_rows:
@@ -186,9 +190,6 @@ class Dataset:
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
 
-    def by_id(self) -> dict[str, Sample]:
-        return {s.id: s for s in self.samples}
-
 
 @dataclass
 class ParseFailure:
@@ -226,15 +227,15 @@ def _as_cell(value: Any, key: str) -> str:
     raise SchemaError(key, f"field {key!r} holds a non-text cell: {value!r}")
 
 
-def _parse_evidence(raw: Any, n_rows: int, key: str = "evidence") -> Evidence | None:
+def _parse_evidence(raw: Any, n_rows: int) -> Evidence | None:
     if raw is None:
         return None
     if not isinstance(raw, list):
-        raise SchemaError(key, f"field {key!r} must be a list of ints or null")
+        raise SchemaError("evidence", "field 'evidence' must be a list of ints or null")
     indices = []
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError(key, f"field {key!r} holds a non-integer index: {v!r}")
+            raise SchemaError("evidence", f"field 'evidence' holds a non-integer index: {v!r}")
         if v < 1 or v > n_rows:
             raise EvidenceRangeError(v, n_rows)
         indices.append(v)
@@ -257,15 +258,12 @@ def parse_sample(record: Mapping[str, Any]) -> Sample:
     for i, row in enumerate(rows_raw, start=1):
         if not isinstance(row, list):
             raise SchemaError("rows", f"row {i} is not a list")
-        cells = tuple(_as_cell(c, "rows") for c in row)
-        if len(cells) != len(header):
-            raise RaggedTableError(i, expected=len(header), got=len(cells))
-        rows.append(cells)
+        rows.append(tuple(_as_cell(c, "rows") for c in row))
 
+    # Table checks row arity and raises RaggedTableError, which is not a
+    # ValueError; its other ValueErrors (no columns, no rows) are schema errors.
     try:
         table = Table(header=header, rows=tuple(rows), title=normalize_cell(title))
-    except RaggedTableError:
-        raise
     except ValueError as exc:
         raise SchemaError("rows", str(exc)) from exc
 
@@ -300,11 +298,13 @@ def serialize_sample(sample: Sample) -> dict[str, Any]:
 
 
 def adapt_fetaqa(record: Mapping[str, Any]) -> Sample:
-    """Map a FeTaQA release record onto the canonical Sample.
+    """Map a FeTaQA release record onto a canonical record and parse it.
 
-    The first table-array row is the header. Cell-coordinate highlights,
-    when present, are kept in sample.meta and never promoted to evidence:
-    the merge set for this corpus is built from search and distillation.
+    The first table-array row is the header and the rest are the data rows;
+    the title joins the page and section titles with " - ". Cell-coordinate
+    highlights, when present, are kept in sample.meta and never promoted
+    to evidence: the merge set for this corpus is built from search and
+    distillation.
     """
     feta_id = _require(record, "feta_id", (int, str))
     table_array = _require(record, "table_array", list)
@@ -313,35 +313,27 @@ def adapt_fetaqa(record: Mapping[str, Any]) -> Sample:
     if len(table_array) < 2:
         raise SchemaError("table_array", "table_array needs a header row plus data rows")
 
-    header = tuple(_as_cell(c, "table_array") for c in table_array[0])
-    rows = tuple(tuple(_as_cell(c, "table_array") for c in row) for row in table_array[1:])
-
     title_parts = [
         normalize_cell(str(record.get("table_page_title", "") or "")),
         normalize_cell(str(record.get("table_section_title", "") or "")),
     ]
-    title = " - ".join(p for p in title_parts if p)
-
-    meta: dict[str, Any] = {}
+    canonical = {
+        "id": str(feta_id),
+        "title": " - ".join(p for p in title_parts if p),
+        "header": table_array[0],
+        "rows": table_array[1:],
+        "query": question,
+        "reference": answer,
+    }
     if "highlighted_cell_ids" in record:
-        meta["highlighted_cell_ids"] = record["highlighted_cell_ids"]
-
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise RaggedTableError(i, expected=len(header), got=len(row))
-    return Sample(
-        id=str(feta_id),
-        table=Table(header=header, rows=rows, title=title),
-        query=question,
-        reference=answer,
-        manual_evidence=None,
-        meta=meta,
-    )
+        canonical["meta"] = {"highlighted_cell_ids": record["highlighted_cell_ids"]}
+    return parse_sample(canonical)
 
 
 def adapt_qtsumm(record: Mapping[str, Any]) -> Sample:
-    """Map a QTSumm release record onto the canonical Sample.
+    """Map a QTSumm release record onto a canonical record and parse it.
 
+    The table object's header, rows and title become the canonical ones.
     Human-annotated relevant rows ride in as manual evidence when the
     record carries them (key "row_ids", 1-based).
     """
@@ -352,25 +344,15 @@ def adapt_qtsumm(record: Mapping[str, Any]) -> Sample:
     if sample_id is None or isinstance(sample_id, bool) or not isinstance(sample_id, (int, str)):
         raise SchemaError("example_id")
 
-    header = tuple(_as_cell(c, "table.header") for c in _require(table, "header", list))
-    rows = tuple(
-        tuple(_as_cell(c, "table.rows") for c in row)
-        for row in _require(table, "rows", list)
-    )
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise RaggedTableError(i, expected=len(header), got=len(row))
-    title = normalize_cell(str(table.get("title", "") or ""))
-
-    built = Table(header=header, rows=rows, title=title)
-    evidence = _parse_evidence(record.get("row_ids"), built.n_rows, key="row_ids")
-    return Sample(
-        id=str(sample_id),
-        table=built,
-        query=query,
-        reference=summary,
-        manual_evidence=evidence,
-    )
+    canonical = {
+        "id": str(sample_id),
+        "title": str(table.get("title") or ""),
+        "query": query,
+        "reference": summary,
+        "evidence": record.get("row_ids"),
+    }
+    canonical.update((key, table[key]) for key in ("header", "rows") if key in table)
+    return parse_sample(canonical)
 
 
 _ADAPTERS = {
@@ -398,24 +380,26 @@ def load_dataset(
     samples: list[Sample] = []
     seen: set[str] = set()
 
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise SchemaError("record", f"line {line_no} is not a JSON object")
-            sample = adapt(record)
-            if sample.id in seen:
-                raise SchemaError("id", f"duplicate sample id {sample.id!r}")
-        except (SchemaError, RaggedTableError, EvidenceRangeError, ValueError) as exc:
-            if strict:
-                raise
-            report.failures.append(ParseFailure(line_no, str(exc)))
-            continue
-        seen.add(sample.id)
-        samples.append(sample)
+    # Iterate the handle, which ends lines at newlines only: JSON strings may
+    # hold U+2028, U+2029 and U+0085 raw, and str.splitlines() splits there.
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise SchemaError("record", f"line {line_no} is not a JSON object")
+                sample = adapt(record)
+                if sample.id in seen:
+                    raise SchemaError("id", f"duplicate sample id {sample.id!r}")
+            except (SchemaError, RaggedTableError, EvidenceRangeError, ValueError) as exc:
+                if strict:
+                    raise
+                report.failures.append(ParseFailure(line_no, str(exc)))
+                continue
+            seen.add(sample.id)
+            samples.append(sample)
 
     if not samples and not report.failures:
         report.warnings.append(f"{path}: no samples found")

@@ -94,7 +94,6 @@ class LinearizedTable:
     """Row-by-row string rendering of a table."""
 
     text: str
-    style: str  # "plain" | "highlighted"
 
     def __str__(self) -> str:
         return self.text
@@ -116,12 +115,9 @@ def linearize(table: Table) -> LinearizedTable:
     if table.title:
         lines.append(f"title : {_render_cell(table.title)}")
     lines.append("col : " + " | ".join(map(_render_cell, table.header)))
-    style = "plain"
     for i, row in enumerate(table.rows, start=1):
         lines.append(f"row {i} : " + " | ".join(map(_render_cell, row)))
-        if all(map(is_starred, row)):
-            style = "highlighted"
-    return LinearizedTable(text="\n".join(lines), style=style)
+    return LinearizedTable(text="\n".join(lines))
 
 
 def parse_row_lines(text: str) -> list[tuple[int, list[str], bool]]:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from tablehelm.evidence_lab import LabeledSample, labeled_to_record
 from tablehelm.table_core import (
     Evidence,
     Sample,
@@ -102,6 +103,14 @@ def write_dataset(path: Path, samples: list[Sample]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for sample in samples:
             handle.write(json.dumps(serialize_sample(sample), ensure_ascii=False))
+            handle.write("\n")
+
+
+def save_labels(path: Path, labels: list[LabeledSample], append: bool = False) -> None:
+    """Write a label file the way the CLI does, one JSON record per sample."""
+    with open(path, "a" if append else "w", encoding="utf-8") as handle:
+        for labeled in labels:
+            handle.write(json.dumps(labeled_to_record(labeled), ensure_ascii=False))
             handle.write("\n")
 
 

@@ -14,9 +14,9 @@ import tablehelm.cli as cli
 from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, SchemaError, TransportError
-from tablehelm.evidence_lab import LabeledSample, load_labels, save_labels
+from tablehelm.evidence_lab import LabeledSample, load_labels
 from tablehelm.feedback import EchoClient, FixedClient, HttpClient
-from tablehelm.table_core import Evidence
+from tablehelm.table_core import Evidence, serialize_sample
 
 TOY = Path(__file__).resolve().parent.parent / "data" / "toy.jsonl"
 
@@ -89,6 +89,23 @@ class TestMakeClient:
             cli.make_client("ftp://files", "m", RunConfig())
 
 
+def source_record(fmt: str, number: int, rows: list) -> dict:
+    """A FeTaQA or QTSumm release record over a two-column table."""
+    if fmt == "fetaqa":
+        return {
+            "feta_id": number,
+            "table_array": [["Year", "Team"], *rows],
+            "question": "Who won?",
+            "answer": "Ajax won.",
+        }
+    return {
+        "example_id": str(number),
+        "table": {"header": ["Year", "Team"], "rows": rows},
+        "query": "Who won?",
+        "summary": "Ajax won.",
+    }
+
+
 class TestIngest:
     def test_round_trip(self, two_planted, tmp_path, capsys):
         data, _, _ = two_planted
@@ -151,6 +168,68 @@ class TestIngest:
         parsed = json.loads(out.read_text("utf-8"))
         assert parsed["id"] == "11"
         assert parsed["title"] == "Eredivisie - Champions"
+
+    @pytest.mark.parametrize("fmt", ["fetaqa", "qtsumm"])
+    def test_source_rows_that_are_not_lists_are_reported_per_line(
+        self, fmt, tmp_path, capsys
+    ):
+        good = source_record(fmt, 1, [["1999", "Ajax"]])
+        bad = [source_record(fmt, 2, ["xy"]), source_record(fmt, 3, [7])]
+        data = tmp_path / "source.jsonl"
+        data.write_text(
+            "".join(json.dumps(r) + "\n" for r in [good, *bad]), encoding="utf-8"
+        )
+        out = tmp_path / "out.jsonl"
+        code, stdout, stderr = run_cli(["ingest", data, out, "--format", fmt], capsys)
+        assert code == EXIT_OK
+        assert stdout.strip() == f"ingested 1 samples -> {out}"
+        assert stderr.splitlines() == [
+            "line 2: row 1 is not a list",
+            "line 3: row 1 is not a list",
+        ]
+        expected = {
+            "id": "1",
+            "title": "",
+            "header": ["Year", "Team"],
+            "rows": [["1999", "Ajax"]],
+            "query": "Who won?",
+            "reference": "Ajax won.",
+            "evidence": None,
+        }
+        assert out.read_text("utf-8") == json.dumps(expected) + "\n"
+        for record in bad:
+            data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            strict_out = tmp_path / "strict.jsonl"
+            code, _, stderr = run_cli(
+                ["ingest", data, strict_out, "--format", fmt, "--strict"], capsys
+            )
+            assert code == EXIT_VALIDATION
+            assert stderr == "error: SchemaError: row 1 is not a list\n"
+            assert not strict_out.exists()
+
+    def test_line_separators_inside_strings_survive_a_second_ingest(
+        self, tmp_path, capsys
+    ):
+        sample, _ = support.planted_sample("sep-1", 3, 2, (1,))
+        record = serialize_sample(sample)
+        record["title"] = "Sea\u2028sons\u2029of\u0085play"
+        record["query"] = "first\u2028second\u2029third\u0085?"
+        record["reference"] += " \u2029end\u0085"
+        data = tmp_path / "escaped.jsonl"
+        data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        assert run_cli(["ingest", data, first], capsys) == (
+            EXIT_OK, f"ingested 1 samples -> {first}\n", ""
+        )
+        assert run_cli(["ingest", first, second], capsys) == (
+            EXIT_OK, f"ingested 1 samples -> {second}\n", ""
+        )
+        assert "\u2028" in first.read_text("utf-8")
+        assert first.read_bytes() == second.read_bytes()
+        parsed = json.loads(second.read_text("utf-8"))
+        assert parsed["query"] == record["query"]
+        assert parsed["reference"] == record["reference"]
+        assert parsed["title"] == "Sea sons of play"
 
 
 class TestMapOrdered:
@@ -360,6 +439,22 @@ class TestSearchLabels:
         assert code == EXIT_VALIDATION
         assert "error: SchemaError" in stderr
 
+    def test_malformed_http_endpoint_exits_2_before_writing(
+        self, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        code, _, stderr = run_cli(
+            [
+                "search-labels", data, out,
+                "--feedbacker-endpoint", "http://", "--max-attempts", "1",
+            ],
+            capsys,
+        )
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: SchemaError: bad endpoint 'http://'")
+        assert not out.exists()
+
 
 class TestDistillLabels:
     def test_fixed_endpoint_labels_every_sample(self, two_planted, tmp_path, capsys):
@@ -448,7 +543,7 @@ class TestMergeLabels:
     ):
         data, (first, first_planted), (second, second_planted) = two_planted
         search_file = tmp_path / "search.jsonl"
-        save_labels(
+        support.save_labels(
             search_file,
             [
                 LabeledSample(sample_id="cli-1", e_search=Evidence((1,))),
@@ -477,8 +572,8 @@ class TestMergeLabels:
         data, (first, first_planted), _ = two_planted
         older = tmp_path / "older.jsonl"
         newer = tmp_path / "newer.jsonl"
-        save_labels(older, [LabeledSample(sample_id="cli-1", e_search=Evidence((1,)))])
-        save_labels(
+        support.save_labels(older, [LabeledSample(sample_id="cli-1", e_search=Evidence((1,)))])
+        support.save_labels(
             newer, [LabeledSample(sample_id="cli-1", e_search=first_planted)]
         )
         out = tmp_path / "merged.jsonl"
@@ -541,7 +636,7 @@ class TestHighlight:
     def test_label_file_source_selection(self, two_planted, tmp_path, capsys):
         data, _, _ = two_planted
         labels = tmp_path / "labels.jsonl"
-        save_labels(
+        support.save_labels(
             labels, [LabeledSample(sample_id="cli-1", e_search=Evidence((3,)))]
         )
         code, stdout, _ = run_cli(
@@ -557,7 +652,7 @@ class TestHighlight:
     def test_explicit_evidence_beats_label_files(self, two_planted, tmp_path, capsys):
         data, _, _ = two_planted
         labels = tmp_path / "labels.jsonl"
-        save_labels(
+        support.save_labels(
             labels, [LabeledSample(sample_id="cli-1", e_search=Evidence((3,)))]
         )
         code, stdout, _ = run_cli(
@@ -609,7 +704,7 @@ class TestExportTrain:
                 )
             )
         path = tmp_path / "labels.jsonl"
-        save_labels(path, labels)
+        support.save_labels(path, labels)
         return path
 
     def test_highlighter_role(self, two_planted, tmp_path, capsys):

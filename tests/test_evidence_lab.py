@@ -34,7 +34,6 @@ from tablehelm.evidence_lab import (
     labeled_to_record,
     load_labels,
     merge_labels,
-    save_labels,
 )
 from tablehelm.feedback import (
     CountingClient,
@@ -599,14 +598,14 @@ class TestLabelRecords:
         path = tmp_path / "labels.jsonl"
         one = LabeledSample(sample_id="a", e_search=Evidence((1,)))
         two = LabeledSample(sample_id="b", e_manual=Evidence((2,)))
-        save_labels(path, [one, two])
+        support.save_labels(path, [one, two])
         assert load_labels(path) == {"a": one, "b": two}
 
     def test_append_mode_and_last_record_wins(self, tmp_path):
         path = tmp_path / "labels.jsonl"
-        save_labels(path, [LabeledSample(sample_id="a", e_search=Evidence((1,)))])
+        support.save_labels(path, [LabeledSample(sample_id="a", e_search=Evidence((1,)))])
         updated = LabeledSample(sample_id="a", e_search=Evidence((1, 2)))
-        save_labels(path, [updated], append=True)
+        support.save_labels(path, [updated], append=True)
         assert path.read_text("utf-8").count("\n") == 2
         assert load_labels(path) == {"a": updated}
 

@@ -20,11 +20,11 @@ from tablehelm.errors import (
     MalformedResponseError,
     NoTableFoundError,
     RateLimitError,
+    SchemaError,
     TransportError,
 )
 from tablehelm.feedback import (
     SEARCH_SAMPLING,
-    SUMMARY_SAMPLING,
     CountingClient,
     EchoClient,
     FixedClient,
@@ -171,7 +171,6 @@ class TestSamplingConfig:
 
     def test_presets(self):
         assert SEARCH_SAMPLING == SamplingConfig(nucleus_p=1.0, temperature=0.0)
-        assert SUMMARY_SAMPLING == SamplingConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -217,6 +216,15 @@ class TestHttpClient:
         client, session, _ = make_http([ok("x")])
         client.generate("p", SamplingConfig())
         assert "Authorization" not in session.requests[0]["headers"]
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["http://", "http://host:notaport/v1", "http://:8080/v1", "ftp://host/v1"],
+    )
+    def test_malformed_endpoints_are_rejected_at_construction(self, endpoint):
+        with pytest.raises(SchemaError) as excinfo:
+            HttpClient(endpoint, "m", session=ScriptedSession([]))
+        assert excinfo.value.field == "endpoint"
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_failures_are_immediate(self, status):

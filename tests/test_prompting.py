@@ -31,10 +31,6 @@ from tablehelm.transforms import linearize, parse_row_lines
 
 HIGHLIGHTER_TEXT = "Pick rows.\n\nTable:\n{{TABLE}}\n\nQuery: {{QUERY}}\n\n###Output\n"
 SUMMARIZER_TEXT = "Answer briefly.\n\nTable:\n{{TABLE}}\n\nQuery: {{QUERY}}\n\n###Output\n"
-DISTILL_TEXT = (
-    "Study the examples.\n\n{{EXAMPLES}}\n\nTable:\n{{TABLE}}\n\n"
-    "Query: {{QUERY}}\n\nReference: {{REFERENCE}}\n\n###Output\n"
-)
 
 
 class TestPromptTemplate:
@@ -82,20 +78,6 @@ class TestPromptTemplate:
     def test_unknown_role_is_rejected(self):
         with pytest.raises(TemplateError):
             PromptTemplate(name="editor", text=HIGHLIGHTER_TEXT)
-
-    def test_example_blocks_require_the_distill_role(self):
-        with pytest.raises(TemplateError):
-            PromptTemplate(
-                name="highlighter", text=HIGHLIGHTER_TEXT, example_blocks=("x",)
-            )
-
-    def test_example_block_may_not_contain_the_marker(self):
-        with pytest.raises(TemplateError):
-            PromptTemplate(
-                name="distill",
-                text=DISTILL_TEXT,
-                example_blocks=("fine", f"bad {OUTPUT_MARKER}"),
-            )
 
 
 class TestRenderedPrompt:

@@ -83,12 +83,11 @@ class TestEvidence:
     def test_from_any_sorts_and_dedupes(self):
         assert Evidence.from_any([3, 1, 3, 2]) == Evidence((1, 2, 3))
 
-    def test_union_and_collection_protocol(self):
-        merged = Evidence((1, 3)).union(Evidence((2, 3)))
-        assert merged == Evidence((1, 2, 3))
-        assert len(merged) == 3
-        assert 2 in merged
-        assert list(merged) == [1, 2, 3]
+    def test_collection_protocol(self):
+        evidence = Evidence((1, 2, 3))
+        assert len(evidence) == 3
+        assert 2 in evidence
+        assert list(evidence) == [1, 2, 3]
 
     def test_check_range(self):
         Evidence((1, 3)).check_range(3)
@@ -116,10 +115,9 @@ class TestSampleAndDataset:
         with pytest.raises(ValueError):
             Dataset((champions_sample, champions_sample))
 
-    def test_order_and_lookup(self, champions_sample):
+    def test_order_follows_construction(self, champions_sample):
         dataset = Dataset((champions_sample,))
         assert [s.id for s in dataset] == ["champ-1"]
-        assert dataset.by_id()["champ-1"] is champions_sample
 
 
 class TestParseSample:
@@ -235,6 +233,21 @@ class TestAdapters:
         assert sample.manual_evidence is None
         assert sample.meta["highlighted_cell_ids"] == [[1, 0], [1, 1]]
 
+    def test_fetaqa_serializes_to_the_canonical_record(self):
+        record = serialize_sample(adapt_fetaqa(self.fetaqa_record()))
+        assert json.dumps(record) == json.dumps(
+            {
+                "id": "17",
+                "title": "Eredivisie - Champions",
+                "header": ["Year", "Team"],
+                "rows": [["1999", "Ajax"], ["2000", "PSV"]],
+                "query": "Who won in 1999?",
+                "reference": "Ajax won in 1999.",
+                "evidence": None,
+                "meta": {"highlighted_cell_ids": [[1, 0], [1, 1]]},
+            }
+        )
+
     def test_fetaqa_without_section_title(self):
         record = self.fetaqa_record(table_section_title="")
         assert adapt_fetaqa(record).table.title == "Eredivisie"
@@ -266,6 +279,20 @@ class TestAdapters:
         assert sample.manual_evidence == Evidence((2,))
         assert sample.reference == "PSV took the 2000 title."
 
+    def test_qtsumm_serializes_to_the_canonical_record(self):
+        record = serialize_sample(adapt_qtsumm(self.qtsumm_record()))
+        assert json.dumps(record) == json.dumps(
+            {
+                "id": "q-3",
+                "title": "Champions",
+                "header": ["Year", "Team"],
+                "rows": [["1999", "Ajax"], ["2000", "PSV"]],
+                "query": "Summarize the 2000 season.",
+                "reference": "PSV took the 2000 title.",
+                "evidence": [2],
+            }
+        )
+
     def test_qtsumm_id_fallback(self):
         record = self.qtsumm_record()
         del record["example_id"]
@@ -283,6 +310,29 @@ class TestAdapters:
     def test_qtsumm_boolean_id_rejected(self):
         with pytest.raises(SchemaError):
             adapt_qtsumm(self.qtsumm_record(example_id=True))
+
+    def test_bad_source_tables_are_reported_under_canonical_fields(self):
+        cases = [
+            (adapt_fetaqa, self.fetaqa_record(table_array=["Year", ["1999"]]), "header"),
+            (adapt_fetaqa, self.fetaqa_record(table_array=[["Year", "Team"], "xy"]), "rows"),
+            (adapt_fetaqa, self.fetaqa_record(table_array=[["Year", "Team"], 7]), "rows"),
+            (adapt_qtsumm, self.qtsumm_record(table={"rows": [["1999"]]}), "header"),
+            (adapt_qtsumm, self.qtsumm_record(row_ids="2"), "evidence"),
+        ]
+        for adapt, record, field in cases:
+            with pytest.raises(SchemaError) as excinfo:
+                adapt(record)
+            assert excinfo.value.field == field
+
+    def test_ragged_source_rows_name_their_index(self):
+        table_array = [["Year", "Team"], ["1999", "Ajax"], ["2000"]]
+        with pytest.raises(RaggedTableError) as excinfo:
+            adapt_fetaqa(self.fetaqa_record(table_array=table_array))
+        assert excinfo.value.row_index == 2
+        table = {"header": ["Year", "Team"], "rows": [["1999"]]}
+        with pytest.raises(RaggedTableError) as excinfo:
+            adapt_qtsumm(self.qtsumm_record(table=table, row_ids=None))
+        assert excinfo.value.row_index == 1
 
 
 class TestLoadDataset:

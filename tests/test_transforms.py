@@ -127,11 +127,6 @@ class TestLinearize:
         text = linearize(highlight(champions_table, Evidence((1,)))).text
         assert "row 1 : *1999* | *Ajax* | *78*" in text
 
-    def test_style_reflects_highlighting(self, champions_table):
-        assert linearize(champions_table).style == "plain"
-        marked = highlight(champions_table, Evidence((2,)))
-        assert linearize(marked).style == "highlighted"
-
     def test_pipes_in_cells_are_escaped(self):
         table = Table(header=("h",), rows=(("a | b",),))
         assert "row 1 : a \\| b" in linearize(table).text
