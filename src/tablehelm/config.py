@@ -9,6 +9,7 @@ A step_cap or worker-style integer of 0 means "unbounded" where noted.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -86,8 +87,8 @@ class RunConfig:
             raise SchemaError("token_budget", "must be at least 1")
         if not 0.0 <= self.success_threshold <= 1.0:
             raise SchemaError("success_threshold", "must be in [0, 1]")
-        if self.timeout <= 0:
-            raise SchemaError("timeout", "must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise SchemaError("timeout", "must be positive and finite")
         for key in (
             "highlighter_template",
             "summarizer_template",

@@ -11,19 +11,24 @@ signal the evidence search consumes.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
+import math
 import os
+import select
+import ssl
 import threading
 import time
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
-from urllib.parse import urlsplit
-
-import requests
-from requests.adapters import HTTPAdapter
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .errors import (
     AuthError,
@@ -70,8 +75,8 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.nucleus_p <= 1.0:
             raise ValueError(f"nucleus_p must be in (0, 1], got {self.nucleus_p}")
-        if self.temperature < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
@@ -111,24 +116,130 @@ def _check_endpoint(endpoint: str) -> None:
         )
 
 
+def _encode_json(value: object) -> bytes:
+    # `_Transport.post` cannot do this itself: its `json` argument hides the module.
+    return json.dumps(value, allow_nan=False).encode("utf-8")
+
+
+def _close_all(connections: deque[http.client.HTTPConnection]) -> None:
+    while connections:
+        connections.pop().close()
+
+
+class _Reply:
+    """A finished HTTP exchange: the status and the raw body."""
+
+    def __init__(self, status_code: int, body: bytes) -> None:
+        self.status_code = status_code
+        self._body = body
+
+    def json(self) -> object:
+        return json.loads(self._body)
+
+
+class _Transport:
+    """Keep-alive connections to one endpoint over stdlib `http.client`.
+
+    `post` sends to the endpoint the transport was built for, whatever its
+    `url`. Idle connections wait in a deque (thread-safe appends and pops),
+    closed when the transport is collected; the caller's semaphore bounds
+    how many are out at once, so at most that many are ever open. A
+    connection is dropped after any error, when the reply says it will
+    close, and before reuse when its socket reads ready: a server that
+    closed an idle connection has sent EOF, and that connection would fail
+    the request it carried.
+
+    The proxy for the endpoint (`*_PROXY`, `ALL_PROXY`, `NO_PROXY`, either
+    case) and the CA bundle (`REQUESTS_CA_BUNDLE` or `CURL_CA_BUNDLE`, else
+    the system store and `SSL_CERT_FILE`) are read once, here. HTTPS goes
+    through a proxy by a CONNECT tunnel, plain HTTP by an absolute request
+    target; proxy userinfo becomes `Proxy-Authorization: Basic`. Redirects
+    are not followed and `~/.netrc` is never read.
+    """
+
+    def __init__(self, endpoint: str) -> None:
+        parts = urlsplit(endpoint)
+        self._https = parts.scheme == "https"
+        self._address = (parts.hostname, parts.port or (443 if self._https else 80))
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._idle: deque[http.client.HTTPConnection] = deque()
+        weakref.finalize(self, _close_all, self._idle)
+        self._proxy: tuple[str, int] | None = None
+        self._proxy_headers: dict[str, str] = {}
+        if self._https:
+            bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            self._context = ssl.create_default_context(cafile=bundle or None)
+        proxies = getproxies_environment()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        if not proxy or proxy_bypass_environment("%s:%d" % self._address, proxies):
+            return
+        proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        self._proxy = (proxy_parts.hostname, proxy_parts.port or 80)
+        if proxy_parts.username is not None:
+            userinfo = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
+            token = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
+            self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+        if not self._https:
+            self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
+
+    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+        host, port = self._proxy or self._address
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._context)
+        if self._proxy:
+            conn.set_tunnel(*self._address, headers=self._proxy_headers)
+        return conn
+
+    def _take(self, timeout: float) -> http.client.HTTPConnection:
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return self._connect(timeout)
+            if not select.select([conn.sock], [], [], 0)[0]:
+                conn.sock.settimeout(timeout)
+                return conn
+            conn.close()
+
+    def post(self, url: str, *, json: object, headers: dict[str, str], timeout: float) -> _Reply:
+        body = _encode_json(json)
+        if self._proxy and not self._https:
+            headers = {**headers, **self._proxy_headers}
+        conn = self._take(timeout)
+        try:
+            conn.request("POST", self._target, body, headers)
+            response = conn.getresponse()
+            reply = _Reply(response.status, response.read())
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return reply
+
+
 class HttpClient:
     """Chat-completions client over HTTP with retry and backoff.
 
     This is the only layer that retries. Transient failures (connection
     errors, 429, 5xx) are retried up to `max_attempts` times with
-    exponential backoff, then raised; auth and other 4xx failures are
-    raised at once. A semaphore bounds concurrent in-flight requests to
+    exponential backoff, then raised; auth and other 4xx failures, and
+    redirects (3xx, not followed), are raised at once. A semaphore bounds
+    concurrent in-flight requests, and so open connections, to
     `max_in_flight`, which also bounds how many evaluations one label
     search or merge runs at once. Cache entries are keyed by endpoint and
     model (`cache_id`). The endpoint must be an http(s) URL with a host
     and, if it names a port, a numeric one; any other endpoint raises
     `SchemaError` here, since no retry could make it work.
 
-    Unless a `session` is passed in, the client builds its own, with a
-    connection pool of `max_in_flight` connections, and reads the proxy,
-    CA-bundle and client-certificate settings for its endpoint from the
-    environment once, here. Requests then never consult the environment
-    or `~/.netrc`, so the only credential sent is the API key.
+    Unless a `session` is passed in (an object whose
+    `post(url, *, json, headers, timeout)` returns a reply with
+    `.status_code` and `.json()`), the client talks through a `_Transport`,
+    which reads its proxy and CA settings from the environment once, here,
+    and never reads `~/.netrc`: the only credential sent is the API key.
     """
 
     API_KEY_ENV = "HELM_API_KEY"
@@ -143,7 +254,7 @@ class HttpClient:
         max_attempts: int = 5,
         max_in_flight: int = 4,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
+        session=None,
         sleep=time.sleep,
     ) -> None:
         _check_endpoint(endpoint)
@@ -155,21 +266,9 @@ class HttpClient:
         self.max_attempts = max_attempts
         self.max_in_flight = max_in_flight
         self._backoff_base = backoff_base
-        self._session = session if session is not None else self._own_session()
+        self._session = session if session is not None else _Transport(endpoint)
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_in_flight)
-
-    def _own_session(self) -> requests.Session:
-        session = requests.Session()
-        adapter = HTTPAdapter(pool_maxsize=self.max_in_flight)
-        session.mount("http://", adapter)
-        session.mount("https://", adapter)
-        settings = session.merge_environment_settings(self.endpoint, {}, None, None, None)
-        session.proxies = settings["proxies"]
-        session.verify = settings["verify"]
-        session.cert = settings["cert"]
-        session.trust_env = False
-        return session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -212,7 +311,7 @@ class HttpClient:
                         headers=self._headers(),
                         timeout=self.timeout,
                     )
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_transient = f"connection failure: {exc}"
                 rate_limited = False
                 logger.debug("prompt %s attempt %d: %s", digest, attempt, exc)
@@ -229,7 +328,7 @@ class HttpClient:
                 last_transient = f"HTTP {status}"
                 rate_limited = False
                 continue
-            if status >= 400:
+            if status >= 300:
                 raise TransportError(f"HTTP {status} from {self.endpoint}")
             try:
                 body = response.json()

@@ -297,6 +297,16 @@ def serialize_sample(sample: Sample) -> dict[str, Any]:
     return record
 
 
+def _title_part(record: Mapping[str, Any], key: str) -> str:
+    # An absent or null title part is empty; any other non-string is an error.
+    value = record.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise SchemaError("title", f"field {key!r} must be a string or null")
+    return value
+
+
 def adapt_fetaqa(record: Mapping[str, Any]) -> Sample:
     """Map a FeTaQA release record onto a canonical record and parse it.
 
@@ -314,8 +324,8 @@ def adapt_fetaqa(record: Mapping[str, Any]) -> Sample:
         raise SchemaError("table_array", "table_array needs a header row plus data rows")
 
     title_parts = [
-        normalize_cell(str(record.get("table_page_title", "") or "")),
-        normalize_cell(str(record.get("table_section_title", "") or "")),
+        normalize_cell(_title_part(record, "table_page_title")),
+        normalize_cell(_title_part(record, "table_section_title")),
     ]
     canonical = {
         "id": str(feta_id),
@@ -346,7 +356,7 @@ def adapt_qtsumm(record: Mapping[str, Any]) -> Sample:
 
     canonical = {
         "id": str(sample_id),
-        "title": str(table.get("title") or ""),
+        "title": _title_part(table, "title"),
         "query": query,
         "reference": summary,
         "evidence": record.get("row_ids"),
@@ -382,11 +392,17 @@ def load_dataset(
 
     # Iterate the handle, which ends lines at newlines only: JSON strings may
     # hold U+2028, U+2029 and U+0085 raw, and str.splitlines() splits there.
-    with open(path, encoding="utf-8") as handle:
+    # Bytes that are not UTF-8 decode to lone surrogates, so that one bad
+    # line fails on its own, in the per-line handling below.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise SchemaError("record", f"line {line_no} is not valid UTF-8") from None
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise SchemaError("record", f"line {line_no} is not a JSON object")

@@ -137,6 +137,26 @@ class TestIngest:
         assert code == EXIT_VALIDATION
         assert "error:" in stderr
 
+    def test_a_line_of_invalid_utf8_is_reported_and_skipped(self, tmp_path, capsys):
+        first, _ = support.planted_sample("ok-1", 3, 2, (1,))
+        second, _ = support.planted_sample("ok-2", 3, 2, (1,))
+        data = tmp_path / "mixed.jsonl"
+        support.write_dataset(data, [first, second])
+        good = data.read_bytes().splitlines(keepends=True)
+        data.write_bytes(good[0] + b"\xff\xfe\n" + good[1])
+        out = tmp_path / "out.jsonl"
+        code, stdout, stderr = run_cli(["ingest", data, out], capsys)
+        assert code == EXIT_OK
+        assert stdout.strip() == f"ingested 2 samples -> {out}"
+        assert stderr == "line 2: line 2 is not valid UTF-8\n"
+        assert out.read_bytes() == good[0] + good[1]
+
+        strict_out = tmp_path / "strict.jsonl"
+        code, _, stderr = run_cli(["ingest", data, strict_out, "--strict"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "not valid UTF-8" in stderr
+        assert not strict_out.exists()
+
     def test_empty_result_is_a_validation_failure(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
         data.write_text("", encoding="utf-8")
@@ -263,6 +283,28 @@ class TestMapOrdered:
         with pytest.raises(AuthError):
             list(cli.map_ordered(work, list(range(200)), workers=2))
         assert 0 < len(started) <= cli.WINDOW_PER_WORKER * 2
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search-labels", "--timeout", "nan"],
+            ["search-labels", "--timeout", "inf"],
+            ["search-labels", "--feedbacker-temperature", "nan"],
+            ["pipeline", "--summarizer-temperature", "inf"],
+            ["pipeline", "--highlighter-temperature", "nan"],
+        ],
+    )
+    def test_exit_2_before_any_output_is_written(self, argv, two_planted, tmp_path, capsys):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        command, *flags = argv
+        code, stdout, stderr = run_cli([command, data, out, *flags], capsys)
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert "finite" in stderr
+        assert not out.exists()
 
 
 class TestSearchLabels:

@@ -151,6 +151,8 @@ class TestValidation:
             ({"success_threshold": 1.5}, "success_threshold"),
             ({"success_threshold": -0.1}, "success_threshold"),
             ({"timeout": 0.0}, "timeout"),
+            ({"timeout": float("nan")}, "timeout"),
+            ({"timeout": float("inf")}, "timeout"),
         ],
     )
     def test_out_of_range_values(self, kwargs, field):

@@ -79,7 +79,7 @@ class AlwaysFailingClient:
 
 
 class AlwaysStatusSession:
-    """requests.Session stand-in that answers every post with one status."""
+    """HTTP session stand-in that answers every post with one status."""
 
     def __init__(self, status: int) -> None:
         self.status = status

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-import logging
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 import support
 from tablehelm.errors import (
@@ -41,7 +40,7 @@ from tablehelm.prompting import build_summarizer_prompt
 
 
 class StubResponse:
-    """Minimal stand-in for requests.Response."""
+    """Minimal stand-in for the reply a session's post returns."""
 
     def __init__(self, status_code: int, body: object = None) -> None:
         self.status_code = status_code
@@ -102,9 +101,16 @@ class RecordingClient:
 class RecordingHandler(BaseHTTPRequestHandler):
     """Answers every POST with one completion after the server's `delay_s`,
     and every CONNECT (a proxy tunnel request) with 403; records what it
-    saw. Replies go out in one write, so Nagle's algorithm adds no delay."""
+    saw: the method, the request target and the credential header
+    (`Authorization` for a POST, `Proxy-Authorization` for a CONNECT), plus
+    each request's headers and each connection's peer address. Replies go
+    out in one write, so Nagle's algorithm adds no delay."""
 
     protocol_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.peers.append(self.client_address)
 
     def _reply(self, status: int, payload: bytes) -> None:
         head = f"HTTP/1.1 {status} X\r\nContent-Length: {len(payload)}\r\n\r\n"
@@ -115,15 +121,27 @@ class RecordingHandler(BaseHTTPRequestHandler):
         self.server.seen.append(
             ("POST", self.path, self.headers.get("Authorization"))
         )
+        self.server.headers.append(dict(self.headers))
         time.sleep(self.server.delay_s)
         self._reply(200, json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode())
 
     def do_CONNECT(self) -> None:
-        self.server.seen.append(("CONNECT", self.path, None))
+        self.server.seen.append(
+            ("CONNECT", self.path, self.headers.get("Proxy-Authorization"))
+        )
+        self.server.headers.append(dict(self.headers))
         self._reply(403, b"")
 
     def log_message(self, *args) -> None:
         pass
+
+
+class SilentlyClosingHandler(RecordingHandler):
+    """Replies as if the connection stayed open, then closes it."""
+
+    def do_POST(self) -> None:
+        super().do_POST()
+        self.close_connection = True
 
 
 class RecordingServer(ThreadingHTTPServer):
@@ -131,12 +149,20 @@ class RecordingServer(ThreadingHTTPServer):
     # backlog of 5 drops the rest, which then reconnect a second later.
     request_queue_size = 64
 
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.closed.release()
+
 
 @contextmanager
-def serving(delay_s: float = 0.0):
-    """A RecordingHandler server on 127.0.0.1; yields (server, base URL)."""
-    server = RecordingServer(("127.0.0.1", 0), RecordingHandler)
+def serving(delay_s: float = 0.0, handler=RecordingHandler):
+    """A `handler` server on 127.0.0.1; yields (server, base URL). The
+    server's `closed` semaphore is released as each connection is closed."""
+    server = RecordingServer(("127.0.0.1", 0), handler)
     server.seen = []
+    server.headers = []
+    server.peers = []
+    server.closed = threading.Semaphore(0)
     server.delay_s = delay_s
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -178,6 +204,9 @@ class TestSamplingConfig:
             {"nucleus_p": 0.0},
             {"nucleus_p": 1.2},
             {"temperature": -0.1},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"nucleus_p": float("nan")},
             {"max_new_tokens": 0},
         ],
     )
@@ -268,16 +297,24 @@ class TestHttpClient:
             client.generate("p", SamplingConfig())
         assert len(session.requests) == 1
 
+    @pytest.mark.parametrize("status", [301, 302, 307, 308])
+    def test_redirects_are_not_followed_or_retried(self, status):
+        client, session, sleeps = make_http([StubResponse(status)])
+        with pytest.raises(TransportError, match=f"HTTP {status}"):
+            client.generate("p", SamplingConfig())
+        assert len(session.requests) == 1
+        assert sleeps == []
+
     def test_connection_failures_are_retried(self):
         client, session, sleeps = make_http(
-            [requests.ConnectionError("refused"), ok("recovered")]
+            [ConnectionError("refused"), ok("recovered")]
         )
         assert client.generate("p", SamplingConfig()) == "recovered"
         assert len(session.requests) == 2
         assert sleeps == [0.5]
 
     def test_connection_failures_exhaust_into_transport_error(self):
-        client, _, _ = make_http([requests.ConnectionError("refused")] * 5)
+        client, _, _ = make_http([ConnectionError("refused")] * 5)
         with pytest.raises(TransportError, match="connection failure"):
             client.generate("p", SamplingConfig())
 
@@ -315,7 +352,7 @@ class TestHttpClient:
 
 
 class TestHttpClientSession:
-    """The client's own requests.Session, against servers on 127.0.0.1."""
+    """The client's own transport, against servers on 127.0.0.1."""
 
     def test_the_api_key_is_sent_even_with_a_netrc_entry(self, plain_environment, tmp_path):
         netrc = tmp_path / ".netrc"
@@ -347,29 +384,66 @@ class TestHttpClientSession:
         assert proxy.seen == [("CONNECT", host_port, None)]
         assert target.seen == [("POST", "/v1/chat", None)]
 
-    def test_the_connection_pool_holds_max_in_flight_connections(
-        self, plain_environment, caplog
-    ):
+    def test_the_connection_pool_holds_max_in_flight_connections(self, plain_environment):
         width = 16
-        with serving(delay_s=0.1) as (server, base):
-            client = HttpClient(f"{base}/v1/chat", "m", max_in_flight=width)
-            start = threading.Barrier(width)
-            answers: list[str] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serving(delay_s=0.1) as (server, base):
+                client = HttpClient(f"{base}/v1/chat", "m", max_in_flight=width)
+                answers: list[str] = []
+                for _ in range(2):
+                    start = threading.Barrier(width)
 
-            def call() -> None:
-                start.wait(timeout=10)
-                answers.append(client.generate("p", SamplingConfig()))
+                    def call() -> None:
+                        start.wait(timeout=10)
+                        answers.append(client.generate("p", SamplingConfig()))
 
-            threads = [threading.Thread(target=call) for _ in range(width)]
-            with caplog.at_level(logging.WARNING, logger="urllib3"):
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-        assert answers == ["ok"] * width
-        assert len(server.seen) == width
-        assert [r.getMessage() for r in caplog.records if "pool is full" in r.getMessage()] == []
+                    threads = [threading.Thread(target=call) for _ in range(width)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30)
+                    assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == ["ok"] * 2 * width
+        assert len(server.seen) == 2 * width
+        assert len(server.peers) <= width
+
+    def test_a_connection_the_server_closed_is_replaced_without_a_retry(
+        self, plain_environment
+    ):
+        sleeps: list[float] = []
+        with serving(handler=SilentlyClosingHandler) as (server, base):
+            client = HttpClient(f"{base}/v1/chat", "m", sleep=sleeps.append)
+            for _ in range(3):
+                assert client.generate("p", SamplingConfig()) == "ok"
+                assert server.closed.acquire(timeout=10)
+        assert len(server.seen) == 3
+        assert len(server.peers) == 3
+        assert sleeps == []
+
+    def test_https_through_a_proxy_tunnels_with_the_proxy_credentials(
+        self, plain_environment
+    ):
+        with serving() as (proxy, proxy_url):
+            port = proxy_url.rsplit(":", 1)[1]
+            plain_environment.setenv("HTTPS_PROXY", f"http://u:p@127.0.0.1:{port}")
+            client = HttpClient("https://api.test:8443/v1/chat", "m", max_attempts=1)
+            with pytest.raises(TransportError, match="connection failure"):
+                client.generate("p", SamplingConfig())
+        assert proxy.seen == [("CONNECT", "api.test:8443", "Basic dTpw")]
+
+    def test_plain_http_through_a_proxy_sends_the_absolute_url(self, plain_environment):
+        with serving() as (proxy, proxy_url):
+            port = proxy_url.rsplit(":", 1)[1]
+            plain_environment.setenv("http_proxy", f"http://u%40x:p@127.0.0.1:{port}")
+            client = HttpClient("http://api.test/v1/chat?v=2", "m", api_key="KEY")
+            assert client.generate("p", SamplingConfig()) == "ok"
+        assert proxy.seen == [("POST", "http://api.test/v1/chat?v=2", "Bearer KEY")]
+        assert proxy.headers[0]["Proxy-Authorization"] == "Basic dUB4OnA="
+        assert proxy.headers[0]["Host"] == "api.test"
 
 
 class TestEchoOracle:

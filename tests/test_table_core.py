@@ -252,6 +252,18 @@ class TestAdapters:
         record = self.fetaqa_record(table_section_title="")
         assert adapt_fetaqa(record).table.title == "Eredivisie"
 
+    def test_fetaqa_null_title_parts_are_empty(self):
+        record = self.fetaqa_record(table_page_title=None)
+        del record["table_section_title"]
+        assert adapt_fetaqa(record).table.title == ""
+
+    @pytest.mark.parametrize("key", ["table_page_title", "table_section_title"])
+    @pytest.mark.parametrize("title", [["l"], {"k": 1}, 5, [], False])
+    def test_fetaqa_non_text_title_parts_are_rejected(self, key, title):
+        with pytest.raises(SchemaError) as exc_info:
+            adapt_fetaqa(self.fetaqa_record(**{key: title}))
+        assert exc_info.value.field == "title"
+
     def test_fetaqa_needs_header_plus_data(self):
         record = self.fetaqa_record(table_array=[["Year", "Team"]])
         with pytest.raises(SchemaError):
@@ -292,6 +304,19 @@ class TestAdapters:
                 "evidence": [2],
             }
         )
+
+    def test_qtsumm_null_title_is_empty(self):
+        record = self.qtsumm_record()
+        record["table"]["title"] = None
+        assert adapt_qtsumm(record).table.title == ""
+
+    @pytest.mark.parametrize("title", [["l"], {"k": 1}, 5, [], False])
+    def test_qtsumm_non_text_title_is_rejected(self, title):
+        record = self.qtsumm_record()
+        record["table"]["title"] = title
+        with pytest.raises(SchemaError) as exc_info:
+            adapt_qtsumm(record)
+        assert exc_info.value.field == "title"
 
     def test_qtsumm_id_fallback(self):
         record = self.qtsumm_record()
@@ -358,6 +383,28 @@ class TestLoadDataset:
         lines = [json.dumps(canonical_record()), "broken"]
         with pytest.raises(ValueError):
             load_dataset(self.write(tmp_path, lines), strict=True)
+
+    def test_a_line_of_invalid_utf8_fails_alone(self, tmp_path):
+        good = [
+            json.dumps(canonical_record(id=f"s{i}", query="Ré\u2028sumé?"), ensure_ascii=False)
+            .encode("utf-8")
+            for i in (1, 2, 3)
+        ]
+        path = tmp_path / "data.jsonl"
+        # A bare bad byte pair, then a record cut inside a multi-byte character.
+        path.write_bytes(
+            b"\n".join([good[0], b"\xff\xfe", good[1], b'{"id": "\xe2\x82"}', good[2]])
+            + b"\n"
+        )
+        dataset, report = load_dataset(path)
+        assert [s.id for s in dataset] == ["s1", "s2", "s3"]
+        assert dataset.samples[0].query == "Ré\u2028sumé?"
+        assert [(f.line, f.message) for f in report.failures] == [
+            (2, "line 2 is not valid UTF-8"),
+            (4, "line 4 is not valid UTF-8"),
+        ]
+        with pytest.raises(SchemaError, match="line 2 is not valid UTF-8"):
+            load_dataset(path, strict=True)
 
     def test_duplicate_id_keeps_first_and_reports(self, tmp_path):
         lines = [
