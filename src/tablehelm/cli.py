@@ -66,7 +66,7 @@ from .prompting import (
     load_template,
     parse_evidence_output,
 )
-from .table_core import Dataset, Evidence, Sample, load_dataset, save_dataset
+from .table_core import Dataset, Evidence, Sample, load_dataset, read_records, save_dataset
 from .transforms import highlight, linearize, subtable
 
 __all__ = ["main"]
@@ -574,25 +574,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     run = _run_config(args)
     dataset = _load_input(args.dataset, run)
-    predictions: dict[str, str] = {}
-    with open(args.predictions, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                sample_id = record["id"]
-                text = record["prediction"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise SchemaError(
-                    "predictions", f"{args.predictions}:{line_no}: {exc}"
-                ) from exc
-            if not isinstance(sample_id, str) or not isinstance(text, str):
-                raise SchemaError(
-                    "predictions", f"{args.predictions}:{line_no}: bad id/prediction"
-                )
-            predictions[sample_id] = text
+
+    def parse_prediction(record: dict[str, object]) -> tuple[str, str]:
+        sample_id, text = record.get("id"), record.get("prediction")
+        if not isinstance(sample_id, str) or not isinstance(text, str):
+            raise SchemaError("predictions", "bad id/prediction")
+        return sample_id, text
+
+    predictions = dict(read_records(args.predictions, parse_prediction))
     known = {sample.id for sample in dataset}
     unmatched = sorted(pid for pid in predictions if pid not in known)
     if unmatched:

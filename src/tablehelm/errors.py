@@ -23,7 +23,6 @@ __all__ = [
     "RateLimitError",
     "TransportError",
     "MalformedResponseError",
-    "CacheIoError",
     "TableTooLargeError",
     "MissingLabelError",
     "UnmatchedIdError",
@@ -105,10 +104,6 @@ class TransportError(TableHelmError):
 
 class MalformedResponseError(TableHelmError):
     """A 2xx response that does not carry a completion."""
-
-
-class CacheIoError(TableHelmError):
-    """Cache read/write failed. Non-fatal: callers fall through to the client."""
 
 
 class TableTooLargeError(TableHelmError):

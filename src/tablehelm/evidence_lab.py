@@ -54,7 +54,7 @@ from .prompting import (
     format_evidence,
     parse_evidence_output,
 )
-from .table_core import Dataset, Evidence, Sample
+from .table_core import Dataset, Evidence, Sample, read_records
 
 __all__ = [
     "LabeledSample",
@@ -439,19 +439,10 @@ def labeled_from_record(record: dict[str, object]) -> LabeledSample:
 
 def load_labels(path: str | Path) -> dict[str, LabeledSample]:
     """Read a label file; on duplicate ids the last record wins (resume)."""
-    labels: dict[str, LabeledSample] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise SchemaError("line", f"line {line_no} is not JSON: {exc}") from exc
-            labeled = labeled_from_record(record)
-            labels[labeled.sample_id] = labeled
-    return labels
+    return {
+        labeled.sample_id: labeled
+        for labeled in read_records(path, labeled_from_record)
+    }
 
 
 def export_highlighter_training(

@@ -12,6 +12,7 @@ signal the evidence search consumes.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import http.client
 import json
@@ -32,7 +33,6 @@ from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .errors import (
     AuthError,
-    CacheIoError,
     EmptyEvidenceError,
     MalformedResponseError,
     NoTableFoundError,
@@ -116,38 +116,23 @@ def _check_endpoint(endpoint: str) -> None:
         )
 
 
-def _encode_json(value: object) -> bytes:
-    # `_Transport.post` cannot do this itself: its `json` argument hides the module.
-    return json.dumps(value, allow_nan=False).encode("utf-8")
-
-
 def _close_all(connections: deque[http.client.HTTPConnection]) -> None:
     while connections:
         connections.pop().close()
 
 
-class _Reply:
-    """A finished HTTP exchange: the status and the raw body."""
-
-    def __init__(self, status_code: int, body: bytes) -> None:
-        self.status_code = status_code
-        self._body = body
-
-    def json(self) -> object:
-        return json.loads(self._body)
-
-
 class _Transport:
     """Keep-alive connections to one endpoint over stdlib `http.client`.
 
-    `post` sends to the endpoint the transport was built for, whatever its
-    `url`. Idle connections wait in a deque (thread-safe appends and pops),
-    closed when the transport is collected; the caller's semaphore bounds
-    how many are out at once, so at most that many are ever open. A
-    connection is dropped after any error, when the reply says it will
-    close, and before reuse when its socket reads ready: a server that
-    closed an idle connection has sent EOF, and that connection would fail
-    the request it carried.
+    `post(body, headers, timeout)` sends `body` to the endpoint the
+    transport was built for and returns `(status, reply body)`. Idle
+    connections wait in a deque (thread-safe appends and pops), closed when
+    the transport is collected; the caller's semaphore bounds how many are
+    out at once, so at most that many are ever open. A connection is
+    dropped after any error, when the reply says it will close, and before
+    reuse when `poll` (which, unlike `select`, has no FD_SETSIZE ceiling)
+    finds an event on its socket: a server that closed an idle connection
+    has sent EOF, and that connection would fail the request it carried.
 
     The proxy for the endpoint (`*_PROXY`, `ALL_PROXY`, `NO_PROXY`, either
     case) and the CA bundle (`REQUESTS_CA_BUNDLE` or `CURL_CA_BUNDLE`, else
@@ -197,20 +182,21 @@ class _Transport:
                 conn = self._idle.pop()
             except IndexError:
                 return self._connect(timeout)
-            if not select.select([conn.sock], [], [], 0)[0]:
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if not poller.poll(0):
                 conn.sock.settimeout(timeout)
                 return conn
             conn.close()
 
-    def post(self, url: str, *, json: object, headers: dict[str, str], timeout: float) -> _Reply:
-        body = _encode_json(json)
+    def post(self, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
         if self._proxy and not self._https:
             headers = {**headers, **self._proxy_headers}
         conn = self._take(timeout)
         try:
             conn.request("POST", self._target, body, headers)
             response = conn.getresponse()
-            reply = _Reply(response.status, response.read())
+            reply = response.status, response.read()
         except BaseException:
             conn.close()
             raise
@@ -235,11 +221,14 @@ class HttpClient:
     and, if it names a port, a numeric one; any other endpoint raises
     `SchemaError` here, since no retry could make it work.
 
-    Unless a `session` is passed in (an object whose
-    `post(url, *, json, headers, timeout)` returns a reply with
-    `.status_code` and `.json()`), the client talks through a `_Transport`,
-    which reads its proxy and CA settings from the environment once, here,
-    and never reads `~/.netrc`: the only credential sent is the API key.
+    The client owns the wire format: it builds its headers once, here,
+    encodes each call's JSON body once and decodes the reply. A 2xx reply
+    without a completion that encodes as UTF-8 raises
+    `MalformedResponseError`. Unless a `transport` is passed in (an object
+    whose `post(body, headers, timeout)` returns `(status, reply body)`),
+    the client talks through a `_Transport`, which reads its proxy and CA
+    settings from the environment once, here, and never reads `~/.netrc`:
+    the only credential sent is the API key.
     """
 
     API_KEY_ENV = "HELM_API_KEY"
@@ -254,7 +243,7 @@ class HttpClient:
         max_attempts: int = 5,
         max_in_flight: int = 4,
         backoff_base: float = 0.5,
-        session=None,
+        transport=None,
         sleep=time.sleep,
     ) -> None:
         _check_endpoint(endpoint)
@@ -266,15 +255,12 @@ class HttpClient:
         self.max_attempts = max_attempts
         self.max_in_flight = max_in_flight
         self._backoff_base = backoff_base
-        self._session = session if session is not None else _Transport(endpoint)
+        self._transport = transport if transport is not None else _Transport(endpoint)
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_in_flight)
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        self._headers = {"Content-Type": "application/json"}
         if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
 
     def _payload(self, prompt: str, cfg: SamplingConfig) -> dict[str, object]:
         return {
@@ -294,10 +280,15 @@ class HttpClient:
             raise MalformedResponseError(f"unexpected response shape: {exc}") from exc
         if not isinstance(text, str):
             raise MalformedResponseError("completion content is not text")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedResponseError(f"completion is not valid text: {exc}") from exc
         return text
 
     def generate(self, prompt: str, cfg: SamplingConfig) -> str:
         digest = _prompt_digest(prompt)
+        body = json.dumps(self._payload(prompt, cfg), allow_nan=False).encode("utf-8")
         last_transient = "no attempt made"
         rate_limited = False
         for attempt in range(1, self.max_attempts + 1):
@@ -305,18 +296,12 @@ class HttpClient:
                 self._sleep(self._backoff_base * 2 ** (attempt - 2))
             try:
                 with self._semaphore:
-                    response = self._session.post(
-                        self.endpoint,
-                        json=self._payload(prompt, cfg),
-                        headers=self._headers(),
-                        timeout=self.timeout,
-                    )
+                    status, reply = self._transport.post(body, self._headers, self.timeout)
             except (OSError, http.client.HTTPException) as exc:
                 last_transient = f"connection failure: {exc}"
                 rate_limited = False
                 logger.debug("prompt %s attempt %d: %s", digest, attempt, exc)
                 continue
-            status = response.status_code
             logger.debug("prompt %s attempt %d: HTTP %d", digest, attempt, status)
             if status in (401, 403):
                 raise AuthError(f"HTTP {status} from {self.endpoint}")
@@ -331,10 +316,10 @@ class HttpClient:
             if status >= 300:
                 raise TransportError(f"HTTP {status} from {self.endpoint}")
             try:
-                body = response.json()
+                decoded = json.loads(reply)
             except ValueError as exc:
                 raise MalformedResponseError(f"response is not JSON: {exc}") from exc
-            return self._extract_text(body)
+            return self._extract_text(decoded)
         if rate_limited:
             raise RateLimitError(
                 f"still rate limited after {self.max_attempts} attempts"
@@ -403,7 +388,10 @@ class ResponseCache:
     Keys cover the backend's identity (`_cache_identity`), sampling config,
     and the full prompt bytes, so any change misses. Writes go through a temp
     file and an atomic rename, which keeps concurrent writers from leaving
-    torn entries.
+    torn entries; a write that fails removes its temp file. Cache trouble is
+    never fatal: an entry that cannot be read (an `OSError`) is a logged
+    miss, a corrupt one is evicted, and an `OSError` while storing is a
+    logged warning.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -430,11 +418,12 @@ class ResponseCache:
     def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
         path = self._entry_path(self.key(model_id, prompt, cfg))
         try:
-            raw = path.read_text("utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
-            raise CacheIoError(f"cannot read {path}: {exc}") from exc
+            logger.warning("cache read failed, generating instead: %s", exc)
+            return None
         try:
             record = json.loads(raw)
             text = record["text"]
@@ -447,18 +436,17 @@ class ResponseCache:
         return text
 
     def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
-        key = self.key(model_id, prompt, cfg)
-        path = self._entry_path(key)
+        path = self._entry_path(self.key(model_id, prompt, cfg))
+        data = json.dumps({"model": model_id, "text": text}, ensure_ascii=False).encode("utf-8")
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(
-                json.dumps({"model": model_id, "text": text}, ensure_ascii=False),
-                "utf-8",
-            )
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except OSError as exc:
-            raise CacheIoError(f"cannot write {path}: {exc}") from exc
+            logger.warning("cache write failed, continuing: %s", exc)
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
 
 def cached_generate(
@@ -467,26 +455,17 @@ def cached_generate(
     prompt: str,
     cfg: SamplingConfig,
 ) -> str:
-    """Generate through the cache when one is given.
-
-    Cache trouble is never fatal: a failed read or write logs a warning and
-    the call falls through to the client.
-    """
+    """Generate through the cache when one is given: a hit is returned, a
+    miss is generated and stored. The cache itself keeps its trouble from
+    being fatal (see `ResponseCache`)."""
     if cache is None:
         return client.generate(prompt, cfg)
     identity = _cache_identity(client)
-    try:
-        hit = cache.get(identity, prompt, cfg)
-    except CacheIoError as exc:
-        logger.warning("cache read failed, generating instead: %s", exc)
-        hit = None
+    hit = cache.get(identity, prompt, cfg)
     if hit is not None:
         return hit
     text = client.generate(prompt, cfg)
-    try:
-        cache.put(identity, prompt, cfg, text)
-    except CacheIoError as exc:
-        logger.warning("cache write failed, continuing: %s", exc)
+    cache.put(identity, prompt, cfg, text)
     return text
 
 

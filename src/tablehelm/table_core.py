@@ -20,10 +20,10 @@ table in a source record is reported under the canonical field name
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 from .errors import EvidenceRangeError, RaggedTableError, SchemaError
 
@@ -40,9 +40,12 @@ __all__ = [
     "serialize_sample",
     "adapt_fetaqa",
     "adapt_qtsumm",
+    "read_records",
     "load_dataset",
     "save_dataset",
 ]
+
+T = TypeVar("T")
 
 # A data row is a plain tuple of cell texts; arity is enforced by Table.
 Row = tuple[str, ...]
@@ -156,7 +159,7 @@ class Sample:
     reference: str
     manual_evidence: Evidence | None = None
     # Auxiliary source metadata (e.g. upstream cell-coordinate highlights);
-    # never consulted by the pipeline, never serialized to the canonical form.
+    # never consulted by the pipeline; `serialize_sample` writes it when set.
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -372,24 +375,34 @@ _ADAPTERS = {
 }
 
 
-def load_dataset(
+def _json_object(line: str) -> dict[str, Any]:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError("record", "not valid UTF-8") from None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        # Its own "line 1 column C" would misname the line in the file.
+        raise SchemaError("record", f"not JSON: {exc.msg} at column {exc.colno}") from None
+    if not isinstance(record, dict):
+        raise SchemaError("record", "not a JSON object")
+    return record
+
+
+def read_records(
     path: str | Path,
-    format: str = "canonical",
-    strict: bool = False,
-) -> tuple[Dataset, ParseReport]:
-    """Load a JSONL dataset, one record per line.
+    parse: Callable[[dict[str, Any]], T],
+    failures: list[ParseFailure] | None = None,
+) -> Iterator[T]:
+    """Yield `parse(record)` for the JSON object on each non-blank line of a
+    JSONL file, in file order.
 
-    Lenient mode (default) collects per-line failures in the report and
-    keeps going; strict mode re-raises the first failure. Sample order
-    follows file order exactly.
+    A line that is not UTF-8, not a JSON object, or that `parse` rejects
+    raises `SchemaError` reading `<path>, line N: <message>`; when
+    `failures` is given, the line is recorded there (its message names no
+    line) and skipped instead.
     """
-    if format not in _ADAPTERS:
-        raise SchemaError("format", f"unknown dataset format {format!r}")
-    adapt = _ADAPTERS[format]
-    report = ParseReport()
-    samples: list[Sample] = []
-    seen: set[str] = set()
-
     # Iterate the handle, which ends lines at newlines only: JSON strings may
     # hold U+2028, U+2029 and U+0085 raw, and str.splitlines() splits there.
     # Bytes that are not UTF-8 decode to lone surrogates, so that one bad
@@ -399,27 +412,44 @@ def load_dataset(
             if not line.strip():
                 continue
             try:
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise SchemaError("record", f"line {line_no} is not valid UTF-8") from None
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise SchemaError("record", f"line {line_no} is not a JSON object")
-                sample = adapt(record)
-                if sample.id in seen:
-                    raise SchemaError("id", f"duplicate sample id {sample.id!r}")
+                parsed = parse(_json_object(line))
             except (SchemaError, RaggedTableError, EvidenceRangeError, ValueError) as exc:
-                if strict:
-                    raise
-                report.failures.append(ParseFailure(line_no, str(exc)))
+                if failures is None:
+                    where = f"{path}, line {line_no}"
+                    raise SchemaError(getattr(exc, "field", "record"), f"{where}: {exc}") from exc
+                failures.append(ParseFailure(line_no, str(exc)))
                 continue
-            seen.add(sample.id)
-            samples.append(sample)
+            yield parsed
 
+
+def load_dataset(
+    path: str | Path,
+    format: str = "canonical",
+    strict: bool = False,
+) -> tuple[Dataset, ParseReport]:
+    """Load a JSONL dataset, one record per line.
+
+    Lenient mode (default) collects per-line failures in the report and
+    keeps going; strict mode raises on the first failure (see
+    `read_records`). Sample order follows file order exactly.
+    """
+    if format not in _ADAPTERS:
+        raise SchemaError("format", f"unknown dataset format {format!r}")
+    adapt = _ADAPTERS[format]
+    report = ParseReport()
+    seen: set[str] = set()
+
+    def parse(record: dict[str, Any]) -> Sample:
+        sample = adapt(record)
+        if sample.id in seen:
+            raise SchemaError("id", f"duplicate sample id {sample.id!r}")
+        seen.add(sample.id)
+        return sample
+
+    samples = tuple(read_records(path, parse, None if strict else report.failures))
     if not samples and not report.failures:
         report.warnings.append(f"{path}: no samples found")
-    return Dataset(tuple(samples)), report
+    return Dataset(samples), report
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

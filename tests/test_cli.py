@@ -148,13 +148,13 @@ class TestIngest:
         code, stdout, stderr = run_cli(["ingest", data, out], capsys)
         assert code == EXIT_OK
         assert stdout.strip() == f"ingested 2 samples -> {out}"
-        assert stderr == "line 2: line 2 is not valid UTF-8\n"
+        assert stderr == "line 2: not valid UTF-8\n"
         assert out.read_bytes() == good[0] + good[1]
 
         strict_out = tmp_path / "strict.jsonl"
         code, _, stderr = run_cli(["ingest", data, strict_out, "--strict"], capsys)
         assert code == EXIT_VALIDATION
-        assert "not valid UTF-8" in stderr
+        assert stderr == f"error: SchemaError: {data}, line 2: not valid UTF-8\n"
         assert not strict_out.exists()
 
     def test_empty_result_is_a_validation_failure(self, tmp_path, capsys):
@@ -224,7 +224,7 @@ class TestIngest:
                 ["ingest", data, strict_out, "--format", fmt, "--strict"], capsys
             )
             assert code == EXIT_VALIDATION
-            assert stderr == "error: SchemaError: row 1 is not a list\n"
+            assert stderr == f"error: SchemaError: {data}, line 1: row 1 is not a list\n"
             assert not strict_out.exists()
 
     def test_line_separators_inside_strings_survive_a_second_ingest(
@@ -921,6 +921,46 @@ class TestPipeline:
             capsys,
         )
         assert "highlighter calls 2" in stdout
+
+
+class TestStrictInputLines:
+    """A bad line in a file a command reads strictly fails the command with
+    exit 2, named once by its file and line."""
+
+    def append_line(self, path, line: bytes):
+        path.write_bytes(path.read_bytes() + line + b"\n")
+
+    def test_a_dataset_line(self, two_planted, tmp_path, capsys):
+        data, _, _ = two_planted
+        record = serialize_sample(support.planted_sample("cli-3", 3, 2, (1,))[0])
+        self.append_line(data, json.dumps({**record, "rows": "zz"}).encode())
+        out = tmp_path / "search.jsonl"
+        code, _, stderr = run_cli(["search-labels", data, out], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr == f"error: SchemaError: {data}, line 3: field 'rows' has wrong type: str\n"
+        assert not out.exists()
+
+    def test_a_label_line(self, two_planted, tmp_path, capsys):
+        data, _, _ = two_planted
+        labels = tmp_path / "search.jsonl"
+        support.save_labels(labels, [LabeledSample(sample_id="cli-1")])
+        self.append_line(labels, b"[1]")
+        out = tmp_path / "merged.jsonl"
+        code, _, stderr = run_cli(["merge-labels", data, out, "--labels", labels], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr == f"error: SchemaError: {labels}, line 2: not a JSON object\n"
+        assert not out.exists()
+
+    def test_a_prediction_line(self, two_planted, tmp_path, capsys):
+        data, (first, _), _ = two_planted
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text(
+            json.dumps({"id": "cli-1", "prediction": first.reference}) + "\n", encoding="utf-8"
+        )
+        self.append_line(preds, b'{"id": "cli-2", "prediction": "\xff"}')
+        code, _, stderr = run_cli(["evaluate", preds, data], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr == f"error: SchemaError: {preds}, line 2: not valid UTF-8\n"
 
 
 class TestEvaluate:

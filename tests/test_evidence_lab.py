@@ -6,7 +6,6 @@ import json
 import random
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -78,18 +77,18 @@ class AlwaysFailingClient:
         raise self.error("scripted permanent failure")
 
 
-class AlwaysStatusSession:
-    """HTTP session stand-in that answers every post with one status."""
+class AlwaysStatusTransport:
+    """HTTP transport stand-in that answers every post with one status."""
 
     def __init__(self, status: int) -> None:
         self.status = status
         self.requests = 0
         self._lock = threading.Lock()
 
-    def post(self, url, **kwargs):
+    def post(self, body, headers, timeout):
         with self._lock:
             self.requests += 1
-        return SimpleNamespace(status_code=self.status)
+        return self.status, b""
 
 
 class JitteryClient:
@@ -242,19 +241,19 @@ class TestGreedySearch:
     def test_an_always_failing_backend_spends_one_retry_budget_per_candidate(
         self, champions_sample
     ):
-        session = AlwaysStatusSession(500)
+        transport = AlwaysStatusTransport(500)
         sleeps: list[float] = []
         client = HttpClient(
             "https://api.test/v1/chat",
             "test-model",
             max_attempts=2,
-            session=session,
+            transport=transport,
             sleep=sleeps.append,
         )
         with pytest.raises(TransportError, match="gave up after 2 attempts"):
             greedy_search(champions_sample, client)
         n = champions_sample.table.n_rows
-        assert session.requests == 2 * n
+        assert transport.requests == 2 * n
         assert sleeps == [0.5] * n
 
     def test_an_over_budget_prompt_is_rendered_once_per_candidate(

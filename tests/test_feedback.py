@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import sys
 import threading
 import time
@@ -12,9 +14,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import support
+import tablehelm.cli as cli
+from tablehelm.cli import EXIT_BACKEND
 from tablehelm.errors import (
     AuthError,
-    CacheIoError,
     EmptyEvidenceError,
     MalformedResponseError,
     NoTableFoundError,
@@ -39,34 +42,24 @@ from tablehelm.transforms import subtable
 from tablehelm.prompting import build_summarizer_prompt
 
 
-class StubResponse:
-    """Minimal stand-in for the reply a session's post returns."""
-
-    def __init__(self, status_code: int, body: object = None) -> None:
-        self.status_code = status_code
-        self._body = body
-
-    def json(self) -> object:
-        if self._body is None:
-            raise ValueError("body is not JSON")
-        return self._body
+def reply(status: int, body: object = None) -> tuple[int, bytes]:
+    """A transport's answer: the status and `body` as JSON (empty for None)."""
+    return status, b"" if body is None else json.dumps(body).encode("utf-8")
 
 
-def ok(text: str) -> StubResponse:
-    return StubResponse(200, {"choices": [{"message": {"content": text}}]})
+def ok(text: str) -> tuple[int, bytes]:
+    return reply(200, {"choices": [{"message": {"content": text}}]})
 
 
-class ScriptedSession:
+class ScriptedTransport:
     """Returns (or raises) one scripted outcome per post call."""
 
     def __init__(self, outcomes) -> None:
         self.outcomes = list(outcomes)
         self.requests: list[dict] = []
 
-    def post(self, url, *, json, headers, timeout):
-        self.requests.append(
-            {"url": url, "json": json, "headers": headers, "timeout": timeout}
-        )
+    def post(self, body, headers, timeout):
+        self.requests.append({"body": body, "headers": headers, "timeout": timeout})
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -74,16 +67,16 @@ class ScriptedSession:
 
 
 def make_http(outcomes, **kwargs):
-    session = ScriptedSession(outcomes)
+    transport = ScriptedTransport(outcomes)
     sleeps: list[float] = []
     client = HttpClient(
         "https://api.test/v1/chat",
         "test-model",
-        session=session,
+        transport=transport,
         sleep=sleeps.append,
         **kwargs,
     )
-    return client, session, sleeps
+    return client, transport, sleeps
 
 
 class RecordingClient:
@@ -103,8 +96,9 @@ class RecordingHandler(BaseHTTPRequestHandler):
     and every CONNECT (a proxy tunnel request) with 403; records what it
     saw: the method, the request target and the credential header
     (`Authorization` for a POST, `Proxy-Authorization` for a CONNECT), plus
-    each request's headers and each connection's peer address. Replies go
-    out in one write, so Nagle's algorithm adds no delay."""
+    each request's headers, each POST's body and each connection's peer
+    address. Replies go out in one write, so Nagle's algorithm adds no
+    delay."""
 
     protocol_version = "HTTP/1.1"
 
@@ -117,7 +111,7 @@ class RecordingHandler(BaseHTTPRequestHandler):
         self.wfile.write(head.encode("ascii") + payload)
 
     def do_POST(self) -> None:
-        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.server.bodies.append(self.rfile.read(int(self.headers.get("Content-Length", "0"))))
         self.server.seen.append(
             ("POST", self.path, self.headers.get("Authorization"))
         )
@@ -144,6 +138,14 @@ class SilentlyClosingHandler(RecordingHandler):
         self.close_connection = True
 
 
+class LoneSurrogateHandler(RecordingHandler):
+    """Answers with valid JSON whose completion holds a lone surrogate."""
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self._reply(200, b'{"choices": [{"message": {"content": "bad \\ud800 text"}}]}')
+
+
 class RecordingServer(ThreadingHTTPServer):
     # Room for every connection of the concurrency test at once; the default
     # backlog of 5 drops the rest, which then reconnect a second later.
@@ -161,6 +163,7 @@ def serving(delay_s: float = 0.0, handler=RecordingHandler):
     server = RecordingServer(("127.0.0.1", 0), handler)
     server.seen = []
     server.headers = []
+    server.bodies = []
     server.peers = []
     server.closed = threading.Semaphore(0)
     server.delay_s = delay_s
@@ -217,17 +220,16 @@ class TestSamplingConfig:
 
 class TestHttpClient:
     def test_success_sends_a_chat_completions_payload(self):
-        client, session, sleeps = make_http([ok("hello")], api_key="secret")
+        client, transport, sleeps = make_http([ok("hello")], api_key="secret")
         cfg = SamplingConfig(nucleus_p=0.8, temperature=0.3, max_new_tokens=99)
         assert client.generate("a prompt", cfg) == "hello"
-        assert len(session.requests) == 1
+        assert len(transport.requests) == 1
         assert sleeps == []
-        [request] = session.requests
-        assert request["url"] == "https://api.test/v1/chat"
+        [request] = transport.requests
         assert request["timeout"] == 60.0
         assert request["headers"]["Authorization"] == "Bearer secret"
         assert request["headers"]["Content-Type"] == "application/json"
-        assert request["json"] == {
+        assert json.loads(request["body"]) == {
             "model": "test-model",
             "messages": [{"role": "user", "content": "a prompt"}],
             "temperature": 0.3,
@@ -237,14 +239,14 @@ class TestHttpClient:
 
     def test_api_key_falls_back_to_the_environment(self, monkeypatch):
         monkeypatch.setenv("HELM_API_KEY", "env-key")
-        client, session, _ = make_http([ok("x")])
+        client, transport, _ = make_http([ok("x")])
         client.generate("p", SamplingConfig())
-        assert session.requests[0]["headers"]["Authorization"] == "Bearer env-key"
+        assert transport.requests[0]["headers"]["Authorization"] == "Bearer env-key"
 
     def test_no_key_sends_no_auth_header(self):
-        client, session, _ = make_http([ok("x")])
+        client, transport, _ = make_http([ok("x")])
         client.generate("p", SamplingConfig())
-        assert "Authorization" not in session.requests[0]["headers"]
+        assert "Authorization" not in transport.requests[0]["headers"]
 
     @pytest.mark.parametrize(
         "endpoint",
@@ -252,65 +254,65 @@ class TestHttpClient:
     )
     def test_malformed_endpoints_are_rejected_at_construction(self, endpoint):
         with pytest.raises(SchemaError) as excinfo:
-            HttpClient(endpoint, "m", session=ScriptedSession([]))
+            HttpClient(endpoint, "m", transport=ScriptedTransport([]))
         assert excinfo.value.field == "endpoint"
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_failures_are_immediate(self, status):
-        client, session, sleeps = make_http([StubResponse(status)])
+        client, transport, sleeps = make_http([reply(status)])
         with pytest.raises(AuthError):
             client.generate("p", SamplingConfig())
-        assert len(session.requests) == 1
+        assert len(transport.requests) == 1
         assert sleeps == []
 
     def test_rate_limits_are_retried_with_backoff(self):
-        client, session, sleeps = make_http(
-            [StubResponse(429), StubResponse(429), ok("eventually")]
+        client, transport, sleeps = make_http(
+            [reply(429), reply(429), ok("eventually")]
         )
         assert client.generate("p", SamplingConfig()) == "eventually"
-        assert len(session.requests) == 3
+        assert len(transport.requests) == 3
         assert sleeps == [0.5, 1.0]
 
     def test_persistent_rate_limit_raises_after_max_attempts(self):
-        client, session, sleeps = make_http([StubResponse(429)] * 5)
+        client, transport, sleeps = make_http([reply(429)] * 5)
         with pytest.raises(RateLimitError):
             client.generate("p", SamplingConfig())
-        assert len(session.requests) == 5
+        assert len(transport.requests) == 5
         assert sleeps == [0.5, 1.0, 2.0, 4.0]
 
     def test_server_errors_exhaust_into_transport_error(self):
-        client, _, _ = make_http([StubResponse(500)] * 5)
+        client, _, _ = make_http([reply(500)] * 5)
         with pytest.raises(TransportError, match="gave up after 5 attempts"):
             client.generate("p", SamplingConfig())
 
     def test_last_failure_kind_names_the_final_error(self):
-        client, _, _ = make_http([StubResponse(500)] * 4 + [StubResponse(429)])
+        client, _, _ = make_http([reply(500)] * 4 + [reply(429)])
         with pytest.raises(RateLimitError):
             client.generate("p", SamplingConfig())
-        client, _, _ = make_http([StubResponse(429)] * 4 + [StubResponse(503)])
+        client, _, _ = make_http([reply(429)] * 4 + [reply(503)])
         with pytest.raises(TransportError):
             client.generate("p", SamplingConfig())
 
     def test_other_client_errors_are_immediate(self):
-        client, session, _ = make_http([StubResponse(404)])
+        client, transport, _ = make_http([reply(404)])
         with pytest.raises(TransportError, match="HTTP 404"):
             client.generate("p", SamplingConfig())
-        assert len(session.requests) == 1
+        assert len(transport.requests) == 1
 
     @pytest.mark.parametrize("status", [301, 302, 307, 308])
     def test_redirects_are_not_followed_or_retried(self, status):
-        client, session, sleeps = make_http([StubResponse(status)])
+        client, transport, sleeps = make_http([reply(status)])
         with pytest.raises(TransportError, match=f"HTTP {status}"):
             client.generate("p", SamplingConfig())
-        assert len(session.requests) == 1
+        assert len(transport.requests) == 1
         assert sleeps == []
 
     def test_connection_failures_are_retried(self):
-        client, session, sleeps = make_http(
+        client, transport, sleeps = make_http(
             [ConnectionError("refused"), ok("recovered")]
         )
         assert client.generate("p", SamplingConfig()) == "recovered"
-        assert len(session.requests) == 2
+        assert len(transport.requests) == 2
         assert sleeps == [0.5]
 
     def test_connection_failures_exhaust_into_transport_error(self):
@@ -319,10 +321,10 @@ class TestHttpClient:
             client.generate("p", SamplingConfig())
 
     def test_non_json_success_body_is_malformed(self):
-        client, session, _ = make_http([StubResponse(200, body=None)])
+        client, transport, _ = make_http([(200, b"<html>busy</html>")])
         with pytest.raises(MalformedResponseError):
             client.generate("p", SamplingConfig())
-        assert len(session.requests) == 1
+        assert len(transport.requests) == 1
 
     @pytest.mark.parametrize(
         "body",
@@ -331,24 +333,25 @@ class TestHttpClient:
             {"choices": []},
             {"choices": [{"message": {}}]},
             {"choices": [{"message": {"content": 5}}]},
+            {"choices": [{"message": {"content": "bad \ud800 text"}}]},
         ],
     )
     def test_unexpected_shapes_are_malformed(self, body):
-        client, _, _ = make_http([StubResponse(200, body)])
+        client, _, _ = make_http([reply(200, body)])
         with pytest.raises(MalformedResponseError):
             client.generate("p", SamplingConfig())
 
     def test_backoff_base_is_configurable(self):
         client, _, sleeps = make_http(
-            [StubResponse(500), ok("x")], backoff_base=0.125
+            [reply(500), ok("x")], backoff_base=0.125
         )
         client.generate("p", SamplingConfig())
         assert sleeps == [0.125]
 
     def test_timeout_is_forwarded(self):
-        client, session, _ = make_http([ok("x")], timeout=7.5)
+        client, transport, _ = make_http([ok("x")], timeout=7.5)
         client.generate("p", SamplingConfig())
-        assert session.requests[0]["timeout"] == 7.5
+        assert transport.requests[0]["timeout"] == 7.5
 
 
 class TestHttpClientSession:
@@ -423,6 +426,64 @@ class TestHttpClientSession:
         assert len(server.seen) == 3
         assert len(server.peers) == 3
         assert sleeps == []
+
+    def test_a_kept_alive_connection_is_reused_past_fd_setsize(self, plain_environment):
+        # select() refuses descriptors at or above FD_SETSIZE (1,024).
+        held = 1100
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < held + 100:
+            pytest.skip("the soft open-file limit is too low to pass FD_SETSIZE")
+        sleeps: list[float] = []
+        files = []
+        try:
+            files.extend(open(os.devnull, "rb") for _ in range(held))
+            with serving() as (server, base):
+                client = HttpClient(f"{base}/v1/chat", "m", sleep=sleeps.append)
+                for _ in range(2):
+                    assert client.generate("p", SamplingConfig()) == "ok"
+        finally:
+            for handle in files:
+                handle.close()
+        assert len(server.seen) == 2
+        assert len(server.peers) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_completion_with_a_lone_surrogate_fails_as_a_backend_fault(
+        self, plain_environment, tmp_path, capsys, cached
+    ):
+        data = tmp_path / "data.jsonl"
+        support.write_dataset(
+            data, [support.planted_sample(f"s-{i}", 3, 2, (1,))[0] for i in (1, 2)]
+        )
+        cache = tmp_path / "cache"
+        with serving(handler=LoneSurrogateHandler) as (_, base):
+            argv = ["pipeline", data, tmp_path / "pred.jsonl"]
+            argv += ["--summarizer-endpoint", f"{base}/v1/chat"]
+            if cached:
+                argv += ["--cache-dir", cache]
+            code = cli.main([str(arg) for arg in argv])
+        stderr = capsys.readouterr().err
+        assert code == EXIT_BACKEND
+        assert stderr.count("completion is not valid text") == 2
+        if cached:
+            assert not list(cache.glob("*.tmp.*"))
+
+    def test_the_request_on_the_wire_is_pinned(self, plain_environment):
+        with serving() as (server, base):
+            client = HttpClient(f"{base}/v1/chat", "m", api_key="KEY")
+            assert client.generate("p \u00e9", SEARCH_SAMPLING) == "ok"
+        body = (
+            b'{"model": "m", "messages": [{"role": "user", "content": "p \\u00e9"}],'
+            b' "temperature": 0.0, "top_p": 1.0, "max_tokens": 256}'
+        )
+        assert server.bodies == [body]
+        assert list(server.headers[0].items()) == [
+            ("Host", base.removeprefix("http://")),
+            ("Accept-Encoding", "identity"),
+            ("Content-Length", str(len(body))),
+            ("Content-Type", "application/json"),
+            ("Authorization", "Bearer KEY"),
+        ]
 
     def test_https_through_a_proxy_tunnels_with_the_proxy_credentials(
         self, plain_environment
@@ -534,22 +595,42 @@ class TestResponseCache:
         entry.write_text(json.dumps({"text": 5}), encoding="utf-8")
         assert cache.get("m", "p", cfg) is None
 
-    def test_unusable_directory_raises_cache_io_error(self, tmp_path):
+    def test_an_entry_that_is_not_utf8_is_evicted(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        cache.put("m", "p", cfg, "good")
+        [entry] = tmp_path.glob("*.json")
+        entry.write_bytes(b'{"text": "\xff\xfe"}')
+        assert cache.get("m", "p", cfg) is None
+        assert not entry.exists()
+
+    def test_a_blocked_cache_directory_is_a_logged_miss(self, tmp_path, caplog):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory", encoding="utf-8")
         cache = ResponseCache(blocker)
-        with pytest.raises(CacheIoError):
-            cache.put("m", "p", SamplingConfig(), "text")
-        with pytest.raises(CacheIoError):
-            cache.get("m", "p", SamplingConfig())
+        cache.put("m", "p", SamplingConfig(), "text")
+        assert cache.get("m", "p", SamplingConfig()) is None
+        assert [record.getMessage().split(":")[0] for record in caplog.records] == [
+            "cache write failed, continuing",
+            "cache read failed, generating instead",
+        ]
 
+    def test_a_failed_rename_removes_its_temp_file(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        entry = tmp_path / f"{ResponseCache.key('m', 'p', cfg)}.json"
+        entry.mkdir()
+        cache.put("m", "p", cfg, "text")
+        assert list(tmp_path.iterdir()) == [entry]
+        assert "cache write failed" in caplog.text
+        assert cache.get("m", "p", cfg) is None
+        assert "cache read failed" in caplog.text
 
-class ExplodingCache(ResponseCache):
-    def get(self, *args, **kwargs):
-        raise CacheIoError("scripted read failure")
-
-    def put(self, *args, **kwargs):
-        raise CacheIoError("scripted write failure")
+    def test_text_that_does_not_encode_leaves_no_temp_file(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        with pytest.raises(UnicodeEncodeError):
+            cache.put("m", "p", SamplingConfig(), "bad \ud800 text")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCachedGenerate:
@@ -568,11 +649,15 @@ class TestCachedGenerate:
         cached_generate(client, None, "p", cfg)
         assert client.calls == 2
 
-    def test_cache_trouble_is_not_fatal(self, tmp_path):
+    def test_cache_trouble_is_not_fatal(self, tmp_path, caplog):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory", encoding="utf-8")
         client = CountingClient(FixedClient("answer"))
-        got = cached_generate(client, ExplodingCache(tmp_path), "p", SamplingConfig())
+        got = cached_generate(client, ResponseCache(blocker), "p", SamplingConfig())
         assert got == "answer"
         assert client.calls == 1
+        assert "cache read failed" in caplog.text
+        assert "cache write failed" in caplog.text
 
     def test_entries_are_keyed_by_the_backend_not_the_model_id(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -580,10 +665,10 @@ class TestCachedGenerate:
         assert cached_generate(FixedClient("one"), cache, "p", cfg) == "one"
         assert cached_generate(FixedClient("two"), cache, "p", cfg) == "two"
         first = HttpClient(
-            "https://a.test/v1/chat", "m", session=ScriptedSession([ok("from a")])
+            "https://a.test/v1/chat", "m", transport=ScriptedTransport([ok("from a")])
         )
         second = HttpClient(
-            "https://b.test/v1/chat", "m", session=ScriptedSession([ok("from b")])
+            "https://b.test/v1/chat", "m", transport=ScriptedTransport([ok("from b")])
         )
         assert cached_generate(first, cache, "q", cfg) == "from a"
         assert cached_generate(CountingClient(second), cache, "q", cfg) == "from b"
