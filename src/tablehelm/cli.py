@@ -20,11 +20,11 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import asdict, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, ContextManager, Iterator, TypeVar
 
 from .config import RunConfig, build_config
 from .errors import (
@@ -107,6 +107,12 @@ def make_client(endpoint: str, model_id: str, run: RunConfig) -> GeneratorClient
 
 def cache_for(run: RunConfig) -> ResponseCache | None:
     return ResponseCache(run.cache_dir) if run.cache_dir else None
+
+
+def closing_cache(cache: ResponseCache | None) -> ContextManager[object]:
+    """Close `cache` when the block ends, so that the command leaves only the
+    database file behind (see `ResponseCache.close`)."""
+    return closing(cache) if cache is not None else nullcontext()
 
 
 def sampling_for(role: str, run: RunConfig) -> SamplingConfig:
@@ -324,7 +330,7 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
     if args.trace:
         traced_ids = existing_ids(args.trace)  # also cuts a torn last line
         trace_file = open(args.trace, "a", encoding="utf-8")
-    with trace_file as trace_out:
+    with trace_file as trace_out, closing_cache(cache):
         return run_batch(
             dataset, args.output, run, work, _first_record, summary, after_write,
             side_ids=traced_ids,
@@ -384,9 +390,10 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
             f" generator calls {client.calls}"
         )
 
-    return run_batch(
-        dataset, args.output, run, work, _first_record, summary, after_write
-    )
+    with closing_cache(cache):
+        return run_batch(
+            dataset, args.output, run, work, _first_record, summary, after_write
+        )
 
 
 def cmd_merge_labels(args: argparse.Namespace) -> int:
@@ -429,7 +436,8 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
             f" generator calls {feedbacker.calls}"
         )
 
-    return run_batch(dataset, args.output, run, work, labeled_to_record, summary)
+    with closing_cache(cache):
+        return run_batch(dataset, args.output, run, work, labeled_to_record, summary)
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
@@ -568,7 +576,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             f" highlighter calls {highlighter.calls}, summarizer calls {summarizer.calls}"
         )
 
-    return run_batch(dataset, args.output, run, work, lambda record: record, summary)
+    with closing_cache(cache):
+        return run_batch(dataset, args.output, run, work, lambda record: record, summary)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -4,15 +4,14 @@ Three interchangeable backends satisfy one small contract: an HTTP
 chat-completions client for real model servers, a deterministic offline
 oracle that reads the table straight out of the prompt (used to exercise
 the label-search machinery without a model), and a fixed-output stub.
-A content-addressed on-disk cache can wrap any of them. `feedback_reward`
-composes prompt construction, generation, and scoring into the scalar
-signal the evidence search consumes.
+A content-addressed cache in one SQLite file can wrap any of them.
+`feedback_reward` composes prompt construction, generation, and scoring
+into the scalar signal the evidence search consumes.
 """
 
 from __future__ import annotations
 
 import base64
-import contextlib
 import hashlib
 import http.client
 import json
@@ -20,6 +19,7 @@ import logging
 import math
 import os
 import select
+import sqlite3
 import ssl
 import threading
 import time
@@ -27,7 +27,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, TypeVar, runtime_checkable
 from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
 
@@ -61,7 +61,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+T = TypeVar("T")
+
 REWARD_MODES = ("subtable", "highlight")
+
+# SQLite page-cache size of each pooled cache connection, in pages (4 KiB
+# each by default; SQLite's own default is about 2 MB). Lookups are point
+# reads by key, so a small cache costs no speed and keeps memory flat as the
+# pool grows with the number of threads.
+_CACHE_PAGES = 64
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ def _check_endpoint(endpoint: str) -> None:
         )
 
 
-def _close_all(connections: deque[http.client.HTTPConnection]) -> None:
+def _close_all(connections: deque) -> None:
     while connections:
         connections.pop().close()
 
@@ -383,19 +391,35 @@ class CountingClient:
 
 
 class ResponseCache:
-    """Content-addressed completion store: one JSON file per request key.
+    """Content-addressed completion store: one SQLite database per directory.
 
     Keys cover the backend's identity (`_cache_identity`), sampling config,
-    and the full prompt bytes, so any change misses. Writes go through a temp
-    file and an atomic rename, which keeps concurrent writers from leaving
-    torn entries; a write that fails removes its temp file. Cache trouble is
-    never fatal: an entry that cannot be read (an `OSError`) is a logged
-    miss, a corrupt one is evicted, and an `OSError` while storing is a
-    logged warning.
+    and the full prompt bytes, so any change misses. Entries live in the
+    `entries` table of `<directory>/responses.sqlite3`, in WAL mode with
+    `synchronous=NORMAL`; each write is its own transaction, so readers never
+    see a torn entry, and SQLite's locking makes the file safe to share
+    between threads, instances and processes. The directory, schema and WAL
+    mode are set up once per instance, on first use. Connections are pooled:
+    idle ones wait in a deque (thread-safe appends and pops) and any thread
+    takes one; a connection that raised is closed, not put back. `close()`
+    closes the idle ones; once the last connection to the file closes,
+    SQLite checkpoints the WAL and removes the `-wal` and `-shm` files.
+    Per-entry JSON files of older versions are not read: they are misses.
+
+    Cache trouble is never fatal: a `sqlite3.Error` or `OSError` is a logged
+    miss on `get` and a logged warning on `put`, and an entry whose text is
+    not a string (or not UTF-8) is evicted.
     """
+
+    FILENAME = "responses.sqlite3"
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
+        self.path = self.directory / self.FILENAME
+        self._idle: deque[sqlite3.Connection] = deque()
+        weakref.finalize(self, _close_all, self._idle)
+        self._setup_lock = threading.Lock()
+        self._set_up = False
 
     @staticmethod
     def key(model_id: str, prompt: str, cfg: SamplingConfig) -> str:
@@ -412,41 +436,80 @@ class ResponseCache:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _entry_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _open(self) -> sqlite3.Connection:
+        if not self._set_up:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
+        try:
+            conn.text_factory = bytes.decode  # strict UTF-8: a bad entry raises
+            conn.execute("PRAGMA synchronous = NORMAL")
+            conn.execute(f"PRAGMA cache_size = {_CACHE_PAGES}")
+            if not self._set_up:
+                with self._setup_lock:
+                    if not self._set_up:
+                        conn.execute("PRAGMA journal_mode = WAL")
+                        conn.execute(
+                            "CREATE TABLE IF NOT EXISTS entries"
+                            " (key TEXT PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"
+                        )
+                        self._set_up = True
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _use(self, work: Callable[[sqlite3.Connection], T]) -> T:
+        """`work(connection)` on an idle connection, or a new one. The
+        connection goes back to the pool unless `work` raised."""
+        try:
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._open()
+        try:
+            result = work(conn)
+        except BaseException:
+            conn.close()
+            raise
+        self._idle.append(conn)
+        return result
+
+    @staticmethod
+    def _lookup(conn: sqlite3.Connection, key: str) -> str | None:
+        try:
+            row = conn.execute("SELECT text FROM entries WHERE key = ?", (key,)).fetchone()
+            if row is None:
+                return None
+            if isinstance(row[0], str):
+                return row[0]
+        except UnicodeDecodeError:
+            pass
+        logger.warning("evicting corrupt cache entry %s", key)
+        conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+        return None
 
     def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
-        path = self._entry_path(self.key(model_id, prompt, cfg))
+        key = self.key(model_id, prompt, cfg)
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
+            return self._use(lambda conn: self._lookup(conn, key))
+        except (sqlite3.Error, OSError) as exc:
             logger.warning("cache read failed, generating instead: %s", exc)
             return None
-        try:
-            record = json.loads(raw)
-            text = record["text"]
-            if not isinstance(text, str):
-                raise TypeError("text field is not a string")
-        except (ValueError, KeyError, TypeError):
-            logger.warning("evicting corrupt cache entry %s", path.name)
-            path.unlink(missing_ok=True)
-            return None
-        return text
 
     def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
-        path = self._entry_path(self.key(model_id, prompt, cfg))
-        data = json.dumps({"model": model_id, "text": text}, ensure_ascii=False).encode("utf-8")
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+        key = self.key(model_id, prompt, cfg)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except OSError as exc:
+            self._use(
+                lambda conn: conn.execute(
+                    "INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, text)
+                )
+            )
+        except (sqlite3.Error, OSError) as exc:
             logger.warning("cache write failed, continuing: %s", exc)
-            with contextlib.suppress(OSError):
-                tmp.unlink()
+
+    def close(self) -> None:
+        """Close the idle connections. The cache stays usable: the next
+        `get` or `put` opens a new one."""
+        _close_all(self._idle)
 
 
 def cached_generate(
@@ -456,8 +519,10 @@ def cached_generate(
     cfg: SamplingConfig,
 ) -> str:
     """Generate through the cache when one is given: a hit is returned, a
-    miss is generated and stored. The cache itself keeps its trouble from
-    being fatal (see `ResponseCache`)."""
+    miss is generated and stored as one row of the cache's SQLite file.
+    Threads may share one cache. The cache itself keeps its trouble from
+    being fatal (see `ResponseCache`): then this call generates, and does
+    not fail."""
     if cache is None:
         return client.generate(prompt, cfg)
     identity = _cache_identity(client)

@@ -20,6 +20,7 @@ table in a source record is reported under the canonical field name
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -375,6 +376,12 @@ _ADAPTERS = {
 }
 
 
+# A JSON escape in U+D800-U+DFFF. Unless it is half of a surrogate pair it
+# decodes to a lone surrogate, which no UTF-8 output (a saved line, a cache
+# key, a request body) can hold.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _json_object(line: str) -> dict[str, Any]:
     try:
         line.encode("utf-8")
@@ -387,6 +394,11 @@ def _json_object(line: str) -> dict[str, Any]:
         raise SchemaError("record", f"not JSON: {exc.msg} at column {exc.colno}") from None
     if not isinstance(record, dict):
         raise SchemaError("record", "not a JSON object")
+    if _SURROGATE_ESCAPE.search(line):
+        try:
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError("record", "not valid text: a lone surrogate escape") from None
     return record
 
 
@@ -398,10 +410,10 @@ def read_records(
     """Yield `parse(record)` for the JSON object on each non-blank line of a
     JSONL file, in file order.
 
-    A line that is not UTF-8, not a JSON object, or that `parse` rejects
-    raises `SchemaError` reading `<path>, line N: <message>`; when
-    `failures` is given, the line is recorded there (its message names no
-    line) and skipped instead.
+    A line that is not UTF-8, not a JSON object, holds a lone surrogate
+    escape (`"\\ud800"`), or that `parse` rejects raises `SchemaError`
+    reading `<path>, line N: <message>`; when `failures` is given, the line
+    is recorded there (its message names no line) and skipped instead.
     """
     # Iterate the handle, which ends lines at newlines only: JSON strings may
     # hold U+2028, U+2029 and U+0085 raw, and str.splitlines() splits there.

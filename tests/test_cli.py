@@ -15,7 +15,7 @@ from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, SchemaError, TransportError
 from tablehelm.evidence_lab import LabeledSample, load_labels
-from tablehelm.feedback import EchoClient, FixedClient, HttpClient
+from tablehelm.feedback import EchoClient, FixedClient, HttpClient, ResponseCache
 from tablehelm.table_core import Evidence, serialize_sample
 
 TOY = Path(__file__).resolve().parent.parent / "data" / "toy.jsonl"
@@ -156,6 +156,46 @@ class TestIngest:
         assert code == EXIT_VALIDATION
         assert stderr == f"error: SchemaError: {data}, line 2: not valid UTF-8\n"
         assert not strict_out.exists()
+
+    def test_a_line_with_a_lone_surrogate_escape_is_reported_and_skipped(
+        self, tmp_path, capsys
+    ):
+        samples = [support.planted_sample(f"ok-{i}", 3, 2, (1,))[0] for i in (1, 2, 3)]
+        data = tmp_path / "mixed.jsonl"
+        support.write_dataset(data, samples)
+        lines = data.read_bytes().splitlines(keepends=True)
+        bad = json.loads(lines[0])
+        bad["query"] = "bad \ud800 query"
+        lines[0] = json.dumps(bad).encode("ascii") + b"\n"
+        assert b'"bad \\ud800 query"' in lines[0]
+        data.write_bytes(b"".join(lines))
+        out = tmp_path / "out.jsonl"
+        code, stdout, stderr = run_cli(["ingest", data, out], capsys)
+        assert code == EXIT_OK
+        assert stdout.strip() == f"ingested 2 samples -> {out}"
+        assert stderr == "line 1: not valid text: a lone surrogate escape\n"
+        assert [json.loads(line)["id"] for line in out.read_bytes().splitlines()] == [
+            "ok-2",
+            "ok-3",
+        ]
+
+        strict_out = tmp_path / "strict.jsonl"
+        code, _, stderr = run_cli(["ingest", data, strict_out, "--strict"], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr == (
+            f"error: SchemaError: {data}, line 1: not valid text: a lone surrogate escape\n"
+        )
+        assert not strict_out.exists()
+
+    def test_a_surrogate_pair_escape_is_kept(self, tmp_path, capsys):
+        sample, _ = support.planted_sample("pair-1", 3, 2, (1,))
+        record = {**serialize_sample(sample), "query": "who scored \U0001F600?"}
+        data = tmp_path / "pair.jsonl"
+        data.write_text(json.dumps(record) + "\n", encoding="ascii")
+        out = tmp_path / "out.jsonl"
+        code, _, stderr = run_cli(["ingest", data, out], capsys)
+        assert (code, stderr) == (EXIT_OK, "")
+        assert json.loads(out.read_text("utf-8"))["query"] == "who scored \U0001F600?"
 
     def test_empty_result_is_a_validation_failure(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
@@ -923,6 +963,33 @@ class TestPipeline:
         assert "highlighter calls 2" in stdout
 
 
+class TestCacheDirectory:
+    """A command run with `--cache-dir` leaves only the cache's database
+    file behind, and a rerun is served from it."""
+
+    @pytest.mark.parametrize(
+        "command, calls",
+        [
+            ("search-labels", "generator calls 0"),
+            ("pipeline", "highlighter calls 0, summarizer calls 0"),
+        ],
+    )
+    def test_a_cached_command_leaves_only_the_database_file(
+        self, two_planted, tmp_path, capsys, command, calls
+    ):
+        data, _, _ = two_planted
+        cache_dir = tmp_path / "cache"
+        outputs = [tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"]
+        for out in outputs:
+            code, stdout, _ = run_cli(
+                [command, data, out, "--cache-dir", cache_dir, "--workers", "2"], capsys
+            )
+            assert code == EXIT_OK
+            assert [path.name for path in cache_dir.iterdir()] == [ResponseCache.FILENAME]
+        assert calls in stdout
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 class TestStrictInputLines:
     """A bad line in a file a command reads strictly fails the command with
     exit 2, named once by its file and line."""
@@ -950,6 +1017,24 @@ class TestStrictInputLines:
         assert code == EXIT_VALIDATION
         assert stderr == f"error: SchemaError: {labels}, line 2: not a JSON object\n"
         assert not out.exists()
+
+    def test_a_lone_surrogate_fails_before_anything_is_written(
+        self, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        record = serialize_sample(support.planted_sample("cli-3", 3, 2, (1,))[0])
+        self.append_line(data, json.dumps({**record, "query": "bad \ud800 q"}).encode())
+        out = tmp_path / "search.jsonl"
+        cache_dir = tmp_path / "cache"
+        code, _, stderr = run_cli(
+            ["search-labels", data, out, "--cache-dir", cache_dir], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert stderr == (
+            f"error: SchemaError: {data}, line 3: not valid text: a lone surrogate escape\n"
+        )
+        assert not out.exists()
+        assert not cache_dir.exists()
 
     def test_a_prediction_line(self, two_planted, tmp_path, capsys):
         data, (first, _), _ = two_planted

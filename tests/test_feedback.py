@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import resource
+import sqlite3
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -466,7 +468,11 @@ class TestHttpClientSession:
         assert code == EXIT_BACKEND
         assert stderr.count("completion is not valid text") == 2
         if cached:
-            assert not list(cache.glob("*.tmp.*"))
+            # Only the two echo highlighter answers were stored, and the
+            # command left nothing beside the database file.
+            with closing(sqlite3.connect(cache / ResponseCache.FILENAME)) as conn:
+                assert conn.execute("SELECT count(*) FROM entries").fetchone() == (2,)
+            assert [path.name for path in cache.iterdir()] == [ResponseCache.FILENAME]
 
     def test_the_request_on_the_wire_is_pinned(self, plain_environment):
         with serving() as (server, base):
@@ -578,31 +584,41 @@ class TestResponseCache:
         cache.put("m", "p", SamplingConfig(), "text")
         assert cache.get("m", "p", SamplingConfig(temperature=0.9)) is None
 
+    def damage(self, cache: ResponseCache, text_sql: str, *params) -> None:
+        """Overwrite the text of every entry with `text_sql`, through a
+        connection of its own."""
+        with closing(sqlite3.connect(cache.path)) as conn, conn:
+            conn.execute(f"UPDATE entries SET text = {text_sql}", params)
+
+    def entries(self, cache: ResponseCache) -> list[tuple[str, str]]:
+        with closing(sqlite3.connect(cache.path)) as conn:
+            return conn.execute("SELECT key, typeof(text) FROM entries").fetchall()
+
     def test_corrupt_entry_is_evicted(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cfg = SamplingConfig()
         cache.put("m", "p", cfg, "good")
-        [entry] = tmp_path.glob("*.json")
-        entry.write_text("not valid json", encoding="utf-8")
+        self.damage(cache, "X'00ff13'")
         assert cache.get("m", "p", cfg) is None
-        assert not entry.exists()
+        assert self.entries(cache) == []
 
     def test_wrong_shape_entry_is_evicted(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cfg = SamplingConfig()
         cache.put("m", "p", cfg, "good")
-        [entry] = tmp_path.glob("*.json")
-        entry.write_text(json.dumps({"text": 5}), encoding="utf-8")
+        self.damage(cache, "?", b"good")
+        assert self.entries(cache) == [(ResponseCache.key("m", "p", cfg), "blob")]
         assert cache.get("m", "p", cfg) is None
+        assert self.entries(cache) == []
 
     def test_an_entry_that_is_not_utf8_is_evicted(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cfg = SamplingConfig()
         cache.put("m", "p", cfg, "good")
-        [entry] = tmp_path.glob("*.json")
-        entry.write_bytes(b'{"text": "\xff\xfe"}')
+        self.damage(cache, "CAST(X'fffe' AS TEXT)")
+        assert self.entries(cache) == [(ResponseCache.key("m", "p", cfg), "text")]
         assert cache.get("m", "p", cfg) is None
-        assert not entry.exists()
+        assert self.entries(cache) == []
 
     def test_a_blocked_cache_directory_is_a_logged_miss(self, tmp_path, caplog):
         blocker = tmp_path / "blocker"
@@ -615,22 +631,93 @@ class TestResponseCache:
             "cache read failed, generating instead",
         ]
 
-    def test_a_failed_rename_removes_its_temp_file(self, tmp_path, caplog):
+    def test_a_database_path_that_is_a_directory_is_a_logged_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
         cfg = SamplingConfig()
-        entry = tmp_path / f"{ResponseCache.key('m', 'p', cfg)}.json"
-        entry.mkdir()
+        cache.path.mkdir()
         cache.put("m", "p", cfg, "text")
-        assert list(tmp_path.iterdir()) == [entry]
         assert "cache write failed" in caplog.text
         assert cache.get("m", "p", cfg) is None
         assert "cache read failed" in caplog.text
+        assert list(tmp_path.iterdir()) == [cache.path]
+        assert list(cache.path.iterdir()) == []
 
-    def test_text_that_does_not_encode_leaves_no_temp_file(self, tmp_path):
+    def test_a_database_file_that_is_not_sqlite_is_never_overwritten(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        planted = b"not a database\n" * 512
+        cache.path.write_bytes(planted)
+        cache.put("m", "p", cfg, "text")
+        assert "cache write failed" in caplog.text
+        assert cache.get("m", "p", cfg) is None
+        assert "cache read failed" in caplog.text
+        cache.close()
+        assert list(tmp_path.iterdir()) == [cache.path]
+        assert cache.path.read_bytes() == planted
+
+    def test_text_that_does_not_encode_is_not_stored(self, tmp_path):
         cache = ResponseCache(tmp_path)
         with pytest.raises(UnicodeEncodeError):
             cache.put("m", "p", SamplingConfig(), "bad \ud800 text")
-        assert list(tmp_path.iterdir()) == []
+        assert self.entries(cache) == []
+
+    def test_close_leaves_only_the_database_file(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        cache.put("m", "p", cfg, "text")
+        assert cache.get("m", "p", cfg) == "text"
+        cache.close()
+        assert list(tmp_path.iterdir()) == [cache.path]
+        assert cache.get("m", "p", cfg) == "text"  # still usable after close
+
+    def test_old_per_entry_files_are_misses(self, tmp_path):
+        cfg = SamplingConfig()
+        old = tmp_path / f"{ResponseCache.key('m', 'p', cfg)}.json"
+        old.write_text(json.dumps({"model": "m", "text": "old"}), encoding="utf-8")
+        assert ResponseCache(tmp_path).get("m", "p", cfg) is None
+
+    def test_threads_and_instances_sharing_one_file_read_what_was_written(
+        self, tmp_path, caplog
+    ):
+        caches = [ResponseCache(tmp_path), ResponseCache(tmp_path)]
+        cfg = SamplingConfig()
+        mismatches: list[tuple] = []
+
+        def text_of(n: int) -> str:
+            return f"text {n} " * (n + 1)
+
+        def work(worker: int) -> None:
+            cache = caches[worker % 2]
+            for step in range(80):
+                n = (7 * worker + step) % 16
+                got = cache.get("m", f"prompt {n}", cfg)
+                if got not in (None, text_of(n)):
+                    mismatches.append((worker, step, "before", got))
+                cache.put("m", f"prompt {n}", cfg, text_of(n))
+                got = cache.get("m", f"prompt {n}", cfg)
+                if got != text_of(n):
+                    mismatches.append((worker, step, "after", got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        for cache in caches:
+            cache.close()
+        assert list(tmp_path.iterdir()) == [caches[0].path]
+        fresh = ResponseCache(tmp_path)
+        assert [fresh.get("m", f"prompt {n}", cfg) for n in range(16)] == [
+            text_of(n) for n in range(16)
+        ]
 
 
 class TestCachedGenerate:
