@@ -15,7 +15,7 @@ from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, SchemaError, TransportError
 from tablehelm.evidence_lab import LabeledSample, load_labels
-from tablehelm.feedback import EchoClient, FixedClient, HttpClient, ResponseCache
+from tablehelm.feedback import EchoClient, FixedClient, HttpClient, ResponseCache, SamplingConfig
 from tablehelm.table_core import Evidence, serialize_sample
 
 TOY = Path(__file__).resolve().parent.parent / "data" / "toy.jsonl"
@@ -345,6 +345,127 @@ class TestNonFiniteSettings:
         assert stdout == ""
         assert "finite" in stderr
         assert not out.exists()
+
+
+class RecordingClient:
+    """Answers "{1}" to every prompt and records, per call, the model id,
+    the prompt's first line (the template's role tag) and the sampling."""
+
+    def __init__(self, model_id, calls) -> None:
+        self.model_id = model_id
+        self.calls = calls
+
+    def generate(self, prompt, cfg):
+        self.calls.append((self.model_id, prompt.split("\n", 1)[0], cfg))
+        return "{1}"
+
+
+class TestRoleSettings:
+    """Which template, sampling and token budget each command gives each
+    model role. Every template override starts with a `tag:<role>` line and
+    every role gets its own temperature and nucleus_p."""
+
+    SLOTS = {
+        "highlighter": "{{TABLE}}\n{{QUERY}}",
+        "summarizer": "{{TABLE}}\n{{QUERY}}",
+        "distill": "{{EXAMPLES}}\n{{TABLE}}\n{{QUERY}}\n{{REFERENCE}}",
+    }
+    SAMPLING = {
+        "highlighter": SamplingConfig(nucleus_p=0.51, temperature=0.11, max_new_tokens=77),
+        "summarizer": SamplingConfig(nucleus_p=0.52, temperature=0.22, max_new_tokens=77),
+        "feedbacker": SamplingConfig(nucleus_p=0.53, temperature=0.33, max_new_tokens=77),
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli, "make_client", lambda endpoint, model_id, run: RecordingClient(model_id, calls)
+        )
+        return calls
+
+    @pytest.fixture
+    def argv(self, two_planted, tmp_path):
+        """`argv(command, *extra)`: the command over the planted data, with
+        every role's template and sampling overridden."""
+        data, _, _ = two_planted
+        labels = tmp_path / "labels.jsonl"
+        support.save_labels(
+            labels,
+            [
+                LabeledSample(sample_id="cli-1", e_search=Evidence((1,)), e_merge=Evidence((1,))),
+                LabeledSample(sample_id="cli-2", e_search=Evidence((2,)), e_merge=Evidence((2,))),
+            ],
+        )
+        out = tmp_path / "out.jsonl"
+        positional = {
+            "search-labels": [data, out],
+            "distill-labels": [data, out],
+            "merge-labels": [data, out, "--labels", labels],
+            "pipeline": [data, out],
+            "export-train": [data, labels, out],
+        }
+        flags = ["--max-new-tokens", "77"]
+        for role, slots in self.SLOTS.items():
+            template = tmp_path / f"{role}.txt"
+            template.write_text(f"tag:{role}\n{slots}\n###Output\n", encoding="utf-8")
+            flags += [f"--{role}-template", template]
+        for role, cfg in self.SAMPLING.items():
+            flags += [f"--{role}-temperature", cfg.temperature]
+            flags += [f"--{role}-nucleus-p", cfg.nucleus_p]
+        return lambda command, *extra: [command, *positional[command], *flags, *extra]
+
+    @pytest.mark.parametrize(
+        ("command", "want"),
+        [
+            ("search-labels", {("feedbacker", "tag:summarizer", "feedbacker")}),
+            ("merge-labels", {("feedbacker", "tag:summarizer", "feedbacker")}),
+            ("distill-labels", {("distill", "tag:distill", "feedbacker")}),
+            (
+                "pipeline",
+                {
+                    ("highlighter", "tag:highlighter", "highlighter"),
+                    ("summarizer", "tag:summarizer", "summarizer"),
+                },
+            ),
+        ],
+    )
+    def test_each_role_gets_its_template_and_sampling(
+        self, command, want, calls, argv, capsys
+    ):
+        code, _, _ = run_cli(argv(command), capsys)
+        assert code == EXIT_OK
+        assert calls
+        expected = {(model, tag, self.SAMPLING[role]) for model, tag, role in want}
+        assert set(calls) == expected
+
+    @pytest.mark.parametrize("role", ["highlighter", "summarizer"])
+    def test_export_uses_the_exported_roles_template(self, role, argv, tmp_path, capsys):
+        code, _, _ = run_cli(argv("export-train", "--role", role), capsys)
+        assert code == EXIT_OK
+        lines = (tmp_path / "out.jsonl").read_text("utf-8").splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert json.loads(line)["prompt"].startswith(f"tag:{role}\n")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["search-labels"],
+            ["merge-labels"],
+            ["distill-labels"],
+            ["pipeline"],
+            ["pipeline", "--ablation", "no_highlight"],
+            ["export-train", "--role", "highlighter"],
+            ["export-train", "--role", "summarizer"],
+        ],
+    )
+    def test_the_token_budget_reaches_every_role(self, extra, calls, argv, capsys):
+        command, *rest = extra
+        code, _, stderr = run_cli(argv(command, "--token-budget", "5", *rest), capsys)
+        assert code != EXIT_OK
+        assert "exceeds budget 5" in stderr
+        assert calls == []
 
 
 class TestSearchLabels:
