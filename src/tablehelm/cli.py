@@ -54,12 +54,12 @@ from .feedback import (
     GeneratorClient,
     HttpClient,
     ResponseCache,
+    RoleSettings,
     SamplingConfig,
     cached_generate,
 )
 from .metrics import corpus_evaluate
 from .prompting import (
-    PromptTemplate,
     build_highlighter_prompt,
     build_summarizer_prompt,
     load_example_blocks,
@@ -115,17 +115,26 @@ def closing_cache(cache: ResponseCache | None) -> ContextManager[object]:
     return closing(cache) if cache is not None else nullcontext()
 
 
-def sampling_for(role: str, run: RunConfig) -> SamplingConfig:
-    return SamplingConfig(
-        nucleus_p=getattr(run, f"{role}_nucleus_p"),
-        temperature=getattr(run, f"{role}_temperature"),
-        max_new_tokens=run.max_new_tokens,
+def settings_for(
+    run: RunConfig,
+    sampling_role: str,
+    template_role: str,
+    cache: ResponseCache | None = None,
+) -> RoleSettings:
+    """A model role's settings: `cache`, the decoding settings of
+    `sampling_role` ("highlighter", "summarizer" or "feedbacker"), the
+    template of `template_role` ("highlighter", "summarizer" or "distill")
+    and the run's token budget."""
+    return RoleSettings(
+        cache=cache,
+        cfg=SamplingConfig(
+            nucleus_p=getattr(run, f"{sampling_role}_nucleus_p"),
+            temperature=getattr(run, f"{sampling_role}_temperature"),
+            max_new_tokens=run.max_new_tokens,
+        ),
+        template=load_template(template_role, getattr(run, f"{template_role}_template") or None),
+        token_budget=run.token_budget,
     )
-
-
-def template_for(role: str, run: RunConfig) -> PromptTemplate:
-    path = getattr(run, f"{role}_template")
-    return load_template(role, path or None)
 
 
 def existing_ids(path: str | Path) -> set[str]:
@@ -284,21 +293,16 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
     feedbacker = CountingClient(
         make_client(run.feedbacker_endpoint, run.feedbacker_model, run)
     )
-    cache = cache_for(run)
-    cfg = sampling_for("feedbacker", run)
-    template = template_for("summarizer", run)
+    settings = settings_for(run, "feedbacker", "summarizer", cache_for(run))
     oracle_total = 0
 
     def work(sample: Sample):
         evidence, reward, trace = greedy_search(
             sample,
             feedbacker,
-            cache=cache,
-            cfg=cfg,
+            settings=settings,
             step_cap=run.step_cap_or_none,
             fallback=run.search_fallback,
-            template=template,
-            token_budget=run.token_budget,
         )
         labeled = LabeledSample(
             sample_id=sample.id,
@@ -330,7 +334,7 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
     if args.trace:
         traced_ids = existing_ids(args.trace)  # also cuts a torn last line
         trace_file = open(args.trace, "a", encoding="utf-8")
-    with trace_file as trace_out, closing_cache(cache):
+    with trace_file as trace_out, closing_cache(settings.cache):
         return run_batch(
             dataset, args.output, run, work, _first_record, summary, after_write,
             side_ids=traced_ids,
@@ -357,22 +361,12 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
     dataset = _load_input(args.input, run)
     endpoint = run.distill_endpoint or run.feedbacker_endpoint
     client = CountingClient(make_client(endpoint, run.distill_model, run))
-    cache = cache_for(run)
-    cfg = sampling_for("feedbacker", run)
-    template = template_for("distill", run)
+    settings = settings_for(run, "feedbacker", "distill", cache_for(run))
     examples = load_example_blocks(run.distill_examples or None)
     written = 0
 
     def work(sample: Sample):
-        return distill_one(
-            sample,
-            client,
-            examples,
-            cache=cache,
-            cfg=cfg,
-            template=template,
-            token_budget=run.token_budget,
-        )
+        return distill_one(sample, client, examples, settings=settings)
 
     def after_write(result: tuple[LabeledSample, list[str]]) -> bool:
         nonlocal written
@@ -390,7 +384,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
             f" generator calls {client.calls}"
         )
 
-    with closing_cache(cache):
+    with closing_cache(settings.cache):
         return run_batch(
             dataset, args.output, run, work, _first_record, summary, after_write
         )
@@ -403,9 +397,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
     feedbacker = CountingClient(
         make_client(run.feedbacker_endpoint, run.feedbacker_model, run)
     )
-    cache = cache_for(run)
-    cfg = sampling_for("feedbacker", run)
-    template = template_for("summarizer", run)
+    settings = settings_for(run, "feedbacker", "summarizer", cache_for(run))
 
     def work(sample: Sample) -> LabeledSample:
         merged = LabeledSample(sample_id=sample.id, e_manual=sample.manual_evidence)
@@ -420,15 +412,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
                 e_manual=record.e_manual or merged.e_manual,
                 flags=tuple(dict.fromkeys(merged.flags + record.flags)),
             )
-        return merge_labels(
-            merged,
-            sample,
-            feedbacker,
-            cache=cache,
-            cfg=cfg,
-            template=template,
-            token_budget=run.token_budget,
-        )
+        return merge_labels(merged, sample, feedbacker, settings=settings)
 
     def summary(merged: int, total: int, skipped: int) -> str:
         return (
@@ -436,7 +420,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
             f" generator calls {feedbacker.calls}"
         )
 
-    with closing_cache(cache):
+    with closing_cache(settings.cache):
         return run_batch(dataset, args.output, run, work, labeled_to_record, summary)
 
 
@@ -489,24 +473,15 @@ def cmd_export_train(args: argparse.Namespace) -> int:
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     labels = load_labels(args.labels)
+    settings = settings_for(run, args.role, args.role)
     if args.role == "highlighter":
         count = export_highlighter_training(
-            dataset,
-            labels,
-            args.output,
-            strict=args.strict,
-            template=template_for("highlighter", run),
-            token_budget=run.token_budget,
+            dataset, labels, args.output, strict=args.strict, settings=settings
         )
     else:
         count = export_summarizer_training(
-            dataset,
-            labels,
-            args.output,
-            source=args.source,
-            strict=args.strict,
-            template=template_for("summarizer", run),
-            token_budget=run.token_budget,
+            dataset, labels, args.output, source=args.source, strict=args.strict,
+            settings=settings,
         )
     print(f"exported {count} {args.role} records -> {args.output}")
     return EXIT_OK
@@ -522,10 +497,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         make_client(run.summarizer_endpoint, run.summarizer_model, run)
     )
     cache = cache_for(run)
-    h_cfg = sampling_for("highlighter", run)
-    s_cfg = sampling_for("summarizer", run)
-    h_template = template_for("highlighter", run)
-    s_template = template_for("summarizer", run)
+    h_settings = settings_for(run, "highlighter", "highlighter", cache)
+    s_settings = settings_for(run, "summarizer", "summarizer", cache)
 
     def work(sample: Sample) -> dict[str, object]:
         flags: list[str] = []
@@ -535,11 +508,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 sample.table,
                 sample.query,
                 None,
-                template=h_template,
+                template=h_settings.template,
                 sample_id=sample.id,
-                token_budget=run.token_budget,
+                token_budget=h_settings.token_budget,
             )
-            raw = cached_generate(highlighter, cache, h_prompt.text, h_cfg)
+            raw = cached_generate(highlighter, cache, h_prompt.text, h_settings.cfg)
             try:
                 evidence, warnings = parse_evidence_output(raw, sample.table.n_rows)
                 flags.extend(warnings)
@@ -559,14 +532,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             marked,
             sample.query,
             None,
-            template=s_template,
+            template=s_settings.template,
             sample_id=sample.id,
-            token_budget=run.token_budget,
+            token_budget=s_settings.token_budget,
         )
         return {
             "id": sample.id,
             "evidence": list(evidence.indices),
-            "prediction": cached_generate(summarizer, cache, s_prompt.text, s_cfg),
+            "prediction": cached_generate(summarizer, cache, s_prompt.text, s_settings.cfg),
             "flags": flags,
         }
 

@@ -5,6 +5,7 @@ precedence (flags > environment > file > defaults).
 Environment variables use the HELM_ prefix over the upper-cased key, e.g.
 HELM_CACHE_DIR for cache_dir. Booleans accept true/false, yes/no, 1/0.
 A step_cap or worker-style integer of 0 means "unbounded" where noted.
+Every error names the key it is about, e.g. "timeout: not a float: 'abc'".
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import SchemaError
+from .feedback import SamplingConfig
 
 __all__ = ["RunConfig", "build_config", "load_config_file", "ENV_PREFIX"]
 
@@ -23,6 +25,22 @@ ENV_PREFIX = "HELM_"
 
 ABLATIONS = ("full", "no_highlight", "subtab")
 DATASET_FORMATS = ("canonical", "fetaqa", "qtsumm")
+
+# Each sampling key and the SamplingConfig field it sets; SamplingConfig
+# owns their ranges.
+_SAMPLING_FIELDS = {
+    "max_new_tokens": "max_new_tokens",
+    **{
+        f"{role}_{field}": field
+        for role in ("highlighter", "summarizer", "feedbacker")
+        for field in ("temperature", "nucleus_p")
+    },
+}
+
+
+def _invalid(key: str, problem: str) -> SchemaError:
+    """A config error whose message starts with the key it is about."""
+    return SchemaError(key, f"{key}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -72,23 +90,28 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.ablation not in ABLATIONS:
-            raise SchemaError("ablation", f"must be one of {ABLATIONS}")
+            raise _invalid("ablation", f"must be one of {ABLATIONS}")
         if self.dataset_format not in DATASET_FORMATS:
-            raise SchemaError("dataset_format", f"must be one of {DATASET_FORMATS}")
+            raise _invalid("dataset_format", f"must be one of {DATASET_FORMATS}")
         if self.workers < 1:
-            raise SchemaError("workers", "must be at least 1")
+            raise _invalid("workers", "must be at least 1")
         if self.max_attempts < 1:
-            raise SchemaError("max_attempts", "must be at least 1")
+            raise _invalid("max_attempts", "must be at least 1")
         if self.max_in_flight < 1:
-            raise SchemaError("max_in_flight", "must be at least 1")
+            raise _invalid("max_in_flight", "must be at least 1")
         if self.step_cap < 0:
-            raise SchemaError("step_cap", "must be 0 (unbounded) or positive")
+            raise _invalid("step_cap", "must be 0 (unbounded) or positive")
         if self.token_budget < 1:
-            raise SchemaError("token_budget", "must be at least 1")
+            raise _invalid("token_budget", "must be at least 1")
         if not 0.0 <= self.success_threshold <= 1.0:
-            raise SchemaError("success_threshold", "must be in [0, 1]")
+            raise _invalid("success_threshold", "must be in [0, 1]")
         if not 0 < self.timeout < math.inf:
-            raise SchemaError("timeout", "must be positive and finite")
+            raise _invalid("timeout", "must be positive and finite")
+        for key, field in _SAMPLING_FIELDS.items():
+            try:
+                SamplingConfig(**{field: getattr(self, key)})
+            except ValueError as exc:
+                raise _invalid(key, str(exc)) from exc
         for key in (
             "highlighter_template",
             "summarizer_template",
@@ -97,7 +120,7 @@ class RunConfig:
         ):
             path = getattr(self, key)
             if path and not Path(path).is_file():
-                raise SchemaError(key, f"file not found: {path}")
+                raise _invalid(key, f"file not found: {path}")
 
     @property
     def step_cap_or_none(self) -> int | None:
@@ -116,14 +139,14 @@ def _coerce(key: str, raw: str) -> object:
             return True
         if lowered in ("false", "no", "0", "off"):
             return False
-        raise SchemaError(key, f"not a boolean: {raw!r}")
+        raise _invalid(key, f"not a boolean: {raw!r}")
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
             return float(raw)
     except ValueError as exc:
-        raise SchemaError(key, f"not a {kind}: {raw!r}") from exc
+        raise _invalid(key, f"not a {kind}: {raw!r}") from exc
     return raw
 
 
@@ -142,7 +165,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
                 )
             key = key.strip()
             if key not in _FIELD_TYPES:
-                raise SchemaError(key, f"{path}:{line_no}: unknown config key")
+                raise SchemaError(key, f"{path}:{line_no}: {key}: unknown config key")
             values[key] = value.strip()
     return values
 
@@ -163,6 +186,6 @@ def build_config(
     if overrides:
         for key, value in overrides.items():
             if key not in _FIELD_TYPES:
-                raise SchemaError(key, "unknown config key")
+                raise _invalid(key, "unknown config key")
             raw[key] = value
     return RunConfig(**{key: _coerce(key, value) for key, value in raw.items()})

@@ -38,16 +38,13 @@ from .errors import (
     TransportError,
 )
 from .feedback import (
-    SEARCH_SAMPLING,
+    SEARCH_SETTINGS,
     GeneratorClient,
-    ResponseCache,
-    SamplingConfig,
+    RoleSettings,
     cached_generate,
     feedback_reward,
 )
 from .prompting import (
-    DEFAULT_TOKEN_BUDGET,
-    PromptTemplate,
     build_distill_prompt,
     build_highlighter_prompt,
     build_summarizer_prompt,
@@ -158,14 +155,12 @@ def greedy_search(
     sample: Sample,
     feedbacker: GeneratorClient,
     *,
-    cache: ResponseCache | None = None,
-    cfg: SamplingConfig = SEARCH_SAMPLING,
+    settings: RoleSettings = SEARCH_SETTINGS,
     step_cap: int | None = None,
     fallback: bool = True,
-    template: PromptTemplate | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> tuple[Evidence, float, SearchTrace]:
-    """Search evidence rows greedily, spending two evaluations per row.
+    """Search evidence rows greedily, spending two evaluations per row, each
+    a `feedback_reward` call with the feedbacker's `settings`.
 
     Phase 1 scores each singleton sub-table, up to the feedbacker's
     `max_in_flight` at once, and tallies the outcomes in row order. Phase 2
@@ -188,16 +183,8 @@ def greedy_search(
         threads, so it touches no shared state."""
         try:
             return feedback_reward(
-                sample.table,
-                evidence,
-                sample.query,
-                sample.reference,
-                "subtable",
-                feedbacker,
-                cache=cache,
-                cfg=cfg,
-                template=template,
-                token_budget=token_budget,
+                sample.table, evidence, sample.query, sample.reference, "subtable",
+                feedbacker, settings,
             )
         except _SKIPPABLE_ERRORS as exc:
             return exc
@@ -258,12 +245,10 @@ def exhaustive_search(
     feedbacker: GeneratorClient,
     n_max: int = 12,
     *,
-    cache: ResponseCache | None = None,
-    cfg: SamplingConfig = SEARCH_SAMPLING,
-    template: PromptTemplate | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
+    settings: RoleSettings = SEARCH_SETTINGS,
 ) -> tuple[Evidence, float]:
-    """Evaluate every non-empty row subset; the verification oracle.
+    """Evaluate every non-empty row subset with the feedbacker's `settings`;
+    the verification oracle.
 
     Returns the lexicographically smallest argmax. Cost is 2^n - 1
     evaluations, so tables beyond `n_max` rows are refused.
@@ -281,16 +266,8 @@ def exhaustive_search(
     for indices in subsets:
         evidence = Evidence(indices)
         reward = feedback_reward(
-            sample.table,
-            evidence,
-            sample.query,
-            sample.reference,
-            "subtable",
-            feedbacker,
-            cache=cache,
-            cfg=cfg,
-            template=template,
-            token_budget=token_budget,
+            sample.table, evidence, sample.query, sample.reference, "subtable",
+            feedbacker, settings,
         )
         if reward > best_reward:
             best_evidence, best_reward = evidence, reward
@@ -303,13 +280,12 @@ def distill_one(
     client: GeneratorClient,
     examples: tuple[str, ...],
     *,
-    cache: ResponseCache | None = None,
-    cfg: SamplingConfig = SEARCH_SAMPLING,
-    template: PromptTemplate | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
+    settings: RoleSettings = SEARCH_SETTINGS,
 ) -> tuple[LabeledSample, list[str]]:
-    """Distill one sample's evidence from a model; never raises on parse or
-    transient generation trouble, reporting it instead (e_distill absent)."""
+    """Distill one sample's evidence from a model with the distiller's
+    `settings` (a distill template, or None for the packaged one); never
+    raises on parse or transient generation trouble, reporting it instead
+    (e_distill absent)."""
     base = LabeledSample(sample_id=sample.id, e_manual=sample.manual_evidence)
     try:
         prompt = build_distill_prompt(
@@ -317,11 +293,11 @@ def distill_one(
             sample.query,
             sample.reference,
             examples,
-            template=template,
+            template=settings.template,
             sample_id=sample.id,
-            token_budget=token_budget,
+            token_budget=settings.token_budget,
         )
-        raw = cached_generate(client, cache, prompt.text, cfg)
+        raw = cached_generate(client, settings.cache, prompt.text, settings.cfg)
         evidence, warnings = parse_evidence_output(raw, sample.table.n_rows)
     except (NoIndicesError, PromptTooLongError) as exc:
         return base, [f"{sample.id}: {exc}"]
@@ -335,12 +311,10 @@ def merge_labels(
     sample: Sample,
     feedbacker: GeneratorClient,
     *,
-    cache: ResponseCache | None = None,
-    cfg: SamplingConfig = SEARCH_SAMPLING,
-    template: PromptTemplate | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
+    settings: RoleSettings = SEARCH_SETTINGS,
 ) -> LabeledSample:
-    """Pick the best label source by reward on the highlighted full table.
+    """Pick the best label source by reward on the highlighted full table,
+    scored with the feedbacker's `settings`.
 
     Identical candidate sets are evaluated once, up to the feedbacker's
     `max_in_flight` at once. Ties go to the earlier source in
@@ -356,16 +330,8 @@ def merge_labels(
 
     def score(evidence: Evidence) -> float:
         return feedback_reward(
-            sample.table,
-            evidence,
-            sample.query,
-            sample.reference,
-            "highlight",
-            feedbacker,
-            cache=cache,
-            cfg=cfg,
-            template=template,
-            token_budget=token_budget,
+            sample.table, evidence, sample.query, sample.reference, "highlight",
+            feedbacker, settings,
         )
 
     sets = list(dict.fromkeys(candidates.values()))
@@ -445,45 +411,58 @@ def load_labels(path: str | Path) -> dict[str, LabeledSample]:
     }
 
 
+def _export_training(
+    dataset: Dataset,
+    labels: Mapping[str, LabeledSample],
+    path: str | Path,
+    source: str,
+    strict: bool,
+    record_for: Callable[[Sample, Evidence], dict[str, str]],
+) -> int:
+    """The loop both exports share: in dataset order, write
+    `record_for(sample, evidence)` as one JSON line for each sample whose
+    `source` label ("merge" or "distill") is present. A sample without one
+    raises in strict mode and is skipped otherwise. Returns the count."""
+    written = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for sample in dataset:
+            labeled = labels.get(sample.id)
+            evidence = getattr(labeled, f"e_{source}") if labeled is not None else None
+            if evidence is None:
+                if strict:
+                    raise MissingLabelError(sample.id, source)
+                continue
+            handle.write(json.dumps(record_for(sample, evidence), ensure_ascii=False))
+            handle.write("\n")
+            written += 1
+    return written
+
+
 def export_highlighter_training(
     dataset: Dataset,
     labels: Mapping[str, LabeledSample],
     path: str | Path,
     *,
     strict: bool = True,
-    template: PromptTemplate | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
+    settings: RoleSettings = SEARCH_SETTINGS,
 ) -> int:
     """Write highlighter tuning records: blank prompt plus index-set completion.
 
-    The full training string for a record is prompt + completion, which ends
-    "###Output\\n{i, ...}". Records follow dataset order. Samples without a
-    merged label raise in strict mode and are skipped otherwise.
+    Prompts use the template and token budget of `settings` (a highlighter
+    template, or None for the packaged one). The full training string for a
+    record is prompt + completion, which ends "###Output\\n{i, ...}".
+    Records follow dataset order. Samples without a merged label raise in
+    strict mode and are skipped otherwise.
     """
-    written = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for sample in dataset:
-            labeled = labels.get(sample.id)
-            if labeled is None or labeled.e_merge is None:
-                if strict:
-                    raise MissingLabelError(sample.id, "merge")
-                continue
-            prompt = build_highlighter_prompt(
-                sample.table,
-                sample.query,
-                None,
-                template=template,
-                sample_id=sample.id,
-                token_budget=token_budget,
-            )
-            record = {
-                "prompt": prompt.text,
-                "completion": format_evidence(labeled.e_merge),
-            }
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-            written += 1
-    return written
+
+    def record_for(sample: Sample, evidence: Evidence) -> dict[str, str]:
+        prompt = build_highlighter_prompt(
+            sample.table, sample.query, None, template=settings.template,
+            sample_id=sample.id, token_budget=settings.token_budget,
+        )
+        return {"prompt": prompt.text, "completion": format_evidence(evidence)}
+
+    return _export_training(dataset, labels, path, "merge", strict, record_for)
 
 
 def export_summarizer_training(
@@ -493,36 +472,19 @@ def export_summarizer_training(
     *,
     source: str = "merge",
     strict: bool = True,
-    template: PromptTemplate | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
+    settings: RoleSettings = SEARCH_SETTINGS,
 ) -> int:
     """Write summarizer tuning records: highlighted-table prompt, reference
     completion. `source` picks which evidence marks the table ("merge" or
-    "distill")."""
+    "distill"); prompts use the template and token budget of `settings`."""
     if source not in ("merge", "distill"):
         raise ValueError(f"source must be 'merge' or 'distill', got {source!r}")
-    written = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for sample in dataset:
-            labeled = labels.get(sample.id)
-            evidence = None
-            if labeled is not None:
-                evidence = labeled.e_merge if source == "merge" else labeled.e_distill
-            if evidence is None:
-                if strict:
-                    raise MissingLabelError(sample.id, source)
-                continue
-            prompt = build_summarizer_prompt(
-                sample.table,
-                evidence,
-                sample.query,
-                None,
-                template=template,
-                sample_id=sample.id,
-                token_budget=token_budget,
-            )
-            record = {"prompt": prompt.text, "completion": sample.reference}
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-            written += 1
-    return written
+
+    def record_for(sample: Sample, evidence: Evidence) -> dict[str, str]:
+        prompt = build_summarizer_prompt(
+            sample.table, evidence, sample.query, None, template=settings.template,
+            sample_id=sample.id, token_budget=settings.token_budget,
+        )
+        return {"prompt": prompt.text, "completion": sample.reference}
+
+    return _export_training(dataset, labels, path, source, strict, record_for)

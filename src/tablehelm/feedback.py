@@ -5,8 +5,10 @@ chat-completions client for real model servers, a deterministic offline
 oracle that reads the table straight out of the prompt (used to exercise
 the label-search machinery without a model), and a fixed-output stub.
 A content-addressed cache in one SQLite file can wrap any of them.
-`feedback_reward` composes prompt construction, generation, and scoring
-into the scalar signal the evidence search consumes.
+`RoleSettings` bundles what one model role generates with: cache, decoding
+settings, template and token budget. `feedback_reward` composes prompt
+construction, generation, and scoring into the scalar signal the evidence
+search consumes.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .transforms import parse_row_lines, subtable
 __all__ = [
     "SamplingConfig",
     "SEARCH_SAMPLING",
+    "RoleSettings",
+    "SEARCH_SETTINGS",
     "GeneratorClient",
     "HttpClient",
     "EchoClient",
@@ -534,6 +538,26 @@ def cached_generate(
     return text
 
 
+@dataclass(frozen=True)
+class RoleSettings:
+    """What one model role (highlighter, summarizer, feedbacker or distiller)
+    turns a prompt into text with: the response cache (None: none), the
+    decoding settings, the prompt template (None: the packaged default for
+    the prompt being built) and the token budget the rendered prompt must
+    fit. A role's prompts are built with `template` and `token_budget` and
+    generated through `cached_generate(client, cache, prompt, cfg)`."""
+
+    cache: ResponseCache | None = None
+    cfg: SamplingConfig = SEARCH_SAMPLING
+    template: PromptTemplate | None = None
+    token_budget: int = DEFAULT_TOKEN_BUDGET
+
+
+# The default of every settings argument: no cache, greedy decoding, each
+# prompt's packaged template and the default token budget.
+SEARCH_SETTINGS = RoleSettings()
+
+
 def feedback_reward(
     table: Table,
     evidence: Evidence,
@@ -541,13 +565,10 @@ def feedback_reward(
     reference: str,
     mode: str,
     feedbacker: GeneratorClient,
-    *,
-    cache: ResponseCache | None = None,
-    cfg: SamplingConfig = SEARCH_SAMPLING,
-    template: PromptTemplate | None = None,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
+    settings: RoleSettings = SEARCH_SETTINGS,
 ) -> float:
-    """Score candidate evidence: summarize from it, compare to the reference.
+    """Score candidate evidence: summarize from it with the feedbacker's
+    `settings`, compare to the reference.
 
     "subtable" mode keeps only the evidence rows (and requires at least one);
     "highlight" mode shows the whole table with evidence rows starred, which
@@ -555,16 +576,13 @@ def feedback_reward(
     """
     if mode not in REWARD_MODES:
         raise ValueError(f"mode must be one of {REWARD_MODES}, got {mode!r}")
+    shown, marked = table, evidence
     if mode == "subtable":
         if len(evidence) == 0:
             raise EmptyEvidenceError("subtable mode needs at least one evidence row")
-        shown = subtable(table, evidence)
-        prompt = build_summarizer_prompt(
-            shown, None, query, template=template, token_budget=token_budget
-        )
-    else:
-        prompt = build_summarizer_prompt(
-            table, evidence, query, template=template, token_budget=token_budget
-        )
-    output = cached_generate(feedbacker, cache, prompt.text, cfg)
+        shown, marked = subtable(table, evidence), None
+    prompt = build_summarizer_prompt(
+        shown, marked, query, template=settings.template, token_budget=settings.token_budget
+    )
+    output = cached_generate(feedbacker, settings.cache, prompt.text, settings.cfg)
     return eval_reward(output, reference)

@@ -325,6 +325,16 @@ class TestMapOrdered:
         assert 0 < len(started) <= cli.WINDOW_PER_WORKER * 2
 
 
+def positional(command, data, out):
+    """A command's positional arguments over the dataset `data`, with `out`
+    as the file it writes (evaluate: reads) and `data` as any label file."""
+    return {
+        "evaluate": [out, data],
+        "highlight": [data],
+        "export-train": [data, data, out],
+    }.get(command, [data, out])
+
+
 class TestNonFiniteSettings:
     @pytest.mark.parametrize(
         "argv",
@@ -334,17 +344,72 @@ class TestNonFiniteSettings:
             ["search-labels", "--feedbacker-temperature", "nan"],
             ["pipeline", "--summarizer-temperature", "inf"],
             ["pipeline", "--highlighter-temperature", "nan"],
+            ["evaluate", "--summarizer-temperature", "nan"],
+            ["evaluate", "--timeout", "inf"],
+            ["highlight", "--feedbacker-temperature", "nan"],
+            ["export-train", "--role", "highlighter", "--highlighter-temperature", "inf"],
+            ["export-train", "--role", "summarizer", "--feedbacker-temperature", "nan"],
         ],
     )
     def test_exit_2_before_any_output_is_written(self, argv, two_planted, tmp_path, capsys):
         data, _, _ = two_planted
         out = tmp_path / "out.jsonl"
         command, *flags = argv
-        code, stdout, stderr = run_cli([command, data, out, *flags], capsys)
+        code, stdout, stderr = run_cli([command, *positional(command, data, out), *flags], capsys)
         assert code == EXIT_VALIDATION
         assert stdout == ""
         assert "finite" in stderr
         assert not out.exists()
+
+
+class TestConfigErrors:
+    """Every command checks every config key when it starts, and a bad key
+    is named in the error."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["evaluate", "--max-new-tokens", "0"], "max_new_tokens: max_new_tokens must"),
+            (["evaluate", "--summarizer-nucleus-p", "0"], "summarizer_nucleus_p: nucleus_p"),
+            (["highlight", "--feedbacker-temperature", "-1"], "feedbacker_temperature: "),
+            (["export-train", "--role", "highlighter", "--feedbacker-nucleus-p", "2"],
+             "feedbacker_nucleus_p: nucleus_p"),
+        ],
+    )
+    def test_out_of_range_sampling_exits_2_like_any_key(
+        self, argv, message, two_planted, tmp_path, capsys
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        command, *flags = argv
+        code, stdout, stderr = run_cli([command, *positional(command, data, out), *flags], capsys)
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr.startswith(f"error: SchemaError: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "env", "message"),
+        [
+            (["--workers", "0"], {}, "workers: must be at least 1"),
+            ([], {"HELM_TIMEOUT": "abc"}, "timeout: not a float: 'abc'"),
+            (["--config", "{config}"], {}, "{config}:1: wokers: unknown config key"),
+        ],
+        ids=["flag", "environment", "config-file"],
+    )
+    def test_the_error_names_the_key(
+        self, flags, env, message, two_planted, tmp_path, monkeypatch, capsys
+    ):
+        data, _, _ = two_planted
+        config = tmp_path / "run.cfg"
+        config.write_text("wokers = 2\n", encoding="utf-8")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        flags = [flag.format(config=config) for flag in flags]
+        code, stdout, stderr = run_cli(["evaluate", tmp_path / "pred.jsonl", data, *flags], capsys)
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr == f"error: SchemaError: {message.format(config=config)}\n"
 
 
 class RecordingClient:

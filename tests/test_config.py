@@ -10,6 +10,7 @@ import pytest
 
 from tablehelm.config import ENV_PREFIX, RunConfig, build_config, load_config_file
 from tablehelm.errors import SchemaError
+from tablehelm.feedback import SamplingConfig
 
 
 class TestDefaults:
@@ -66,6 +67,7 @@ class TestConfigFile:
         with pytest.raises(SchemaError) as exc_info:
             load_config_file(path)
         assert exc_info.value.field == "worker_count"
+        assert str(exc_info.value) == f"{path}:1: worker_count: unknown config key"
 
     def test_line_without_equals_is_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -97,6 +99,7 @@ class TestLayering:
         with pytest.raises(SchemaError) as exc_info:
             build_config(env={}, overrides={"retries": "3"})
         assert exc_info.value.field == "retries"
+        assert str(exc_info.value) == "retries: unknown config key"
 
 
 class TestCoercion:
@@ -114,6 +117,7 @@ class TestCoercion:
         with pytest.raises(SchemaError) as exc_info:
             build_config(env={}, overrides={"search_fallback": "maybe"})
         assert exc_info.value.field == "search_fallback"
+        assert str(exc_info.value) == "search_fallback: not a boolean: 'maybe'"
 
     def test_numbers_are_coerced(self):
         cfg = build_config(
@@ -130,6 +134,7 @@ class TestCoercion:
         with pytest.raises(SchemaError) as exc_info:
             build_config(env={}, overrides={key: raw})
         assert exc_info.value.field == key
+        assert str(exc_info.value).startswith(f"{key}: not a ")
 
     def test_strings_pass_through(self):
         cfg = build_config(env={}, overrides={"summarizer_endpoint": "fixed:hello"})
@@ -153,17 +158,35 @@ class TestValidation:
             ({"timeout": 0.0}, "timeout"),
             ({"timeout": float("nan")}, "timeout"),
             ({"timeout": float("inf")}, "timeout"),
+            ({"max_new_tokens": 0}, "max_new_tokens"),
+            ({"highlighter_temperature": -1.0}, "highlighter_temperature"),
+            ({"summarizer_temperature": float("nan")}, "summarizer_temperature"),
+            ({"feedbacker_temperature": float("inf")}, "feedbacker_temperature"),
+            ({"highlighter_nucleus_p": 0.0}, "highlighter_nucleus_p"),
+            ({"summarizer_nucleus_p": 1.5}, "summarizer_nucleus_p"),
+            ({"feedbacker_nucleus_p": float("nan")}, "feedbacker_nucleus_p"),
         ],
     )
     def test_out_of_range_values(self, kwargs, field):
         with pytest.raises(SchemaError) as exc_info:
             RunConfig(**kwargs)
         assert exc_info.value.field == field
+        assert str(exc_info.value).startswith(f"{field}: ")
+
+    def test_sampling_ranges_are_samplingconfigs(self):
+        """RunConfig takes its sampling ranges from SamplingConfig: the
+        message after the key is SamplingConfig's own."""
+        with pytest.raises(ValueError) as expected:
+            SamplingConfig(temperature=-1.0)
+        with pytest.raises(SchemaError) as exc_info:
+            RunConfig(summarizer_temperature=-1.0)
+        assert str(exc_info.value) == f"summarizer_temperature: {expected.value}"
 
     def test_template_paths_must_exist(self, tmp_path):
         with pytest.raises(SchemaError) as exc_info:
             RunConfig(highlighter_template=str(tmp_path / "absent.txt"))
         assert exc_info.value.field == "highlighter_template"
+        assert str(exc_info.value).startswith("highlighter_template: file not found")
 
     def test_existing_template_path_is_accepted(self, tmp_path):
         path = tmp_path / "t.txt"

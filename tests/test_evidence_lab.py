@@ -39,6 +39,7 @@ from tablehelm.feedback import (
     EchoClient,
     FixedClient,
     HttpClient,
+    RoleSettings,
     echo_oracle_generate,
 )
 from tablehelm.prompting import (
@@ -268,7 +269,7 @@ class TestGreedySearch:
         monkeypatch.setattr(feedback, "build_summarizer_prompt", counting_build)
         client = CountingClient(EchoClient())
         with pytest.raises(PromptTooLongError):
-            greedy_search(champions_sample, client, token_budget=5)
+            greedy_search(champions_sample, client, settings=RoleSettings(token_budget=5))
         assert len(rendered) == champions_sample.table.n_rows
         assert client.calls == 0
 
@@ -464,7 +465,7 @@ class TestDistill:
             champions_sample,
             FixedClient("{1}"),
             load_example_blocks(),
-            token_budget=10,
+            settings=RoleSettings(token_budget=10),
         )
         assert labeled.e_distill is None
         assert len(notes) == 1

@@ -34,6 +34,7 @@ from tablehelm.feedback import (
     FixedClient,
     HttpClient,
     ResponseCache,
+    RoleSettings,
     SamplingConfig,
     cached_generate,
     echo_oracle_generate,
@@ -827,7 +828,7 @@ class TestFeedbackReward:
         for _ in range(2):
             reward = feedback_reward(
                 sample.table, planted, sample.query, sample.reference,
-                "subtable", client, cache=cache,
+                "subtable", client, RoleSettings(cache=cache),
             )
             assert reward == 1.0
         assert client.calls == 1

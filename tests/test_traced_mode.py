@@ -4,11 +4,18 @@
 `tablehelm.transforms.Table`) for plain functions that record a span around
 each call. Code that uses such a name for anything but a call, say a
 classmethod reached through `Table`, works untraced and fails only there.
+
+Some wrappers also read arguments by position: the sample of
+`greedy_search` and `distill_one` (first) and of `merge_labels` (second),
+and the evidence of `feedback_reward` (second). A reordered signature would
+skew the per-layer metrics without failing a command, so the spans those
+positions feed are checked too.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,13 +39,17 @@ def spans():
 
 def run_commands(out_dir: Path, capsys) -> tuple[list[int], str, list[bytes]]:
     out_dir.mkdir()
-    search, trace, pred = (out_dir / name for name in ("search", "trace", "pred"))
+    names = ("search", "trace", "distill", "merge", "pred")
+    search, trace, distill, merge, pred = (out_dir / name for name in names)
     codes = [
         cli.main(["search-labels", str(TOY), str(search), "--trace", str(trace)]),
+        cli.main(["distill-labels", str(TOY), str(distill), "--distill-endpoint", "fixed:{1, 2}"]),
+        cli.main(["merge-labels", str(TOY), str(merge),
+                  "--labels", str(search), "--labels", str(distill)]),
         cli.main(["pipeline", str(TOY), str(pred)]),
     ]
     stdout = capsys.readouterr().out
-    return codes, stdout, [path.read_bytes() for path in (search, trace, pred)]
+    return codes, stdout, [(out_dir / name).read_bytes() for name in names]
 
 
 def test_traced_commands_write_what_untraced_ones_write(spans, tmp_path, capsys):
@@ -46,9 +57,21 @@ def test_traced_commands_write_what_untraced_ones_write(spans, tmp_path, capsys)
     tracer = spans.Tracer()
     with spans.patched(tracer):
         codes, stdout, files = run_commands(tmp_path / "traced", capsys)
-    assert plain_codes == codes == [0, 0]
+    assert plain_codes == codes == [0, 0, 0, 0]
     assert stdout == plain_stdout
     assert files == plain_files
     names = {span[spans.NAME] for span in tracer.spans}
     assert {"cli.main", "evidence_lab.greedy_search", "transforms.highlight",
             "transforms.subtable", "metrics.eval_reward"} <= names
+
+    sample_ids = {json.loads(line)["id"] for line in TOY.read_text("utf-8").splitlines()}
+    for name in ("evidence_lab.greedy_search", "evidence_lab.distill_one",
+                 "evidence_lab.merge_labels"):
+        samples = {s[spans.SAMPLE] for s in tracer.spans if s[spans.NAME] == name}
+        assert samples == sample_ids, name
+    details = [s[spans.DETAIL] for s in tracer.spans
+               if s[spans.NAME] == "feedback.feedback_reward"]
+    assert details
+    for detail in details:
+        assert isinstance(detail, tuple) and detail
+        assert all(isinstance(i, int) and i >= 1 for i in detail)
