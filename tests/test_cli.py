@@ -1241,6 +1241,31 @@ class TestEvaluate:
                 handle.write(json.dumps({"id": sample_id, "prediction": text}))
                 handle.write("\n")
 
+    def test_toy_report_matches_the_golden(self, tmp_path, capsys):
+        """Echo predictions for data/toy.jsonl, scored: the report file equals
+        tests/goldens/toy_scores.json byte for byte and the printed table is
+        pinned line for line, so a rewrite of the scorer cannot move a digit."""
+        preds = tmp_path / "pred.jsonl"
+        report_path = tmp_path / "scores.json"
+        code, _, _ = run_cli(["pipeline", TOY, preds], capsys)
+        assert code == EXIT_OK
+        code, stdout, _ = run_cli(["evaluate", preds, TOY, "--report", report_path], capsys)
+        assert code == EXIT_OK
+        golden = Path(__file__).resolve().parent / "goldens" / "toy_scores.json"
+        assert report_path.read_bytes() == golden.read_bytes()
+        assert stdout.splitlines() == [
+            "samples: 10",
+            "BLEU      10.00",
+            "ROUGE-1   54.55",
+            "ROUGE-2   37.79",
+            "ROUGE-L   54.55",
+            "METEOR    74.28",
+            "note: METEOR uses exact and Porter-stem matching only; no synonym stage.",
+            "note: Tokenizer: lowercase, ASCII punctuation isolated; "
+            "scores are not comparable to detokenized BLEU implementations.",
+            f"report -> {report_path}",
+        ]
+
     def test_perfect_predictions_score_100(self, two_planted, tmp_path, capsys):
         data, (first, _), (second, _) = two_planted
         preds = tmp_path / "pred.jsonl"
