@@ -5,7 +5,9 @@ precedence (flags > environment > file > defaults).
 Environment variables use the HELM_ prefix over the upper-cased key, e.g.
 HELM_CACHE_DIR for cache_dir. Booleans accept true/false, yes/no, 1/0.
 A step_cap or worker-style integer of 0 means "unbounded" where noted.
-Every error names the key it is about, e.g. "timeout: not a float: 'abc'".
+Every error names the key it is about, e.g. "timeout: not a float: 'abc'",
+and an error about a value read from the config file starts with its file
+and line, e.g. "run.cfg:2: timeout: not a float: 'abc'".
 """
 
 from __future__ import annotations
@@ -152,7 +154,12 @@ def _coerce(key: str, raw: str) -> object:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse 'key = value' lines; '#' starts a comment, blanks are skipped."""
-    values: dict[str, str] = {}
+    return {key: value for key, (value, _) in _read_config_file(path).items()}
+
+
+def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
+    """key -> (raw value, "<file>:<line>" it was read from)."""
+    values: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -166,7 +173,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise SchemaError(key, f"{path}:{line_no}: {key}: unknown config key")
-            values[key] = value.strip()
+            values[key] = (value.strip(), f"{path}:{line_no}")
     return values
 
 
@@ -175,17 +182,29 @@ def build_config(
     env: Mapping[str, str] = os.environ,
     overrides: Mapping[str, str] | None = None,
 ) -> RunConfig:
-    """Assemble a RunConfig; flags beat environment beat file beat defaults."""
+    """Assemble a RunConfig; flags beat environment beat file beat defaults.
+    An error about a value that came from the file names its file and line."""
     raw: dict[str, str] = {}
+    file_lines: dict[str, str] = {}  # key -> "<file>:<line>" of a file value in use
     if file_path is not None:
-        raw.update(load_config_file(file_path))
+        for key, (value, where) in _read_config_file(file_path).items():
+            raw[key] = value
+            file_lines[key] = where
     for key in _FIELD_TYPES:
         env_key = ENV_PREFIX + key.upper()
         if env_key in env:
             raw[key] = env[env_key]
+            file_lines.pop(key, None)
     if overrides:
         for key, value in overrides.items():
             if key not in _FIELD_TYPES:
                 raise _invalid(key, "unknown config key")
             raw[key] = value
-    return RunConfig(**{key: _coerce(key, value) for key, value in raw.items()})
+            file_lines.pop(key, None)
+    try:
+        return RunConfig(**{key: _coerce(key, value) for key, value in raw.items()})
+    except SchemaError as exc:
+        where = file_lines.get(exc.field)
+        if where is None:
+            raise
+        raise SchemaError(exc.field, f"{where}: {exc}") from exc

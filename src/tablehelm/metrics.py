@@ -13,6 +13,15 @@ prepared once: its tokens are counted into n-grams per order on first use,
 and the result is memoised for the last `_PREPARED_REFERENCES` distinct
 (reference, order) pairs, a fixed bound, so memory does not grow with the
 dataset. Scores are the same as counting the reference afresh on every call.
+
+`corpus_evaluate` scores each pair once: both texts are tokenized once, the
+reference's n-grams are counted once and shared by pooled BLEU and
+ROUGE-1/2, and the per-pair ROUGE and METEOR values are summed in pair
+order. ROUGE-L takes its LCS from a bit-parallel recurrence over Python
+ints (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004), and METEOR aligns from
+per-token lists of free reference positions, so neither builds an
+O(m*n) table or scan. Each formula has one home, shared by the public
+sentence-level functions and the corpus path.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 from ._porter import porter_stem
 from .errors import EmptyCorpusError
@@ -133,12 +143,9 @@ def eval_reward(hypothesis: str, reference: str) -> float:
     return bleu(hypothesis, reference)
 
 
-def rouge_n(hypothesis: str, reference: str, n: int) -> float:
-    """ROUGE-N F1 over clipped n-gram overlap."""
-    hyp = tokenize(hypothesis)
-    ref = tokenize(reference)
-    overlap, hyp_total = _clipped_matches(hyp, _ngram_counts(ref, n), n)
-    ref_total = max(len(ref) - n + 1, 0)
+def _f1(overlap: int, hyp_total: int, ref_total: int) -> float:
+    """F1 of an overlap count against both sides' totals; 0 if any is 0.
+    ROUGE-N (clipped n-grams) and ROUGE-L (the LCS) both score this way."""
     if overlap == 0 or hyp_total == 0 or ref_total == 0:
         return 0.0
     precision = overlap / hyp_total
@@ -146,53 +153,84 @@ def rouge_n(hypothesis: str, reference: str, n: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _rouge_n(clipped: tuple[int, int], ref_len: int, n: int) -> float:
+    """ROUGE-N F1 from the hypothesis's (clipped matches, n-gram count)."""
+    overlap, hyp_total = clipped
+    return _f1(overlap, hyp_total, max(ref_len - n + 1, 0))
+
+
+def rouge_n(hypothesis: str, reference: str, n: int) -> float:
+    """ROUGE-N F1 over clipped n-gram overlap."""
+    hyp = tokenize(hypothesis)
+    ref = tokenize(reference)
+    return _rouge_n(_clipped_matches(hyp, _ngram_counts(ref, n), n), len(ref), n)
+
+
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # One-row DP; O(len(a) * len(b)) time, O(len(b)) space.
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence, bit-parallel over b.
+
+    Bit j of `s` stands for b[j]. Each token of a updates every bit at once
+    with s' = (s + u) | (s - u), u = s & mask(token), and the LCS length is
+    the number of cleared bits (Allison & Dix, "A bit-string
+    longest-common-subsequence algorithm", IPL 1986; Hyyrö, "Bit-parallel
+    LCS-length computation revisited", AWOCA 2004): len(a) big-int steps of
+    len(b) bits instead of a len(a) x len(b) table.
+    """
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    s = full
+    mask_of = masks.get
+    for tok in a:
+        mask = mask_of(tok)
+        if mask:
+            u = s & mask
+            s = ((s + u) | (s - u)) & full
+    return len(b) - s.bit_count()
+
+
+def _rouge_l(hyp: list[str], ref: list[str]) -> float:
+    return _f1(_lcs_length(hyp, ref), len(hyp), len(ref))
 
 
 def rouge_l(hypothesis: str, reference: str) -> float:
     """ROUGE-L F1 from the longest common token subsequence."""
-    hyp = tokenize(hypothesis)
-    ref = tokenize(reference)
-    if not hyp or not ref:
-        return 0.0
-    lcs = _lcs_length(hyp, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(hyp)
-    recall = lcs / len(ref)
-    return 2.0 * precision * recall / (precision + recall)
+    return _rouge_l(tokenize(hypothesis), tokenize(reference))
+
+
+def _free_positions(keys: Sequence[str], positions: Sequence[int]) -> dict[str, list[int]]:
+    """key -> the ascending `positions` whose key it is, stored largest
+    first so that pop() hands out the first free one."""
+    free: dict[str, list[int]] = {}
+    for key, j in zip(reversed(keys), reversed(positions)):
+        free.setdefault(key, []).append(j)
+    return free
 
 
 def _align(hyp: list[str], ref: list[str]) -> list[tuple[int, int]]:
     """Greedy one-to-one alignment: exact matches first, then stem matches.
-    Only tokens the exact stage left unpaired are stemmed."""
-    ref_used = [False] * len(ref)
+
+    In each stage every hypothesis token, in order, takes the first free
+    reference position with the same token (then the same stem), popped
+    from per-key lists of free positions: O(len(hyp) + len(ref)). Only
+    tokens the exact stage left unpaired are stemmed."""
     hyp_pair: list[int | None] = [None] * len(hyp)
+    taken = [False] * len(ref)
+    exact = _free_positions(ref, range(len(ref)))
     for i, tok in enumerate(hyp):
-        for j, ref_tok in enumerate(ref):
-            if not ref_used[j] and ref_tok == tok:
-                ref_used[j] = True
-                hyp_pair[i] = j
-                break
+        slots = exact.get(tok)
+        if slots:
+            j = hyp_pair[i] = slots.pop()
+            taken[j] = True
     unpaired = [i for i, j in enumerate(hyp_pair) if j is None]
-    free = [j for j, used in enumerate(ref_used) if not used]
+    free = [j for j, used in enumerate(taken) if not used]
     if unpaired and free:
-        ref_stems = {j: porter_stem(ref[j]) for j in free}
+        stemmed = _free_positions([porter_stem(ref[j]) for j in free], free)
         for i in unpaired:
-            stem = porter_stem(hyp[i])
-            for j in free:
-                if not ref_used[j] and ref_stems[j] == stem:
-                    ref_used[j] = True
-                    hyp_pair[i] = j
-                    break
+            slots = stemmed.get(porter_stem(hyp[i]))
+            if slots:
+                hyp_pair[i] = slots.pop()
     return [(i, j) for i, j in enumerate(hyp_pair) if j is not None]
 
 
@@ -206,14 +244,8 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def meteor(hypothesis: str, reference: str, alpha: float = 0.9) -> float:
-    """METEOR with exact and Porter-stem matching stages (no synonyms).
-
-    F_mean = P*R / (alpha*P + (1-alpha)*R), scaled by the fragmentation
-    penalty 1 - 0.5 * (chunks / matches)^3.
-    """
-    hyp = tokenize(hypothesis)
-    ref = tokenize(reference)
+def _meteor(hyp: list[str], ref: list[str], alpha: float = 0.9) -> float:
+    """METEOR of two token lists; see `meteor`."""
     if not hyp or not ref:
         return 0.0
     pairs = _align(hyp, ref)
@@ -225,6 +257,36 @@ def meteor(hypothesis: str, reference: str, alpha: float = 0.9) -> float:
     f_mean = precision * recall / (alpha * precision + (1.0 - alpha) * recall)
     penalty = 0.5 * (_chunk_count(pairs) / matches) ** 3
     return f_mean * (1.0 - penalty)
+
+
+def meteor(hypothesis: str, reference: str, alpha: float = 0.9) -> float:
+    """METEOR with exact and Porter-stem matching stages (no synonyms).
+
+    F_mean = P*R / (alpha*P + (1-alpha)*R), scaled by the fragmentation
+    penalty 1 - 0.5 * (chunks / matches)^3.
+    """
+    return _meteor(tokenize(hypothesis), tokenize(reference), alpha)
+
+
+def _pair_stats(
+    hyp: list[str], ref: list[str], order: int
+) -> tuple[list[tuple[int, int]], tuple[float, float, float, float]]:
+    """One tokenized pair's share of a corpus report: BLEU's (clipped
+    matches, n-gram count) for orders 1..order, and its ROUGE-1, ROUGE-2,
+    ROUGE-L and METEOR. The reference's n-grams are counted once, and
+    ROUGE-1/2 reuse the clipped counts of orders 1 and 2 (counted here also
+    when BLEU's order is lower)."""
+    clipped = [
+        _clipped_matches(hyp, _ngram_counts(ref, n), n)
+        for n in range(1, max(order, 2) + 1)
+    ]
+    scores = (
+        _rouge_n(clipped[0], len(ref), 1),
+        _rouge_n(clipped[1], len(ref), 2),
+        _rouge_l(hyp, ref),
+        _meteor(hyp, ref),
+    )
+    return clipped[:order], scores
 
 
 @dataclass(frozen=True)
@@ -274,30 +336,25 @@ def corpus_evaluate(pairs: list[tuple[str, str]], max_order: int = 4) -> ScoreRe
     if not pairs:
         raise EmptyCorpusError("no (hypothesis, reference) pairs to score")
 
-    token_pairs = [(tokenize(h), tokenize(r)) for h, r in pairs]
-    order = min(max_order, max(len(h) for h, _ in token_pairs))
-    matches = [0] * order
-    totals = [0] * order
+    hyps = [tokenize(hypothesis) for hypothesis, _ in pairs]
+    order = min(max_order, max(len(hyp) for hyp in hyps))
+    matches, totals = [0] * order, [0] * order
     hyp_len = ref_len = 0
-    for hyp, ref in token_pairs:
+    per_pair: list[tuple[float, float, float, float]] = []
+    for hyp, (_, reference) in zip(hyps, pairs):
+        ref = tokenize(reference)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, order + 1):
-            m, t = _clipped_matches(hyp, _ngram_counts(ref, n), n)
-            matches[n - 1] += m
-            totals[n - 1] += t
+        clipped, scores = _pair_stats(hyp, ref, order)
+        for n, (matched, total) in enumerate(clipped):
+            matches[n] += matched
+            totals[n] += total
+        per_pair.append(scores)
     pooled_bleu = _bleu_from_stats(matches, totals, hyp_len, ref_len, order)
 
+    # ROUGE-1, ROUGE-2, ROUGE-L and METEOR, each the builtin sum of its
+    # per-pair values in pair order: from Python 3.12 sum() compensates
+    # float rounding, so a += loop would change the report.
     count = len(pairs)
-
-    def mean_of(metric) -> float:
-        return 100.0 * sum(metric(h, r) for h, r in pairs) / count
-
-    return ScoreReport(
-        bleu=100.0 * pooled_bleu,
-        rouge1=mean_of(lambda h, r: rouge_n(h, r, 1)),
-        rouge2=mean_of(lambda h, r: rouge_n(h, r, 2)),
-        rouge_l=mean_of(rouge_l),
-        meteor=mean_of(meteor),
-        sample_count=count,
-    )
+    means = [100.0 * sum(column) / count for column in zip(*per_pair)]
+    return ScoreReport(100.0 * pooled_bleu, *means, sample_count=count)

@@ -394,22 +394,30 @@ class TestConfigErrors:
             (["--workers", "0"], {}, "workers: must be at least 1"),
             ([], {"HELM_TIMEOUT": "abc"}, "timeout: not a float: 'abc'"),
             (["--config", "{config}"], {}, "{config}:1: wokers: unknown config key"),
+            (["--config", "{bad_value}"], {}, "{bad_value}:2: timeout: not a float: 'abc'"),
+            (["--config", "{bad_range}"], {}, "{bad_range}:1: workers: must be at least 1"),
         ],
-        ids=["flag", "environment", "config-file"],
+        ids=["flag", "environment", "config-file", "config-file-value", "config-file-range"],
     )
     def test_the_error_names_the_key(
         self, flags, env, message, two_planted, tmp_path, monkeypatch, capsys
     ):
         data, _, _ = two_planted
-        config = tmp_path / "run.cfg"
-        config.write_text("wokers = 2\n", encoding="utf-8")
+        files = {
+            "config": "wokers = 2\n",
+            "bad_value": "workers = 2\ntimeout = abc\n",
+            "bad_range": "workers = 0\n",
+        }
+        paths = {name: tmp_path / f"{name}.cfg" for name in files}
+        for name, text in files.items():
+            paths[name].write_text(text, encoding="utf-8")
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        flags = [flag.format(config=config) for flag in flags]
+        flags = [flag.format(**paths) for flag in flags]
         code, stdout, stderr = run_cli(["evaluate", tmp_path / "pred.jsonl", data, *flags], capsys)
         assert code == EXIT_VALIDATION
         assert stdout == ""
-        assert stderr == f"error: SchemaError: {message.format(config=config)}\n"
+        assert stderr == f"error: SchemaError: {message.format(**paths)}\n"
 
 
 class RecordingClient:

@@ -87,6 +87,39 @@ class TestLayering:
         assert build_config(path, env=env, overrides={"workers": "5"}).workers == 5
         assert build_config(path, env={}).workers == 2
 
+    def test_a_file_value_that_is_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("workers = 2\ntimeout = abc\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc_info:
+            build_config(path, env={})
+        assert exc_info.value.field == "timeout"
+        assert str(exc_info.value) == f"{path}:2: timeout: not a float: 'abc'"
+
+    def test_a_file_value_out_of_range_names_its_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# workers\n\nworkers = 0\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc_info:
+            build_config(path, env={})
+        assert exc_info.value.field == "workers"
+        assert str(exc_info.value) == f"{path}:3: workers: must be at least 1"
+
+    @pytest.mark.parametrize(
+        ("env", "overrides"),
+        [({ENV_PREFIX + "TIMEOUT": "5"}, None), ({}, {"timeout": "5"})],
+        ids=["environment", "flag"],
+    )
+    def test_a_bad_file_value_that_is_overridden_is_no_error(self, tmp_path, env, overrides):
+        path = tmp_path / "run.cfg"
+        path.write_text("timeout = abc\n", encoding="utf-8")
+        assert build_config(path, env=env, overrides=overrides).timeout == 5.0
+
+    def test_a_bad_override_of_a_file_value_keeps_its_own_text(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("workers = 2\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc_info:
+            build_config(path, env={ENV_PREFIX + "WORKERS": "0"})
+        assert str(exc_info.value) == "workers: must be at least 1"
+
     def test_env_key_naming(self):
         cfg = build_config(env={"HELM_CACHE_DIR": "/tmp/c", "HELM_STEP_CAP": "2"})
         assert cfg.cache_dir == "/tmp/c"

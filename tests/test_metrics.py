@@ -26,6 +26,7 @@ from tablehelm.metrics import (
     _align,
     _bleu_from_stats,
     _chunk_count,
+    _lcs_length,
     _prepared_reference,
     bleu,
     corpus_evaluate,
@@ -363,19 +364,6 @@ def test_rouge_n_equals_naive_counting(hyp, ref, n):
     assert rouge_n(hyp, ref, n) == naive_rouge_n(hyp, ref, n)
 
 
-@given(st.lists(st.tuples(hypotheses, repetitive()), min_size=1, max_size=5))
-def test_corpus_scores_equal_naive_counting(pairs):
-    report = corpus_evaluate(pairs)
-    count = len(pairs)
-    expected = replace(
-        report,
-        bleu=100.0 * naive_pooled_bleu(pairs),
-        rouge1=100.0 * sum(naive_rouge_n(h, r, 1) for h, r in pairs) / count,
-        rouge2=100.0 * sum(naive_rouge_n(h, r, 2) for h, r in pairs) / count,
-    )
-    assert report == expected
-
-
 def test_threads_share_prepared_references_without_corrupting_them():
     # Search workers score against the one memoised table of prepared
     # references; more references than it keeps force evictions under load.
@@ -453,11 +441,130 @@ def naive_meteor(hypothesis: str, reference: str, alpha: float = 0.9) -> float:
 _STEMMY_WORDS = ("rain", "rains", "raining", "rained", "spain", "in", "fall", "falls", "cat", "cats")
 
 
-def stemmy(max_size: int = 8) -> st.SearchStrategy[str]:
-    return st.lists(st.sampled_from(_STEMMY_WORDS), max_size=max_size).map(" ".join)
+def stemmy(min_size: int = 0, max_size: int = 8) -> st.SearchStrategy[str]:
+    return st.lists(
+        st.sampled_from(_STEMMY_WORDS), min_size=min_size, max_size=max_size
+    ).map(" ".join)
 
 
-@given(stemmy(), stemmy(), st.sampled_from((0.5, 0.9)))
+# Short sides, and sides longer than one 64-bit machine word.
+stemmy_sides = st.one_of(stemmy(), stemmy(min_size=65, max_size=90))
+
+
+@given(stemmy_sides, stemmy_sides, st.sampled_from((0.5, 0.9)))
 def test_meteor_equals_the_naive_alignment(hyp, ref, alpha):
     assert _align(tokenize(hyp), tokenize(ref)) == naive_align(tokenize(hyp), tokenize(ref))
     assert meteor(hyp, ref, alpha) == naive_meteor(hyp, ref, alpha)
+
+
+# ------------------------------------------------ naive LCS
+# ROUGE-L's LCS as it was before it went bit-parallel: the one-row dynamic
+# programme over both token lists. The length must be equal, not close.
+
+
+def naive_lcs_length(a: list[str], b: list[str]) -> int:
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def naive_rouge_l(hypothesis: str, reference: str) -> float:
+    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    if not hyp or not ref:
+        return 0.0
+    lcs = naive_lcs_length(hyp, ref)
+    if lcs == 0:
+        return 0.0
+    precision, recall = lcs / len(hyp), lcs / len(ref)
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def _cycle(words: str, length: int) -> list[str]:
+    vocab = words.split()
+    return [vocab[k % len(vocab)] for k in range(length)]
+
+
+class TestLcsLength:
+    @pytest.mark.parametrize(
+        ("a", "b"),
+        [
+            ([], []),
+            ([], ["a"]),
+            (["a"], []),
+            (["a"], ["a"]),
+            (["a"], ["b"]),
+            (["a"], ["b", "a", "b"]),
+            (["a", "b", "a"], ["a"]),
+            (["a"] * 5, ["a"] * 3),
+            (["a"] * 70, ["a"] * 64),
+            (["a", "b", "c"], ["x", "y", "z"]),
+            (_cycle("a b c", 300), _cycle("x y", 400)),
+        ],
+        ids=[
+            "both-empty", "empty-hyp", "empty-ref", "one-token-same",
+            "one-token-different", "one-token-hyp", "one-token-ref",
+            "all-repeated", "all-repeated-past-64", "disjoint", "disjoint-long",
+        ],
+    )
+    def test_edge_cases(self, a, b):
+        assert _lcs_length(a, b) == naive_lcs_length(a, b)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129, 1003])
+    def test_lengths_around_machine_words(self, length):
+        # A reference of `length` tokens against shifted, thinned and
+        # reversed copies of itself; the carry crosses every word boundary.
+        ref = _cycle("rain in spain falls on the plain", length)
+        for hyp in (ref[1:], ref[::2], ref[::-1], _cycle("the rain", length + 5)):
+            assert _lcs_length(hyp, ref) == naive_lcs_length(hyp, ref)
+
+    def test_a_full_match_past_1000_tokens(self):
+        ref = _cycle("a b c d e f g", 1200)
+        assert _lcs_length(ref, ref) == 1200
+        assert _lcs_length(ref[:1001], ref) == 1001
+
+
+@given(
+    st.lists(st.sampled_from(_FEW_WORDS), max_size=150),
+    st.lists(st.sampled_from(_FEW_WORDS), max_size=150),
+)
+def test_lcs_length_equals_the_naive_dp(a, b):
+    assert _lcs_length(a, b) == naive_lcs_length(a, b)
+
+
+# ------------------------------------------------ naive corpus scoring
+# Every corpus score against the naive oracles above, summed per pair in
+# pair order, as the report was computed before pairs were scored once.
+
+
+def naive_report(pairs: list[tuple[str, str]], max_order: int = 4) -> dict[str, float]:
+    count = len(pairs)
+    return {
+        "bleu": 100.0 * naive_pooled_bleu(pairs, max_order),
+        "rouge1": 100.0 * sum(naive_rouge_n(h, r, 1) for h, r in pairs) / count,
+        "rouge2": 100.0 * sum(naive_rouge_n(h, r, 2) for h, r in pairs) / count,
+        "rouge_l": 100.0 * sum(naive_rouge_l(h, r) for h, r in pairs) / count,
+        "meteor": 100.0 * sum(naive_meteor(h, r) for h, r in pairs) / count,
+    }
+
+
+corpus_hypotheses = st.one_of(hypotheses, stemmy_sides)
+corpus_references = st.one_of(repetitive(), stemmy_sides)
+
+
+@given(
+    st.one_of(
+        st.lists(st.tuples(corpus_hypotheses, corpus_references), min_size=1, max_size=5),
+        # Every hypothesis one token long: BLEU's order is 1, so ROUGE-2
+        # gets no order-2 counts from BLEU pooling.
+        st.lists(
+            st.tuples(st.sampled_from(_FEW_WORDS), corpus_references), min_size=1, max_size=5
+        ),
+    )
+)
+def test_corpus_scores_equal_naive_counting(pairs):
+    report = corpus_evaluate(pairs)
+    assert report == replace(report, **naive_report(pairs))
