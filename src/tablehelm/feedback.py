@@ -28,6 +28,8 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Protocol, TypeVar, runtime_checkable
 from urllib.parse import unquote, urlsplit
@@ -394,6 +396,28 @@ class CountingClient:
         return self.inner.generate(prompt, cfg)
 
 
+@lru_cache(maxsize=64)
+def _key_frame(model_id: str, cfg: SamplingConfig, reprs: tuple[str, ...]) -> tuple[str, str]:
+    """The cache key's JSON text before and after the prompt. `reprs`, the
+    reprs of `cfg`'s fields, keeps apart configs that are equal but that
+    JSON writes differently (0.0 and -0.0, 1 and 1.0)."""
+    payload = json.dumps(
+        {
+            "model": model_id,
+            "nucleus_p": cfg.nucleus_p,
+            "temperature": cfg.temperature,
+            "max_new_tokens": cfg.max_new_tokens,
+            "prompt": "",
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    # Only "temperature", a number, sorts after "prompt", so the last
+    # '"prompt": ""' in the text is the prompt's own.
+    head, _, tail = payload.rpartition('"prompt": ""')
+    return head + '"prompt": ', tail
+
+
 class ResponseCache:
     """Content-addressed completion store: one SQLite database per directory.
 
@@ -427,17 +451,13 @@ class ResponseCache:
 
     @staticmethod
     def key(model_id: str, prompt: str, cfg: SamplingConfig) -> str:
-        payload = json.dumps(
-            {
-                "model": model_id,
-                "nucleus_p": cfg.nucleus_p,
-                "temperature": cfg.temperature,
-                "max_new_tokens": cfg.max_new_tokens,
-                "prompt": prompt,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        """SHA-256 of `json.dumps` of the model id, sampling fields and prompt
+        (sorted keys, `ensure_ascii=False`). The text around the prompt is
+        built once per backend and config (`_key_frame`), and the prompt is
+        escaped as that `json.dumps` escapes it."""
+        reprs = (repr(cfg.nucleus_p), repr(cfg.temperature), repr(cfg.max_new_tokens))
+        head, tail = _key_frame(model_id, cfg, reprs)
+        payload = head + encode_basestring(prompt) + tail
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _open(self) -> sqlite3.Connection:

@@ -15,6 +15,13 @@ onto a canonical record and hand it to `parse_sample`, so cell coercion,
 row checks and evidence checks are the same for every format, and a bad
 table in a source record is reported under the canonical field name
 (`header`, `rows`, `evidence`). Row arity is checked by `Table` alone.
+
+Each cell is coerced and normalised once, in `parse_sample`: a string cell
+is whitespace-collapsed inline, and only numbers and invalid values take the
+slower coercion that rejects them. `Table(...)` stays the one constructor
+and keeps every check, so a table built directly is held to the same rules
+as a loaded one; on the hot path each check is a plain `in` or `strip()`
+test, and a cell that fails one is re-checked only to name its fault.
 """
 
 from __future__ import annotations
@@ -51,8 +58,6 @@ T = TypeVar("T")
 # A data row is a plain tuple of cell texts; arity is enforced by Table.
 Row = tuple[str, ...]
 
-_FORBIDDEN_CELL_CHARS = ("\t", "\n", "\r")
-
 
 def normalize_cell(raw: str) -> str:
     """Collapse interior whitespace runs to single spaces and trim."""
@@ -60,7 +65,7 @@ def normalize_cell(raw: str) -> str:
 
 
 def _check_cell(cell: str, where: str) -> None:
-    if any(ch in cell for ch in _FORBIDDEN_CELL_CHARS):
+    if "\t" in cell or "\n" in cell or "\r" in cell:
         raise ValueError(f"{where} contains control whitespace: {cell!r}")
     if cell != cell.strip():
         raise ValueError(f"{where} has leading/trailing whitespace: {cell!r}")
@@ -75,20 +80,25 @@ class Table:
     title: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "header", tuple(self.header))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if len(self.header) < 1:
+        header = tuple(self.header)
+        rows = tuple(map(tuple, self.rows))  # tuple() of a tuple is that tuple
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "rows", rows)
+        width = len(header)
+        if width < 1:
             raise ValueError("table header must have at least one column")
-        if len(self.rows) < 1:
+        if not rows:
             raise ValueError("table must have at least one data row")
         _check_cell(self.title, "title")
-        for cell in self.header:
+        for cell in header:
             _check_cell(cell, "header cell")
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != len(self.header):
-                raise RaggedTableError(i, expected=len(self.header), got=len(row))
+        for i, row in enumerate(rows, start=1):
+            if len(row) != width:
+                raise RaggedTableError(i, expected=width, got=len(row))
             for cell in row:
-                _check_cell(cell, f"row {i} cell")
+                # `_check_cell`'s tests inline; it runs only to raise.
+                if "\t" in cell or "\n" in cell or "\r" in cell or cell != cell.strip():
+                    _check_cell(cell, f"row {i} cell")
 
     def with_rows(self, rows: tuple[Row, ...]) -> Table:
         """This table's header and title over `rows`, built without checks.
@@ -257,12 +267,16 @@ def parse_sample(record: Mapping[str, Any]) -> Sample:
     if not isinstance(title, str):
         raise SchemaError("title", "field 'title' must be a string")
 
-    header = tuple(_as_cell(c, "header") for c in header_raw)
+    # A JSON string cell is normalised inline; numbers and invalid values
+    # take `_as_cell`, which coerces or rejects them.
+    header = tuple([" ".join(v.split()) if type(v) is str else _as_cell(v, "header")
+                    for v in header_raw])
     rows = []
     for i, row in enumerate(rows_raw, start=1):
         if not isinstance(row, list):
             raise SchemaError("rows", f"row {i} is not a list")
-        rows.append(tuple(_as_cell(c, "rows") for c in row))
+        rows.append(tuple([" ".join(v.split()) if type(v) is str else _as_cell(v, "rows")
+                           for v in row]))
 
     # Table checks row arity and raises RaggedTableError, which is not a
     # ValueError; its other ValueErrors (no columns, no rows) are schema errors.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -14,6 +15,8 @@ from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import support
 import tablehelm.cli as cli
@@ -571,6 +574,55 @@ class TestResponseCache:
         assert ResponseCache.key("m", "p", SamplingConfig()) == (
             "55450a6e04d7394a019ded7622f08a46e513abfb6b51684522aa71a5c7c42dc2"
         )
+
+    @staticmethod
+    def dumps_key(model_id: str, prompt: str, cfg: SamplingConfig) -> str:
+        """The key's definition: one `json.dumps` of the whole request."""
+        payload = json.dumps(
+            {
+                "model": model_id,
+                "nucleus_p": cfg.nucleus_p,
+                "temperature": cfg.temperature,
+                "max_new_tokens": cfg.max_new_tokens,
+                "prompt": prompt,
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    # Quotes, backslashes, control characters, the JS line separators,
+    # non-ASCII and astral characters, among any other text but surrogates.
+    key_text = st.text(
+        st.one_of(
+            st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\x85\u2028\u2029é€😀'),
+            st.characters(blacklist_categories=("Cs",)),
+        )
+    )
+    key_configs = st.builds(
+        SamplingConfig,
+        nucleus_p=st.one_of(st.just(1.0), st.floats(min_value=1e-9, max_value=1.0)),
+        temperature=st.one_of(
+            st.sampled_from([0.0, -0.0, 1, 0.1]),
+            st.floats(min_value=0.0, max_value=1e9),
+        ),
+        max_new_tokens=st.integers(min_value=1, max_value=10**6),
+    )
+
+    @given(model_id=key_text, prompt=key_text, cfg=key_configs)
+    def test_key_is_the_sha256_of_the_json_request(self, model_id, prompt, cfg):
+        assert ResponseCache.key(model_id, prompt, cfg) == self.dumps_key(model_id, prompt, cfg)
+
+    def test_key_keeps_equal_but_differently_written_fields_apart(self):
+        # 0.0 == -0.0 and 1 == 1.0, but JSON writes each pair differently.
+        for values in ((0.0, -0.0), (-0.0, 0.0), (1, 1.0)):
+            keys = set()
+            for temperature in values:
+                cfg = SamplingConfig(temperature=temperature)
+                key = ResponseCache.key("m", "p", cfg)
+                assert key == self.dumps_key("m", "p", cfg)
+                keys.add(key)
+            assert len(keys) == 2
 
     def test_key_covers_every_request_field(self):
         base = ResponseCache.key("m", "p", SamplingConfig())

@@ -68,6 +68,42 @@ class TestTable:
     def test_empty_cell_is_fine(self):
         Table(header=("h",), rows=(("",),))
 
+    @staticmethod
+    def table_with(where: str, cell: str) -> Table:
+        """A two-row table whose title, a header cell or a cell of row 2 is `cell`."""
+        header, rows, title = ["h", "k"], [["1", "2"], ["3", "4"]], "t"
+        if where == "title":
+            title = cell
+        elif where == "header cell":
+            header[1] = cell
+        else:
+            rows[1][1] = cell
+        return Table(header=header, rows=rows, title=title)
+
+    @pytest.mark.parametrize("where", ["title", "header cell", "row 2 cell"])
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "\t", " a\nb "])
+    def test_control_whitespace_named_where_it_is(self, where, bad):
+        with pytest.raises(ValueError) as excinfo:
+            self.table_with(where, bad)
+        assert str(excinfo.value) == f"{where} contains control whitespace: {bad!r}"
+
+    @pytest.mark.parametrize("where", ["title", "header cell", "row 2 cell"])
+    @pytest.mark.parametrize("bad", [" a", "a ", "\xa0a", "a\x0b", "\x85", " "])
+    def test_outer_whitespace_named_where_it_is(self, where, bad):
+        with pytest.raises(ValueError) as excinfo:
+            self.table_with(where, bad)
+        assert str(excinfo.value) == f"{where} has leading/trailing whitespace: {bad!r}"
+
+    def test_ragged_row_message_counts_both_widths(self):
+        with pytest.raises(RaggedTableError) as excinfo:
+            Table(header=("a", "b"), rows=(("1", "2"), ("3", "4", "5")))
+        assert str(excinfo.value) == "row 2 has 3 cells, header has 2"
+
+    def test_first_bad_cell_in_row_order_is_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            Table(header=("a", "b"), rows=(("1", "2"), ("x ", "y\tz")))
+        assert str(excinfo.value) == "row 2 cell has leading/trailing whitespace: 'x '"
+
 
 class TestEvidence:
     def test_orders_must_be_strictly_ascending(self):
@@ -208,6 +244,78 @@ class TestParseSample:
         )
         record = json.loads(json.dumps(serialize_sample(sample)))
         assert parse_sample(record) == sample
+
+
+# Whitespace that str.split() collapses, beyond the space: control
+# characters, information separators, NEL, no-break and ideographic spaces.
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
+_CELL_TEXT = st.text(st.sampled_from("ab.7é😀" + _SPACES), max_size=10)
+_GOOD_CELLS = st.one_of(_CELL_TEXT, st.integers(), st.floats())
+_BAD_CELLS = st.sampled_from([None, True, False, [], ["x"], [["y"]], {"k": 1}])
+_BAD_ROWS = st.sampled_from(["row", 7, None, {"k": 1}])
+
+
+@st.composite
+def loose_records(draw) -> dict:
+    """Canonical records with a table that is valid half the time and
+    otherwise may be empty, ragged, or hold bad cells or rows."""
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 4))
+        header = draw(st.lists(_GOOD_CELLS, min_size=width, max_size=width))
+        row = st.lists(_GOOD_CELLS, min_size=width, max_size=width)
+        rows = draw(st.lists(row, min_size=1, max_size=4))
+    else:
+        cell = _GOOD_CELLS | _BAD_CELLS
+        header = draw(st.lists(cell, max_size=4))
+        rows = draw(st.lists(st.lists(cell, max_size=4) | _BAD_ROWS, max_size=4))
+    return canonical_record(title=draw(_CELL_TEXT), header=header, rows=rows, evidence=None)
+
+
+def reference_parse(record: dict) -> Sample:
+    """`parse_sample` for the records of `loose_records`, one cell at a time:
+    each cell is checked, then normalised as `normalize_cell(str(v))`."""
+
+    def cell(value, key: str) -> str:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise SchemaError(key, f"field {key!r} holds a non-text cell: {value!r}")
+        return normalize_cell(str(value))
+
+    header = [cell(v, "header") for v in record["header"]]
+    rows = []
+    for i, row in enumerate(record["rows"], start=1):
+        if not isinstance(row, list):
+            raise SchemaError("rows", f"row {i} is not a list")
+        rows.append([cell(v, "rows") for v in row])
+    try:
+        table = Table(header=header, rows=rows, title=normalize_cell(record["title"]))
+    except ValueError as exc:
+        raise SchemaError("rows", str(exc)) from exc
+    return Sample(id=record["id"], table=table, query=record["query"],
+                  reference=record["reference"])
+
+
+def outcome(parse, record: dict):
+    """What `parse(record)` returns, or the type, field and text of its error."""
+    try:
+        return parse(record)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), getattr(exc, "field", None), str(exc)
+
+
+class TestParseSampleAgainstReference:
+    @given(loose_records())
+    def test_matches_the_cell_by_cell_reference(self, record):
+        # Through JSON, so the cells are what the loader sees in a line.
+        record = json.loads(json.dumps(record))
+        assert outcome(parse_sample, record) == outcome(reference_parse, record)
+
+    def test_reference_sees_the_cases_it_is_for(self):
+        record = canonical_record(header=["a", 1.5], rows=[[" x\x85 y ", 2], [3, "\xa0"]],
+                                  evidence=None)
+        sample = parse_sample(record)
+        assert sample == reference_parse(record)
+        assert sample.table.header == ("a", "1.5")
+        assert sample.table.rows == (("x y", "2"), ("3", ""))
 
 
 class TestAdapters:

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import tablehelm.cli as cli
+import tablehelm.table_core as table_core
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "benchmark" / "spans.py"
@@ -75,3 +76,15 @@ def test_traced_commands_write_what_untraced_ones_write(spans, tmp_path, capsys)
     for detail in details:
         assert isinstance(detail, tuple) and detail
         assert all(isinstance(i, int) and i >= 1 for i in detail)
+
+
+def test_loader_builds_each_table_through_the_traced_name(spans):
+    # `table_core.tables_built` and `table_core.table_build_s` count the
+    # `table_core.Table` spans. A loader that built its tables any other way
+    # would still load, and those metrics would drop without a failure.
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        dataset, report = table_core.load_dataset(TOY, strict=True)
+    assert report.ok and len(dataset) > 0
+    builds = [s for s in tracer.spans if s[spans.NAME] == "table_core.Table"]
+    assert len(builds) == len(dataset)
