@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 validation problem, 3 backend/transport failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -704,9 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser as it was, so one per process serves every
+# `main` call; building one costs milliseconds and leaves cyclic garbage.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except BACKEND_ERRORS as exc:

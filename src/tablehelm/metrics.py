@@ -1,11 +1,13 @@
 """Surface-overlap text metrics: sentence/corpus BLEU, ROUGE-1/2/L, METEOR.
 
 All metrics share one tokenizer (lowercase, ASCII punctuation split into
-standalone tokens) so scores are comparable across metrics. Sentence-level
-values live in [0, 1]; corpus reports scale by 100 and round only when
-formatted. METEOR uses exact and stemmed matching but no synonym stage, and
-every report carries a note saying so; only the tokens left unpaired by the
-exact stage are stemmed.
+standalone tokens) so scores are comparable across metrics: one
+`str.translate` pads each ASCII punctuation mark with a space on either
+side, and `split()` cuts the result. Sentence-level values live in [0, 1];
+corpus reports scale by 100 and round only when formatted. METEOR uses
+exact and stemmed matching but no synonym stage, and every report carries a
+note saying so; only the tokens left unpaired by the exact stage are
+stemmed.
 
 Sentence BLEU is the reward of the label search, which scores 2n candidates
 of one n-row table against the same reference. The reference is therefore
@@ -13,6 +15,13 @@ prepared once: its tokens are counted into n-grams per order on first use,
 and the result is memoised for the last `_PREPARED_REFERENCES` distinct
 (reference, order) pairs, a fixed bound, so memory does not grow with the
 dataset. Scores are the same as counting the reference afresh on every call.
+
+Clipped n-gram matches are counted in one place, `_clipped_matches`, for
+BLEU and ROUGE-N alike. The hypothesis grams found in the reference are
+collected in order. When none of them repeats, the clipped count is their
+number. Only when one repeats are the hits counted, and each distinct gram
+clipped to its count in the reference. Order-1 grams are the tokens
+themselves, higher orders tuples of tokens.
 
 `corpus_evaluate` scores each pair once: both texts are tokenized once, the
 reference's n-grams are counted once and shared by pooled BLEU and
@@ -27,12 +36,11 @@ sentence-level functions and the corpus path.
 from __future__ import annotations
 
 import math
-import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._porter import porter_stem
 from .errors import EmptyCorpusError
@@ -58,44 +66,55 @@ METRIC_NOTES = (
     "scores are not comparable to detokenized BLEU implementations.",
 )
 
-_PUNCT_RE = re.compile("([" + re.escape(string.punctuation) + "])")
+# Each ASCII punctuation mark becomes itself with a space on either side.
+_PUNCT_TABLE = str.maketrans({c: f" {c} " for c in string.punctuation})
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split, with each ASCII punctuation mark its own token."""
-    return _PUNCT_RE.sub(r" \1 ", text.lower()).split()
+    return text.lower().translate(_PUNCT_TABLE).split()
 
+
+# An n-gram: a token for order 1, a tuple of n tokens for higher orders.
+Gram = str | tuple[str, ...]
 
 # How many prepared references `bleu` keeps. A search or a merge scores all
 # its candidates against one reference, so a few per worker thread suffice.
 _PREPARED_REFERENCES = 64
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter[tuple[str, ...]]:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _ngrams(tokens: list[str], n: int) -> Iterable[Gram]:
+    """The order-n grams of `tokens` in order: the tokens themselves for
+    order 1, tuples of n tokens for higher orders."""
+    if n == 1:
+        return tokens
+    if n == 2:
+        return zip(tokens, tokens[1:])
+    return zip(*[tokens[i:] for i in range(n)])
 
 
-def _clipped_matches(
-    hyp: list[str], ref_counts: Counter[tuple[str, ...]], n: int
-) -> tuple[int, int]:
+def _ngram_counts(tokens: list[str], n: int) -> Counter[Gram]:
+    return Counter(_ngrams(tokens, n))
+
+
+def _clipped_matches(hyp: list[str], ref_counts: Counter[Gram], n: int) -> tuple[int, int]:
     """(clipped match count, hypothesis n-gram count) for order n, given the
-    reference's order-n counts."""
+    reference's order-n counts (see the module docstring)."""
     total = max(len(hyp) - n + 1, 0)
     if total == 0:
         return 0, 0
-    ref_count_of = ref_counts.get
+    hits = [gram for gram in _ngrams(hyp, n) if gram in ref_counts]
+    if len(set(hits)) == len(hits):
+        return len(hits), total
     matched = 0
-    for gram, count in _ngram_counts(hyp, n).items():
-        ref_count = ref_count_of(gram)
-        if ref_count:
-            matched += count if count < ref_count else ref_count
+    for gram, count in Counter(hits).items():
+        ref_count = ref_counts[gram]
+        matched += count if count < ref_count else ref_count
     return matched, total
 
 
 @lru_cache(maxsize=_PREPARED_REFERENCES)
-def _prepared_reference(
-    reference: str, max_order: int
-) -> tuple[int, tuple[Counter[tuple[str, ...]], ...]]:
+def _prepared_reference(reference: str, max_order: int) -> tuple[int, tuple[Counter[Gram], ...]]:
     """(token count, n-gram counts of orders 1..max_order) of a reference.
     Shared between callers and threads: read it, never change it."""
     ref = tokenize(reference)

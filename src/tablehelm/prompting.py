@@ -7,6 +7,12 @@ end. Rendering substitutes slots in one pass, then appends the completion
 (golden evidence or reference in training mode, nothing at inference), so
 an inference prompt always ends with "###Output\n". Every interpolated
 value has runs of '#' capped, which keeps "###Output" unique per prompt.
+
+Each template text is split around its slots once, and the split is
+memoised for a fixed number of recent texts. A prompt is then one join of
+the literal pieces, each slot's capped value and the capped completion.
+Values are never scanned for slots, so a query that itself contains
+"{{QUERY}}" stays as it is.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ _ROLE_SLOTS: dict[str, tuple[str, ...]] = {
 
 _SLOT_RE = re.compile(r"\{\{(TABLE|QUERY|REFERENCE|EXAMPLES)\}\}")
 _INT_RE = re.compile(r"\d+")
+
+# How many template texts `_assemble` keeps split. A run renders with a few
+# templates, one or two per role.
+_SPLIT_TEMPLATES = 16
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,13 @@ def format_evidence(evidence: Evidence) -> str:
     return "{" + ", ".join(str(i) for i in evidence) + "}"
 
 
+@lru_cache(maxsize=_SPLIT_TEMPLATES)
+def _template_pieces(text: str) -> tuple[str, ...]:
+    """A template's text split around its slots: literal text at even
+    positions, a slot name at each odd one."""
+    return tuple(_SLOT_RE.split(text))
+
+
 def _assemble(
     template: PromptTemplate,
     values: dict[str, str],
@@ -165,9 +182,11 @@ def _assemble(
     sample_id: str,
     token_budget: int,
 ) -> RenderedPrompt:
-    safe = {slot: cap_hash_runs(value) for slot, value in values.items()}
-    head = _SLOT_RE.sub(lambda m: safe[m.group(1)], template.text)
-    text = head + cap_hash_runs(completion)
+    pieces = list(_template_pieces(template.text))
+    for i in range(1, len(pieces), 2):
+        pieces[i] = cap_hash_runs(values[pieces[i]])
+    pieces.append(cap_hash_runs(completion))
+    text = "".join(pieces)
     estimate = estimate_tokens(text)
     if estimate > token_budget:
         raise PromptTooLongError(estimate, token_budget)

@@ -14,11 +14,14 @@ what a model reads. Cells containing "|" are escaped as "\\|" to keep
 distinct tables distinct after rendering; runs of three or more "#" are
 capped at two so table content can never fake a prompt-control marker.
 
-Escaping is skipped where it would change nothing: a cell with neither "|"
-nor "#" is rendered as it is, the "#"-run regex runs only on text that
-contains "###", and `parse_row_lines` unescapes only row bodies that
-contain "\\|". `highlight` and `subtable` build their result with
-`Table.with_rows`, without re-validating cells that came from a valid table.
+Escaping is skipped where it would change nothing: a row or header whose
+cells, joined, hold neither "|" nor "#" is rendered with one join, and only
+other rows are escaped cell by cell; a cell with neither "|" nor "#" is
+rendered as it is, the "#"-run regex runs only on text that contains "###",
+and `parse_row_lines` unescapes only row bodies that contain "\\|" (and
+runs its regex only on lines that start with "row "). `highlight` and
+`subtable` build their result with `Table.with_rows`, without re-validating
+cells that came from a valid table.
 """
 
 from __future__ import annotations
@@ -109,14 +112,21 @@ def unescape_cell(rendered: str) -> str:
     return rendered.replace("\\|", "|")
 
 
+def _render_cells(cells: tuple[str, ...]) -> str:
+    joined = "".join(cells)
+    if "|" not in joined and "#" not in joined:
+        return " | ".join(cells)
+    return " | ".join(map(_render_cell, cells))
+
+
 def linearize(table: Table) -> LinearizedTable:
     """Render a table to its deterministic prompt text."""
     lines = []
     if table.title:
         lines.append(f"title : {_render_cell(table.title)}")
-    lines.append("col : " + " | ".join(map(_render_cell, table.header)))
+    lines.append("col : " + _render_cells(table.header))
     for i, row in enumerate(table.rows, start=1):
-        lines.append(f"row {i} : " + " | ".join(map(_render_cell, row)))
+        lines.append(f"row {i} : " + _render_cells(row))
     return LinearizedTable(text="\n".join(lines))
 
 
@@ -129,6 +139,8 @@ def parse_row_lines(text: str) -> list[tuple[int, list[str], bool]]:
     """
     rows = []
     for line in text.splitlines():
+        if not line.startswith("row "):
+            continue
         m = ROW_LINE_RE.match(line)
         if not m:
             continue

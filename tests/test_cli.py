@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -1328,3 +1329,30 @@ class TestEvaluate:
         code, _, stderr = run_cli(["evaluate", preds, data], capsys)
         assert code == EXIT_VALIDATION
         assert "error: SchemaError" in stderr
+
+
+class TestSharedParser:
+    """`main` parses every call with one parser, built once per process."""
+
+    def test_repeated_parses_do_not_leak_labels(self):
+        parser = cli._shared_parser()
+        assert cli._shared_parser() is parser
+
+        def labels(*flags):
+            return parser.parse_args(["merge-labels", "in", "out", *flags]).labels
+
+        assert labels() == []
+        assert labels() == []
+        assert labels("--labels", "a") == ["a"]
+        assert labels("--labels", "b", "--labels", "c") == ["b", "c"]
+        assert labels() == []
+
+    def test_a_command_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        # The first call may build the shared parser; a later one builds none,
+        # so nothing it allocated is left for the cycle collector.
+        first = run_cli(["search-labels", TOY, tmp_path / "a.jsonl", "--cache-dir", ""], capsys)
+        gc.collect()
+        second = run_cli(["search-labels", TOY, tmp_path / "b.jsonl", "--cache-dir", ""], capsys)
+        freed = gc.collect()
+        assert first[0] == second[0] == EXIT_OK
+        assert freed == 0

@@ -9,6 +9,8 @@ implementation.
 from __future__ import annotations
 
 import math
+import re
+import string
 import sys
 import threading
 from collections import Counter
@@ -274,6 +276,33 @@ def test_rouge_1_matches_independent_counter_arithmetic(hyp, ref):
     assert rouge_n(hyp, ref, 1) == pytest.approx(want, abs=1e-12)
 
 
+# ------------------------------------------------ naive tokenizer
+# The tokenizer as it was before it became one `str.translate`: a regex that
+# pads each ASCII punctuation mark with a space on either side. The naive
+# oracles below tokenize with it, so every comparison with them checks the
+# tokenizer too.
+
+_PUNCT_RE = re.compile("([" + re.escape(string.punctuation) + "])")
+
+
+def naive_tokenize(text: str) -> list[str]:
+    return _PUNCT_RE.sub(r" \1 ", text.lower()).split()
+
+
+# Every code point `str.split()` splits on (all lie below U+3001), ASCII and
+# other punctuation, and letters whose lowercase is longer ("İ") or another
+# letter ("ẞ").
+_WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+_TOKENIZER_ALPHABET = (
+    string.punctuation + _WHITESPACE + "—–«»¿¡‐“”‘’…。、・" + "İẞßÉé" + "aZ09"
+)
+
+
+@given(st.one_of(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=40), st.text(max_size=40)))
+def test_tokenize_equals_the_regex_tokenizer(text):
+    assert tokenize(text) == naive_tokenize(text)
+
+
 # ------------------------------------------------ naive counting oracle
 # BLEU's n-gram counting as it was before references were prepared once:
 # every call recounts both sides. Rewards steer the label search, so the
@@ -296,7 +325,7 @@ def naive_clipped_matches(hyp: list[str], ref: list[str], n: int) -> tuple[int, 
 
 
 def naive_bleu(hypothesis: str, reference: str, max_order: int = 4) -> float:
-    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    hyp, ref = naive_tokenize(hypothesis), naive_tokenize(reference)
     order = min(max_order, len(hyp))
     stats = [naive_clipped_matches(hyp, ref, n) for n in range(1, order + 1)]
     return _bleu_from_stats(
@@ -305,7 +334,7 @@ def naive_bleu(hypothesis: str, reference: str, max_order: int = 4) -> float:
 
 
 def naive_rouge_n(hypothesis: str, reference: str, n: int) -> float:
-    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    hyp, ref = naive_tokenize(hypothesis), naive_tokenize(reference)
     overlap, hyp_total = naive_clipped_matches(hyp, ref, n)
     ref_total = max(len(ref) - n + 1, 0)
     if overlap == 0 or hyp_total == 0 or ref_total == 0:
@@ -315,7 +344,7 @@ def naive_rouge_n(hypothesis: str, reference: str, n: int) -> float:
 
 
 def naive_pooled_bleu(pairs: list[tuple[str, str]], max_order: int = 4) -> float:
-    token_pairs = [(tokenize(h), tokenize(r)) for h, r in pairs]
+    token_pairs = [(naive_tokenize(h), naive_tokenize(r)) for h, r in pairs]
     order = min(max_order, max(len(h) for h, _ in token_pairs))
     matches, totals = [0] * order, [0] * order
     for hyp, ref in token_pairs:
@@ -424,7 +453,7 @@ def naive_align(hyp: list[str], ref: list[str]) -> list[tuple[int, int]]:
 
 
 def naive_meteor(hypothesis: str, reference: str, alpha: float = 0.9) -> float:
-    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    hyp, ref = naive_tokenize(hypothesis), naive_tokenize(reference)
     if not hyp or not ref:
         return 0.0
     pairs = naive_align(hyp, ref)
@@ -473,7 +502,7 @@ def naive_lcs_length(a: list[str], b: list[str]) -> int:
 
 
 def naive_rouge_l(hypothesis: str, reference: str) -> float:
-    hyp, ref = tokenize(hypothesis), tokenize(reference)
+    hyp, ref = naive_tokenize(hypothesis), naive_tokenize(reference)
     if not hyp or not ref:
         return 0.0
     lcs = naive_lcs_length(hyp, ref)
@@ -566,5 +595,43 @@ corpus_references = st.one_of(repetitive(), stemmy_sides)
     )
 )
 def test_corpus_scores_equal_naive_counting(pairs):
+    report = corpus_evaluate(pairs)
+    assert report == replace(report, **naive_report(pairs))
+
+
+# ------------------------------------------------ punctuated text
+# Words in mixed case, with punctuation attached or standing alone and with
+# letters outside ASCII, so that the tokenizer splits and lowercases before
+# n-grams are counted. Few distinct tokens, so grams repeat and clipping
+# matters.
+_PUNCTUATED_WORDS = (
+    "Rain", "rain", "RAIN", "in", "Spain", "spain,", "(spain)", "rain.", "won't",
+    "İn", "—", "a-b", "x|y", "#", "!", "ẞ",
+)
+
+
+def punctuated(min_size: int = 0, max_size: int = 10) -> st.SearchStrategy[str]:
+    words = st.lists(st.sampled_from(_PUNCTUATED_WORDS), min_size=min_size, max_size=max_size)
+    return st.one_of(words.map(" ".join), words.map("".join))
+
+
+@given(
+    st.lists(punctuated(), min_size=1, max_size=3),
+    st.lists(st.one_of(punctuated(max_size=3), punctuated()), min_size=1, max_size=6),
+    st.integers(1, 5),
+)
+def test_bleu_on_punctuated_text_equals_naive_counting(references, hyps, max_order):
+    for i, hyp in enumerate(hyps):
+        reference = references[i % len(references)]
+        assert bleu(hyp, reference, max_order) == naive_bleu(hyp, reference, max_order)
+
+
+@given(punctuated(), punctuated(), st.integers(1, 4))
+def test_rouge_n_on_punctuated_text_equals_naive_counting(hyp, ref, n):
+    assert rouge_n(hyp, ref, n) == naive_rouge_n(hyp, ref, n)
+
+
+@given(st.lists(st.tuples(punctuated(min_size=1), punctuated()), min_size=1, max_size=5))
+def test_corpus_scores_on_punctuated_text_equal_naive_counting(pairs):
     report = corpus_evaluate(pairs)
     assert report == replace(report, **naive_report(pairs))

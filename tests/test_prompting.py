@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,8 +15,10 @@ from tablehelm.errors import (
     TemplateError,
 )
 from tablehelm.prompting import (
+    _ROLE_SLOTS,
     DEFAULT_TOKEN_BUDGET,
     OUTPUT_MARKER,
+    ROLES,
     PromptTemplate,
     RenderedPrompt,
     build_distill_prompt,
@@ -24,10 +28,11 @@ from tablehelm.prompting import (
     format_evidence,
     load_example_blocks,
     load_template,
+    _assemble,
     parse_evidence_output,
 )
 from tablehelm.table_core import Evidence, Table
-from tablehelm.transforms import linearize, parse_row_lines
+from tablehelm.transforms import cap_hash_runs, linearize, parse_row_lines
 
 HIGHLIGHTER_TEXT = "Pick rows.\n\nTable:\n{{TABLE}}\n\nQuery: {{QUERY}}\n\n###Output\n"
 SUMMARIZER_TEXT = "Answer briefly.\n\nTable:\n{{TABLE}}\n\nQuery: {{QUERY}}\n\n###Output\n"
@@ -356,3 +361,61 @@ def test_adversarial_queries_never_add_a_second_marker(query):
     table = Table(header=("a",), rows=(("b",),))
     prompt = build_highlighter_prompt(table, query)
     assert prompt.text.count(OUTPUT_MARKER) == 1
+
+
+# ------------------------------------------------ assembly by substitution
+# Prompt assembly as it was before each template was split once: one regex
+# substitution over the template text per prompt, every value capped first.
+# Values are not rescanned, so slot markers inside a value stay as they are.
+
+_SLOT_RE = re.compile(r"\{\{(TABLE|QUERY|REFERENCE|EXAMPLES)\}\}")
+
+
+def assemble_by_substitution(
+    template: PromptTemplate, values: dict[str, str], completion: str
+) -> str:
+    safe = {slot: cap_hash_runs(value) for slot, value in values.items()}
+    head = _SLOT_RE.sub(lambda m: safe[m.group(1)], template.text)
+    return head + cap_hash_runs(completion)
+
+
+# Hash runs below, at and over the cap, every slot marker, the output marker
+# and stray braces.
+_VALUE_PIECES = (
+    "a", " ", "\n", "#", "##", "###", "####", "{{", "}}", OUTPUT_MARKER,
+    "{{TABLE}}", "{{QUERY}}", "{{REFERENCE}}", "{{EXAMPLES}}",
+)
+_values = st.lists(st.sampled_from(_VALUE_PIECES), max_size=8).map("".join)
+
+# Each role's packaged template, and custom ones whose slots come in another
+# order, back to back, and at the very start and end of the head.
+_TEMPLATES = [load_template(role) for role in ROLES] + [
+    PromptTemplate(name="summarizer", text="{{QUERY}}{{TABLE}}###Output"),
+    PromptTemplate(
+        name="distill", text="{{REFERENCE}}\n{{EXAMPLES}} {{QUERY}}|{{TABLE}}\n###Output\n"
+    ),
+]
+
+
+@given(st.data())
+def test_assemble_equals_substitution(data):
+    template = data.draw(st.sampled_from(_TEMPLATES))
+    values = {slot: data.draw(_values) for slot in _ROLE_SLOTS[template.name]}
+    completion = data.draw(_values)
+    # Small budgets put some prompts over budget.
+    budget = data.draw(st.one_of(st.just(DEFAULT_TOKEN_BUDGET), st.integers(0, 80)))
+    expected = assemble_by_substitution(template, values, completion)
+    estimate = estimate_tokens(expected)
+    if estimate > budget:
+        with pytest.raises(PromptTooLongError) as exc_info:
+            _assemble(template, values, completion, template.name, "s", budget)
+        assert (exc_info.value.estimate, exc_info.value.budget) == (estimate, budget)
+    elif expected.count(OUTPUT_MARKER) != 1:
+        # Capped values side by side can still spell a marker ("#" then
+        # "##Output"); the prompt is refused, as it was.
+        with pytest.raises(TemplateError):
+            _assemble(template, values, completion, template.name, "s", budget)
+    else:
+        prompt = _assemble(template, values, completion, template.name, "s", budget)
+        assert prompt.text == expected
+        assert (prompt.role, prompt.sample_id) == (template.name, "s")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,33 @@ def test_loader_builds_each_table_through_the_traced_name(spans):
     assert report.ok and len(dataset) > 0
     builds = [s for s in tracer.spans if s[spans.NAME] == "table_core.Table"]
     assert len(builds) == len(dataset)
+
+
+# Every hop of one reward evaluation on the search path, by span name. Each
+# wraps a name looked up in its caller's module, so a caller that bypassed
+# it would leave its per-layer metrics short without failing anything.
+SEARCH_HOPS = (
+    "feedback.feedback_reward",
+    "transforms.subtable",
+    "prompting.build_summarizer_prompt",
+    "transforms.linearize",
+    "feedback.echo_oracle_generate",
+    "metrics.eval_reward",
+)
+
+
+def test_every_search_evaluation_passes_each_traced_hop(spans, tmp_path, capsys):
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        code = cli.main(["search-labels", str(TOY), str(tmp_path / "search.jsonl"),
+                         "--cache-dir", ""])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    evaluations = int(re.search(r"oracle evaluations (\d+)", stdout).group(1))
+    dataset, _ = table_core.load_dataset(TOY, strict=True)
+    assert evaluations == 2 * sum(sample.table.n_rows for sample in dataset) == 86
+    counts = {name: 0 for name in SEARCH_HOPS}
+    for span in tracer.spans:
+        if span[spans.NAME] in counts:
+            counts[span[spans.NAME]] += 1
+    assert counts == dict.fromkeys(SEARCH_HOPS, evaluations)

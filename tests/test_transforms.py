@@ -23,8 +23,12 @@ from tablehelm.transforms import (
 )
 
 # Cells that take, and cells that skip, each escaping fast path: a pipe, an
-# already escaped pipe, hashes below and at the cap, and star wrapping.
-ESCAPE_PROBES = ("a|b", "a \\| b", "\\|", "#", "x##", "###", "a####b", "*x*", "*", "plain")
+# already escaped pipe, hashes below, at and over the cap, a pipe beside a
+# hash, and star wrapping. A row or header of cells with neither "|" nor "#"
+# is rendered with one join; one such cell sends the whole row cell by cell.
+ESCAPE_PROBES = (
+    "a|b", "a \\| b", "\\|", "#", "##", "x##", "###", "a####b", "|#", "*x*", "*", "plain",
+)
 
 
 @st.composite
