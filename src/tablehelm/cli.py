@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
@@ -30,7 +31,7 @@ from typing import Callable, ContextManager, Iterator, TypeVar
 from .config import RunConfig, build_config
 from .errors import (
     BACKEND_ERRORS,
-    AuthError,
+    JOB_FATAL_ERRORS,
     EmptyEvidenceError,
     NoIndicesError,
     SchemaError,
@@ -174,27 +175,39 @@ def map_ordered(
 
     At most WINDOW_PER_WORKER * workers calls are queued or running at
     once; one more is submitted as each result is taken. Per-item
-    exceptions are yielded, not raised, except AuthError, which aborts the
-    whole job: every subsequent call would fail identically, so nothing more
-    is submitted and queued calls are cancelled.
+    exceptions are yielded, not raised, except JOB_FATAL_ERRORS (auth, 404),
+    which abort the whole job: every subsequent call would fail identically,
+    so nothing more is submitted, and a queued call that a worker takes up
+    after the error returns at once, unrun, before it is cancelled.
     """
     source = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
+    fatal = threading.Event()
+
+    def call(item: T) -> R | None:
+        if fatal.is_set():
+            return None  # never yielded: the job ends at the fatal error
+        try:
+            return fn(item)
+        except JOB_FATAL_ERRORS:
+            fatal.set()
+            raise
+
     try:
         pending = deque(
-            (item, pool.submit(fn, item))
+            (item, pool.submit(call, item))
             for item in islice(source, WINDOW_PER_WORKER * workers)
         )
         while pending:
             item, future = pending.popleft()
             try:
                 outcome = (item, future.result(), None)
-            except AuthError:
+            except JOB_FATAL_ERRORS:
                 raise
             except Exception as exc:
                 outcome = (item, None, exc)
             for following in islice(source, 1):
-                pending.append((following, pool.submit(fn, following)))
+                pending.append((following, pool.submit(call, following)))
             yield outcome
     finally:
         pool.shutdown(cancel_futures=True)

@@ -22,11 +22,13 @@ __all__ = [
     "AuthError",
     "RateLimitError",
     "TransportError",
+    "EndpointNotFoundError",
     "MalformedResponseError",
     "TableTooLargeError",
     "MissingLabelError",
     "UnmatchedIdError",
     "BACKEND_ERRORS",
+    "JOB_FATAL_ERRORS",
 ]
 
 
@@ -102,6 +104,11 @@ class TransportError(TableHelmError):
     """Connection-level failure (refused, timeout, 5xx) after retries."""
 
 
+class EndpointNotFoundError(TransportError):
+    """The endpoint answered 404: a wrong path or an unknown model. That
+    holds for every prompt, so it ends the whole job, as AuthError does."""
+
+
 class MalformedResponseError(TableHelmError):
     """A 2xx response that does not carry a completion."""
 
@@ -133,3 +140,7 @@ class UnmatchedIdError(TableHelmError):
 
 # Errors that map to the "backend" CLI exit code rather than "validation".
 BACKEND_ERRORS = (AuthError, RateLimitError, TransportError, MalformedResponseError)
+
+# Backend errors that every later call would repeat: they end the whole job
+# instead of failing one candidate or sample.
+JOB_FATAL_ERRORS = (AuthError, EndpointNotFoundError)

@@ -11,10 +11,17 @@ it has none, as the offline clients do); their outcomes are tallied in row
 order, so the trace is the same as a serial search would make. The merge
 scores its distinct candidate sets the same way.
 
+With a response cache, the singletons' prompts (and the merge's) are built
+first and looked up with one cache statement; only the misses are
+generated, and stored. Each accumulation step depends on the last, so it
+looks its one prompt up on its own. Cache trouble during a batched lookup
+makes the whole batch a miss, with one logged warning.
+
 Each candidate is evaluated once. Retrying transient backend failures is
 the HTTP client's job, within its `max_attempts`; a candidate whose call
 still fails, or whose prompt is over the token budget, is skipped with a
-"skipped:" note in the trace and never evaluated again.
+"skipped:" note in the trace and never evaluated again. An auth failure or
+a 404 is not skipped: it ends the search, as it would every later call.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from pathlib import Path
 from typing import Callable, Mapping, TypeVar
 
 from .errors import (
+    JOB_FATAL_ERRORS,
     MalformedResponseError,
     MissingLabelError,
     NoIndicesError,
@@ -42,7 +50,9 @@ from .feedback import (
     GeneratorClient,
     RoleSettings,
     cached_generate,
+    cached_texts,
     feedback_reward,
+    reward_prompt,
 )
 from .prompting import (
     build_distill_prompt,
@@ -69,7 +79,8 @@ __all__ = [
 ]
 
 # Failures that disqualify one candidate without sinking the whole search.
-# Auth failures are fatal: every later call would fail the same way.
+# JOB_FATAL_ERRORS (auth, 404) are not, although a 404 is a TransportError:
+# every later call would fail the same way.
 _SKIPPABLE_ERRORS = (
     RateLimitError,
     TransportError,
@@ -101,6 +112,79 @@ def _map_in_order(fn: Callable[[T], R], items: list[T], width: int) -> list[R]:
     finally:
         pool.shutdown(cancel_futures=True)
     return [future.result() for future in futures]
+
+
+def _reward_or_error(
+    sample: Sample,
+    evidence: Evidence,
+    mode: str,
+    feedbacker: GeneratorClient,
+    settings: RoleSettings,
+    prompt: str | None = None,
+    cached: str | None = None,
+) -> float | Exception:
+    """`feedback_reward` of `evidence`, or the skippable error that replaced
+    it. Runs on pool threads, so it touches no shared state."""
+    try:
+        return feedback_reward(
+            sample.table, evidence, sample.query, sample.reference, mode,
+            feedbacker, settings, prompt=prompt, cached=cached,
+        )
+    except JOB_FATAL_ERRORS:
+        raise
+    except _SKIPPABLE_ERRORS as exc:
+        return exc
+
+
+def _evaluate_all(
+    sample: Sample,
+    sets: list[Evidence],
+    mode: str,
+    feedbacker: GeneratorClient,
+    settings: RoleSettings,
+) -> list[float | Exception]:
+    """`_reward_or_error` of each of `sets`, in order, up to the
+    feedbacker's `max_in_flight` at once.
+
+    With a cache, every prompt is built first (`reward_prompt`; a skippable
+    failure there is that set's outcome) and the prompts are looked up with
+    one statement; each evaluation then gets its prompt and what was found.
+    A prompt that repeats an earlier one waits for a later round, looked up
+    after the earlier one was stored, so it is generated no more often than
+    in a serial search.
+    """
+    width = getattr(feedbacker, "max_in_flight", 1)
+    cache = settings.cache
+    if cache is None:
+        return _map_in_order(
+            lambda ev: _reward_or_error(sample, ev, mode, feedbacker, settings), sets, width
+        )
+    outcomes: list[float | Exception] = [0.0] * len(sets)
+    prompts: dict[int, str] = {}
+    rounds: list[list[int]] = []
+    repeats: dict[str, int] = {}
+    for i, evidence in enumerate(sets):
+        try:
+            prompt = reward_prompt(sample.table, evidence, sample.query, mode, settings)
+        except _SKIPPABLE_ERRORS as exc:
+            outcomes[i] = exc
+            continue
+        prompts[i] = prompt
+        seen = repeats.get(prompt, 0)
+        repeats[prompt] = seen + 1
+        if seen == len(rounds):
+            rounds.append([])
+        rounds[seen].append(i)
+
+    def evaluate(job: tuple[int, str | None]) -> float | Exception:
+        i, text = job
+        return _reward_or_error(sample, sets[i], mode, feedbacker, settings, prompts[i], text)
+
+    for batch in rounds:
+        found = cached_texts(feedbacker, cache, [prompts[i] for i in batch], settings.cfg)
+        for i, outcome in zip(batch, _map_in_order(evaluate, list(zip(batch, found)), width)):
+            outcomes[i] = outcome
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -163,7 +247,8 @@ def greedy_search(
     a `feedback_reward` call with the feedbacker's `settings`.
 
     Phase 1 scores each singleton sub-table, up to the feedbacker's
-    `max_in_flight` at once, and tallies the outcomes in row order. Phase 2
+    `max_in_flight` at once, and tallies the outcomes in row order; with a
+    cache, all n singleton prompts are looked up with one statement. Phase 2
     walks the singletons in descending-reward order (ties: ascending row
     index) and grows the result set one evaluation at a time, accepting an
     addition only on strict reward improvement. `step_cap` bounds the
@@ -178,17 +263,6 @@ def greedy_search(
     calls = 0
     last_error: Exception | None = None
 
-    def evaluate(evidence: Evidence) -> float | Exception:
-        """The reward, or the skippable error that replaced it. Runs on pool
-        threads, so it touches no shared state."""
-        try:
-            return feedback_reward(
-                sample.table, evidence, sample.query, sample.reference, "subtable",
-                feedbacker, settings,
-            )
-        except _SKIPPABLE_ERRORS as exc:
-            return exc
-
     def tally(outcome: float | Exception) -> tuple[float | None, str]:
         nonlocal calls, last_error
         if isinstance(outcome, Exception):
@@ -198,8 +272,7 @@ def greedy_search(
         return outcome, ""
 
     singletons = [Evidence((i,)) for i in range(1, n + 1)]
-    width = getattr(feedbacker, "max_in_flight", 1)
-    outcomes = _map_in_order(evaluate, singletons, width)
+    outcomes = _evaluate_all(sample, singletons, "subtable", feedbacker, settings)
     singles: list[tuple[float, int]] = []
     for i, (evidence, outcome) in enumerate(zip(singletons, outcomes), start=1):
         reward, note = tally(outcome)
@@ -218,7 +291,9 @@ def greedy_search(
             flags.append("step_cap_reached")
             break
         evidence = Evidence(tuple(sorted(set(held) | {row})))
-        reward, note = tally(evaluate(evidence))
+        reward, note = tally(
+            _reward_or_error(sample, evidence, "subtable", feedbacker, settings)
+        )
         accepted = reward is not None and reward > held_reward
         candidates.append(SearchCandidate(evidence, reward, "accumulate", accepted, note))
         if accepted:
@@ -301,6 +376,8 @@ def distill_one(
         evidence, warnings = parse_evidence_output(raw, sample.table.n_rows)
     except (NoIndicesError, PromptTooLongError) as exc:
         return base, [f"{sample.id}: {exc}"]
+    except JOB_FATAL_ERRORS:
+        raise
     except _SKIPPABLE_ERRORS as exc:
         return base, [f"{sample.id}: generation failed: {exc}"]
     return replace(base, e_distill=evidence), [f"{sample.id}: {w}" for w in warnings]
@@ -317,7 +394,9 @@ def merge_labels(
     scored with the feedbacker's `settings`.
 
     Identical candidate sets are evaluated once, up to the feedbacker's
-    `max_in_flight` at once. Ties go to the earlier source in
+    `max_in_flight` at once, and with a cache their prompts are looked up
+    with one statement. A failed evaluation raises (of several, the one of
+    the earliest source). Ties go to the earlier source in
     manual > distill > search order. A single candidate wins outright, with
     no evaluation at all.
     """
@@ -328,15 +407,12 @@ def merge_labels(
         (evidence,) = candidates.values()
         return replace(labeled, e_merge=evidence)
 
-    def score(evidence: Evidence) -> float:
-        return feedback_reward(
-            sample.table, evidence, sample.query, sample.reference, "highlight",
-            feedbacker, settings,
-        )
-
     sets = list(dict.fromkeys(candidates.values()))
-    width = getattr(feedbacker, "max_in_flight", 1)
-    distinct = dict(zip(sets, _map_in_order(score, sets, width)))
+    outcomes = _evaluate_all(sample, sets, "highlight", feedbacker, settings)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    distinct = dict(zip(sets, outcomes))
     rewards = tuple((name, distinct[ev]) for name, ev in candidates.items())
     best_name, best_evidence, best_reward = "", None, -1.0
     for name, evidence in candidates.items():

@@ -38,6 +38,7 @@ from urllib.request import getproxies_environment, proxy_bypass_environment
 from .errors import (
     AuthError,
     EmptyEvidenceError,
+    EndpointNotFoundError,
     MalformedResponseError,
     NoTableFoundError,
     RateLimitError,
@@ -61,8 +62,10 @@ __all__ = [
     "CountingClient",
     "ResponseCache",
     "cached_generate",
+    "cached_texts",
     "echo_oracle_generate",
     "feedback_reward",
+    "reward_prompt",
 ]
 
 logger = logging.getLogger(__name__)
@@ -76,6 +79,10 @@ REWARD_MODES = ("subtable", "highlight")
 # reads by key, so a small cache costs no speed and keeps memory flat as the
 # pool grows with the number of threads.
 _CACHE_PAGES = 64
+
+# Most keys one batched cache lookup binds in a statement: SQLite's limit on
+# bound parameters before 3.32, so every SQLite library takes it.
+_MAX_PARAMS = 999
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,9 @@ class HttpClient:
     This is the only layer that retries. Transient failures (connection
     errors, 429, 5xx) are retried up to `max_attempts` times with
     exponential backoff, then raised; auth and other 4xx failures, and
-    redirects (3xx, not followed), are raised at once. A semaphore bounds
+    redirects (3xx, not followed), are raised at once. A 404 raises
+    `EndpointNotFoundError`, which ends the job: the path or the model is
+    wrong for every prompt. A semaphore bounds
     concurrent in-flight requests, and so open connections, to
     `max_in_flight`, which also bounds how many evaluations one label
     search or merge runs at once. Cache entries are keyed by endpoint and
@@ -319,6 +328,8 @@ class HttpClient:
             logger.debug("prompt %s attempt %d: HTTP %d", digest, attempt, status)
             if status in (401, 403):
                 raise AuthError(f"HTTP {status} from {self.endpoint}")
+            if status == 404:
+                raise EndpointNotFoundError(f"HTTP 404 from {self.endpoint}")
             if status == 429:
                 last_transient = "HTTP 429"
                 rate_limited = True
@@ -418,6 +429,12 @@ def _key_frame(model_id: str, cfg: SamplingConfig, reprs: tuple[str, ...]) -> tu
     return head + '"prompt": ', tail
 
 
+@lru_cache(maxsize=64)
+def _select_keys(count: int) -> str:
+    """The statement that reads the entries of `count` keys."""
+    return f"SELECT key, text FROM entries WHERE key IN ({', '.join('?' * count)})"
+
+
 class ResponseCache:
     """Content-addressed completion store: one SQLite database per directory.
 
@@ -434,9 +451,12 @@ class ResponseCache:
     SQLite checkpoints the WAL and removes the `-wal` and `-shm` files.
     Per-entry JSON files of older versions are not read: they are misses.
 
-    Cache trouble is never fatal: a `sqlite3.Error` or `OSError` is a logged
-    miss on `get` and a logged warning on `put`, and an entry whose text is
-    not a string (or not UTF-8) is evicted.
+    `get_many` looks a batch of prompts up with one statement (one per
+    `_MAX_PARAMS` prompts), and `get` is a batch of one. Cache trouble
+    is never fatal: a `sqlite3.Error` or `OSError` makes every prompt of the
+    batch a miss, with one logged warning, and is a logged warning on `put`;
+    an entry whose text is not a string (or not UTF-8) is evicted and is a
+    miss.
     """
 
     FILENAME = "responses.sqlite3"
@@ -498,7 +518,12 @@ class ResponseCache:
         return result
 
     @staticmethod
-    def _lookup(conn: sqlite3.Connection, key: str) -> str | None:
+    def _evict(conn: sqlite3.Connection, key: str) -> None:
+        logger.warning("evicting corrupt cache entry %s", key)
+        conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+
+    @classmethod
+    def _lookup(cls, conn: sqlite3.Connection, key: str) -> str | None:
         try:
             row = conn.execute("SELECT text FROM entries WHERE key = ?", (key,)).fetchone()
             if row is None:
@@ -507,17 +532,47 @@ class ResponseCache:
                 return row[0]
         except UnicodeDecodeError:
             pass
-        logger.warning("evicting corrupt cache entry %s", key)
-        conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+        cls._evict(conn, key)
         return None
 
+    @classmethod
+    def _lookup_many(cls, conn: sqlite3.Connection, keys: list[str]) -> dict[str, str]:
+        """The text of each of `keys` that has a good entry, read with one
+        statement per `_MAX_PARAMS` keys. A corrupt entry is evicted and left
+        out. Text that is not UTF-8 fails the whole fetch without naming its
+        row, so that chunk is read again key by key (`_lookup`)."""
+        found: dict[str, str] = {}
+        for start in range(0, len(keys), _MAX_PARAMS):
+            chunk = keys[start : start + _MAX_PARAMS]
+            try:
+                rows = conn.execute(_select_keys(len(chunk)), chunk).fetchall()
+            except UnicodeDecodeError:
+                for key in chunk:
+                    text = cls._lookup(conn, key)
+                    if text is not None:
+                        found[key] = text
+                continue
+            for key, text in rows:
+                if isinstance(text, str):
+                    found[key] = text
+                else:
+                    cls._evict(conn, key)
+        return found
+
     def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
-        key = self.key(model_id, prompt, cfg)
+        return self.get_many(model_id, [prompt], cfg)[0]
+
+    def get_many(
+        self, model_id: str, prompts: list[str], cfg: SamplingConfig
+    ) -> list[str | None]:
+        """The cached text of each prompt, None for a miss, in order."""
+        keys = [self.key(model_id, prompt, cfg) for prompt in prompts]
         try:
-            return self._use(lambda conn: self._lookup(conn, key))
+            found = self._use(lambda conn: self._lookup_many(conn, keys))
         except (sqlite3.Error, OSError) as exc:
             logger.warning("cache read failed, generating instead: %s", exc)
-            return None
+            return [None] * len(keys)
+        return list(map(found.get, keys))
 
     def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
         key = self.key(model_id, prompt, cfg)
@@ -549,12 +604,35 @@ def cached_generate(
     not fail."""
     if cache is None:
         return client.generate(prompt, cfg)
-    identity = _cache_identity(client)
-    hit = cache.get(identity, prompt, cfg)
+    hit = cache.get(_cache_identity(client), prompt, cfg)
     if hit is not None:
         return hit
+    return _generate_and_store(client, cache, prompt, cfg)
+
+
+def cached_texts(
+    client: GeneratorClient,
+    cache: ResponseCache,
+    prompts: list[str],
+    cfg: SamplingConfig,
+) -> list[str | None]:
+    """What `cache` holds for each of `prompts` from `client`, None for a
+    miss, looked up together (`ResponseCache.get_many`)."""
+    return cache.get_many(_cache_identity(client), prompts, cfg)
+
+
+def _generate_and_store(
+    client: GeneratorClient,
+    cache: ResponseCache | None,
+    prompt: str,
+    cfg: SamplingConfig,
+) -> str:
+    """Generate a prompt that `cache` was found not to hold, and store the
+    text there (with no cache, just generate): the miss half of
+    `cached_generate`, for a prompt already looked up."""
     text = client.generate(prompt, cfg)
-    cache.put(identity, prompt, cfg, text)
+    if cache is not None:
+        cache.put(_cache_identity(client), prompt, cfg, text)
     return text
 
 
@@ -578,17 +656,15 @@ class RoleSettings:
 SEARCH_SETTINGS = RoleSettings()
 
 
-def feedback_reward(
+def reward_prompt(
     table: Table,
     evidence: Evidence,
     query: str,
-    reference: str,
     mode: str,
-    feedbacker: GeneratorClient,
     settings: RoleSettings = SEARCH_SETTINGS,
-) -> float:
-    """Score candidate evidence: summarize from it with the feedbacker's
-    `settings`, compare to the reference.
+) -> str:
+    """The summarizer prompt that `feedback_reward` scores `evidence` by,
+    built with the template and token budget of `settings`.
 
     "subtable" mode keeps only the evidence rows (and requires at least one);
     "highlight" mode shows the whole table with evidence rows starred, which
@@ -604,5 +680,34 @@ def feedback_reward(
     prompt = build_summarizer_prompt(
         shown, marked, query, template=settings.template, token_budget=settings.token_budget
     )
-    output = cached_generate(feedbacker, settings.cache, prompt.text, settings.cfg)
+    return prompt.text
+
+
+def feedback_reward(
+    table: Table,
+    evidence: Evidence,
+    query: str,
+    reference: str,
+    mode: str,
+    feedbacker: GeneratorClient,
+    settings: RoleSettings = SEARCH_SETTINGS,
+    *,
+    prompt: str | None = None,
+    cached: str | None = None,
+) -> float:
+    """Score candidate evidence: summarize from it (`reward_prompt`) with
+    the feedbacker's `settings`, compare to the reference.
+
+    A caller that looked a batch of prompts up at once passes this one's
+    `prompt`, as `reward_prompt` built it, and `cached`, the text the
+    settings' cache held for it; a miss (None) is then generated and stored
+    without a second lookup.
+    """
+    if prompt is None:
+        prompt = reward_prompt(table, evidence, query, mode, settings)
+        output = cached_generate(feedbacker, settings.cache, prompt, settings.cfg)
+    elif cached is None:
+        output = _generate_and_store(feedbacker, settings.cache, prompt, settings.cfg)
+    else:
+        output = cached
     return eval_reward(output, reference)

@@ -6,7 +6,9 @@ Templates are plain text files with slot markers ({{TABLE}}, {{QUERY}},
 end. Rendering substitutes slots in one pass, then appends the completion
 (golden evidence or reference in training mode, nothing at inference), so
 an inference prompt always ends with "###Output\n". Every interpolated
-value has runs of '#' capped, which keeps "###Output" unique per prompt.
+value has runs of '#' capped at two, and so does a run that a value's first
+or last '#' forms with the '#' of the piece beside it (the template's own
+'#' are kept), which keeps "###Output" unique per prompt.
 
 Each template text is split around its slots once, and the split is
 memoised for a fixed number of recent texts. A prompt is then one join of
@@ -168,10 +170,42 @@ def format_evidence(evidence: Evidence) -> str:
 
 
 @lru_cache(maxsize=_SPLIT_TEMPLATES)
-def _template_pieces(text: str) -> tuple[str, ...]:
-    """A template's text split around its slots: literal text at even
-    positions, a slot name at each odd one."""
-    return tuple(_SLOT_RE.split(text))
+def _template_pieces(text: str) -> tuple[tuple[str, ...], bool]:
+    """A template's text split around its slots, literal text at even
+    positions and a slot name at each odd one; and whether a value's '#'
+    can run on into a neighbouring piece: a literal touches a slot with a
+    '#', or two slots are side by side. (The last literal ends the template
+    with a newline, so the completion after it starts no run.)"""
+    pieces = tuple(_SLOT_RE.split(text))
+    literals = pieces[::2]
+    seams = (
+        any(literal[-1:] == "#" for literal in literals[:-1])
+        or any(literal[:1] in ("#", "") for literal in literals[1:])
+    )
+    return pieces, seams
+
+
+def _join_at_seams(pieces: list[str]) -> str:
+    """`pieces` joined, where literal text sits at even positions and capped
+    values at odd ones, with every run of '#' that crosses a seam capped:
+    the run keeps the literal pieces' '#' and as many of the values' as keep
+    it within two."""
+    out: list[str] = []
+    own = added = 0  # the open run's '#': from literal pieces, from values
+    for k, piece in enumerate(pieces):
+        body = piece.lstrip("#")
+        if k % 2:
+            added += len(piece) - len(body)
+        else:
+            own += len(piece) - len(body)
+        if not body:
+            continue
+        out.append("#" * max(own, min(own + added, 2)))
+        rest = body.rstrip("#")
+        out.append(rest)
+        own, added = (0, len(body) - len(rest)) if k % 2 else (len(body) - len(rest), 0)
+    out.append("#" * max(own, min(own + added, 2)))
+    return "".join(out)
 
 
 def _assemble(
@@ -182,11 +216,12 @@ def _assemble(
     sample_id: str,
     token_budget: int,
 ) -> RenderedPrompt:
-    pieces = list(_template_pieces(template.text))
+    template_pieces, seams = _template_pieces(template.text)
+    pieces = list(template_pieces)
     for i in range(1, len(pieces), 2):
         pieces[i] = cap_hash_runs(values[pieces[i]])
     pieces.append(cap_hash_runs(completion))
-    text = "".join(pieces)
+    text = _join_at_seams(pieces) if seams else "".join(pieces)
     estimate = estimate_tokens(text)
     if estimate > token_budget:
         raise PromptTooLongError(estimate, token_budget)

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import json
 import random
+import sqlite3
+import tempfile
 import threading
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from tablehelm import feedback
+from tablehelm import evidence_lab, feedback
 from tablehelm.errors import (
     AuthError,
+    EndpointNotFoundError,
     MissingLabelError,
     NoTableFoundError,
     PromptTooLongError,
@@ -39,6 +44,7 @@ from tablehelm.feedback import (
     EchoClient,
     FixedClient,
     HttpClient,
+    ResponseCache,
     RoleSettings,
     echo_oracle_generate,
 )
@@ -257,6 +263,27 @@ class TestGreedySearch:
         assert transport.requests == 2 * n
         assert sleeps == [0.5] * n
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_404_ends_the_search_at_its_first_request(
+        self, champions_sample, tmp_path, cached
+    ):
+        transport = AlwaysStatusTransport(404)
+        client = HttpClient(
+            "https://api.test/v1/chat", "test-model", max_in_flight=1, transport=transport
+        )
+        role = RoleSettings(cache=ResponseCache(tmp_path) if cached else None)
+        with pytest.raises(EndpointNotFoundError, match="HTTP 404"):
+            greedy_search(champions_sample, client, settings=role)
+        assert transport.requests == 1
+        labeled = LabeledSample(
+            sample_id="champ-1", e_manual=Evidence((1,)), e_search=Evidence((2,))
+        )
+        with pytest.raises(EndpointNotFoundError):
+            merge_labels(labeled, champions_sample, client, settings=role)
+        with pytest.raises(EndpointNotFoundError):
+            distill_one(champions_sample, client, load_example_blocks(), settings=role)
+        assert transport.requests == 3
+
     def test_an_over_budget_prompt_is_rendered_once_per_candidate(
         self, champions_sample, monkeypatch
     ):
@@ -330,6 +357,23 @@ class TestFanOut:
             greedy_search(sample, client)
         # Singleton 1 plus the calls already running beside it; the rest of
         # the queue is cancelled.
+        assert client.calls <= 1 + width
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_404_stops_the_fan_out(self, tmp_path, cached):
+        sample, _ = support.planted_sample("fan-5", 12, 2, (3,), salt="q")
+        width = 3
+        client = JitteryClient(
+            width,
+            sample,
+            fail_rows=(1,),
+            error=EndpointNotFoundError,
+            instant_rows=(1,),
+            delay_s=(0.05, 0.05),
+        )
+        role = RoleSettings(cache=ResponseCache(tmp_path) if cached else None)
+        with pytest.raises(EndpointNotFoundError, match="on row 1$"):
+            greedy_search(sample, client, settings=role)
         assert client.calls <= 1 + width
 
     @pytest.mark.parametrize("seed", range(3))
@@ -713,3 +757,164 @@ def test_greedy_search_recovers_random_planted_subsets(rng_seed):
     assert evidence == planted
     assert reward == 1.0
     assert trace.oracle_calls == client.calls == 2 * sample.table.n_rows
+
+
+# ---------------------------------------------------- batched cache lookups
+# With a cache, phase 1 and the merge build their prompts first and look them
+# all up in one statement. The reference below is the path they took before:
+# one plain `feedback_reward` call per set, in order on one thread, each
+# looking its own prompt up. Everything else in the search is shared.
+
+
+def one_by_one(sample, sets, mode, feedbacker, role):
+    return [
+        evidence_lab._reward_or_error(sample, evidence, mode, feedbacker, role)
+        for evidence in sets
+    ]
+
+
+class WideEcho(EchoClient):
+    """The echo oracle with a `max_in_flight`, so that batches fan out."""
+
+    def __init__(self, width: int) -> None:
+        self.max_in_flight = width
+
+
+CACHE_MODES = ("none", "cold", "warm", "corrupt")
+
+# Few cell values in two columns, so that rows, and with them the singleton
+# prompts of a search, often repeat.
+_cells = st.sampled_from(["a", "b", "c d", "7"])
+_tables = st.lists(st.tuples(_cells, _cells), min_size=1, max_size=6).map(
+    lambda rows: Table(header=("h1", "h2"), rows=tuple(rows))
+)
+
+
+def _evidence_in(n_rows: int):
+    return st.sets(st.integers(1, n_rows), min_size=1).map(
+        lambda rows: Evidence(tuple(sorted(rows)))
+    )
+
+
+def _cache_rows(cache):
+    with sqlite3.connect(cache.path) as conn:
+        rows = sorted(conn.execute("SELECT key, CAST(text AS BLOB) FROM entries"))
+    conn.close()
+    return rows
+
+
+def _prepare(mode, directory, warm_up, damaged):
+    """A cache in `mode` (None for "none"), warmed by `warm_up(cache)` and,
+    for "corrupt", with the rows at the `damaged` positions of its key order
+    made a BLOB or text that is not UTF-8."""
+    if mode == "none":
+        return None
+    cache = ResponseCache(directory)
+    if mode in ("warm", "corrupt"):
+        warm_up(cache)
+    if mode == "corrupt":
+        keys = [key for key, _ in _cache_rows(cache)]
+        with sqlite3.connect(cache.path) as conn:
+            for position in damaged:
+                if position < len(keys):
+                    text = "X'00ff'" if position % 2 else "CAST(X'fffe' AS TEXT)"
+                    conn.execute(f"UPDATE entries SET text = {text} WHERE key = ?",
+                                 (keys[position],))
+        conn.close()
+    return cache
+
+
+def _differential(run, mode, width, damaged):
+    """`run(client, role)` with the batched lookups and with the reference,
+    each on its own cache prepared alike: (result, generator calls, cache
+    rows) of each."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in ("batched", "reference"):
+
+            def warm_up(cache):
+                with mock.patch.object(evidence_lab, "_evaluate_all", one_by_one):
+                    run(EchoClient(), RoleSettings(cache=cache))
+
+            cache = _prepare(mode, Path(tmp, side), warm_up, damaged)
+            client = CountingClient(WideEcho(width))
+            role = RoleSettings(cache=cache)
+            if side == "batched":
+                result = run(client, role)
+            else:
+                with mock.patch.object(evidence_lab, "_evaluate_all", one_by_one):
+                    result = run(client, role)
+            rows = None
+            if cache is not None:
+                cache.close()
+                rows = _cache_rows(cache)
+            outcomes.append((result, client.calls, rows))
+    return outcomes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    table=_tables,
+    data=st.data(),
+    mode=st.sampled_from(CACHE_MODES),
+    width=st.sampled_from([1, 3]),
+    damaged=st.sets(st.integers(0, 20), max_size=6),
+)
+def test_batched_lookups_search_as_the_one_by_one_path(table, data, mode, width, damaged):
+    reference_rows = data.draw(st.lists(st.integers(1, table.n_rows), max_size=3))
+    reference = " ".join(" ".join(table.rows[r - 1]) for r in reference_rows) or "a"
+    sample = Sample(id="diff", table=table, query="q?", reference=reference)
+
+    def run(client, role):
+        return greedy_search(sample, client, settings=role)
+
+    (got, got_calls, got_rows), (want, want_calls, want_rows) = _differential(
+        run, mode, width, damaged
+    )
+    assert got == want  # evidence, reward, and the whole trace
+    assert got_calls == want_calls
+    assert got_rows == want_rows
+    if mode == "warm":
+        assert got_calls == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    table=_tables,
+    data=st.data(),
+    mode=st.sampled_from(CACHE_MODES),
+    width=st.sampled_from([1, 3]),
+    damaged=st.sets(st.integers(0, 4), max_size=3),
+)
+def test_batched_lookups_merge_as_the_one_by_one_path(table, data, mode, width, damaged):
+    sources = data.draw(st.fixed_dictionaries({
+        "e_manual": _evidence_in(table.n_rows),
+        "e_distill": _evidence_in(table.n_rows),
+        "e_search": _evidence_in(table.n_rows),
+    }))
+    sample = Sample(id="diff", table=table, query="q?", reference=" ".join(table.rows[0]))
+
+    def run(client, role):
+        return merge_labels(LabeledSample(sample_id="diff", **sources), sample, client,
+                            settings=role)
+
+    (got, got_calls, got_rows), (want, want_calls, want_rows) = _differential(
+        run, mode, width, damaged
+    )
+    assert got == want
+    assert got_calls == want_calls
+    assert got_rows == want_rows
+
+
+def test_a_repeated_singleton_prompt_is_generated_once_per_cold_search(tmp_path):
+    table = Table(header=("h1", "h2"), rows=(("a", "b"),) * 4 + (("c", "d"),))
+    sample = Sample(id="dup", table=table, query="q?", reference="c d")
+    client = CountingClient(WideEcho(4))
+    evidence, reward, trace = greedy_search(
+        sample, client, settings=RoleSettings(cache=ResponseCache(tmp_path))
+    )
+    assert (evidence, reward) == (Evidence((5,)), 1.0)
+    assert trace.oracle_calls == 10
+    # Two distinct singleton prompts; then step {5} repeats singleton 5, and
+    # the steps {i, 5} for i = 1..4 all show the same two rows.
+    assert client.calls == 2 + 1

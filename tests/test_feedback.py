@@ -24,6 +24,7 @@ from tablehelm.cli import EXIT_BACKEND
 from tablehelm.errors import (
     AuthError,
     EmptyEvidenceError,
+    EndpointNotFoundError,
     MalformedResponseError,
     NoTableFoundError,
     RateLimitError,
@@ -43,6 +44,7 @@ from tablehelm.feedback import (
     echo_oracle_generate,
     feedback_reward,
 )
+from tablehelm.evidence_lab import greedy_search
 from tablehelm.table_core import Evidence, Table
 from tablehelm.transforms import subtable
 from tablehelm.prompting import build_summarizer_prompt
@@ -150,6 +152,19 @@ class LoneSurrogateHandler(RecordingHandler):
     def do_POST(self) -> None:
         self.rfile.read(int(self.headers.get("Content-Length", "0")))
         self._reply(200, b'{"choices": [{"message": {"content": "bad \\ud800 text"}}]}')
+
+
+class ChatPathHandler(RecordingHandler):
+    """Serves `/v1/chat` only: a POST to any other path gets a 404, as a
+    chat server answers a wrong path."""
+
+    def do_POST(self) -> None:
+        if self.path == "/v1/chat":
+            super().do_POST()
+            return
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.server.seen.append(("POST", self.path, None))
+        self._reply(404, b'{"error": "not found"}')
 
 
 class RecordingServer(ThreadingHTTPServer):
@@ -303,6 +318,13 @@ class TestHttpClient:
         client, transport, _ = make_http([reply(404)])
         with pytest.raises(TransportError, match="HTTP 404"):
             client.generate("p", SamplingConfig())
+        assert len(transport.requests) == 1
+
+    def test_other_client_errors_stay_per_prompt(self):
+        client, transport, _ = make_http([reply(400)])
+        with pytest.raises(TransportError) as excinfo:
+            client.generate("p", SamplingConfig())
+        assert not isinstance(excinfo.value, EndpointNotFoundError)
         assert len(transport.requests) == 1
 
     @pytest.mark.parametrize("status", [301, 302, 307, 308])
@@ -477,6 +499,39 @@ class TestHttpClientSession:
             with closing(sqlite3.connect(cache / ResponseCache.FILENAME)) as conn:
                 assert conn.execute("SELECT count(*) FROM entries").fetchone() == (2,)
             assert [path.name for path in cache.iterdir()] == [ResponseCache.FILENAME]
+
+    def test_a_404_comes_from_the_endpoint_for_every_prompt(self, plain_environment):
+        prompts = [f"prompt {i}" for i in range(4)]
+        with serving(handler=ChatPathHandler) as (server, base):
+            wrong = HttpClient(f"{base}/v1/chats", "m", max_attempts=3)
+            for prompt in prompts:
+                with pytest.raises(EndpointNotFoundError, match="HTTP 404") as excinfo:
+                    wrong.generate(prompt, SEARCH_SAMPLING)
+                assert isinstance(excinfo.value, TransportError)
+            right = HttpClient(f"{base}/v1/chat", "m")
+            assert [right.generate(p, SEARCH_SAMPLING) for p in prompts] == ["ok"] * 4
+        # One request per prompt: a 404 is never retried.
+        assert [path for _, path, _ in server.seen] == ["/v1/chats"] * 4 + ["/v1/chat"] * 4
+
+    def test_search_labels_against_a_404_sends_one_request(
+        self, plain_environment, tmp_path, capsys
+    ):
+        data = tmp_path / "data.jsonl"
+        support.write_dataset(
+            data, [support.planted_sample(f"s-{i}", 4, 2, (1,))[0] for i in (1, 2, 3)]
+        )
+        output = tmp_path / "labels.jsonl"
+        with serving(handler=ChatPathHandler) as (server, base):
+            code = cli.main([
+                "search-labels", str(data), str(output),
+                "--feedbacker-endpoint", f"{base}/v1/wrong",
+                "--workers", "1", "--max-in-flight", "1",
+            ])
+        stderr = capsys.readouterr().err
+        assert code == EXIT_BACKEND
+        assert "error: EndpointNotFoundError: HTTP 404" in stderr
+        assert len(server.seen) == 1
+        assert output.read_text("utf-8") == ""
 
     def test_the_request_on_the_wire_is_pinned(self, plain_environment):
         with serving() as (server, base):
@@ -672,6 +727,126 @@ class TestResponseCache:
         assert self.entries(cache) == [(ResponseCache.key("m", "p", cfg), "text")]
         assert cache.get("m", "p", cfg) is None
         assert self.entries(cache) == []
+
+    def fill(self, cache: ResponseCache, cfg: SamplingConfig, count: int) -> list[str]:
+        """`count` prompts, each stored with the text "text <i>"."""
+        prompts = [f"prompt {i}" for i in range(count)]
+        for i, prompt in enumerate(prompts):
+            cache.put("m", prompt, cfg, f"text {i}")
+        return prompts
+
+    # A BLOB comes back from the batched fetch and is evicted there; text
+    # that is not UTF-8 fails the fetch, which is then redone key by key.
+    @pytest.mark.parametrize(
+        "damage",
+        [("X'00ff'", "X'0102'"), ("CAST(X'fffe' AS TEXT)",) * 2, ("X'00ff'", "CAST(X'fffe' AS TEXT)")],
+    )
+    def test_a_corrupt_row_in_a_batch_is_evicted_and_the_other_hits_served(
+        self, tmp_path, caplog, damage
+    ):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        prompts = self.fill(cache, cfg, 5)
+        keys = [ResponseCache.key("m", prompt, cfg) for prompt in prompts]
+        with closing(sqlite3.connect(cache.path)) as conn, conn:
+            for position, text_sql in zip((1, 3), damage):
+                conn.execute(
+                    f"UPDATE entries SET text = {text_sql} WHERE key = ?", (keys[position],)
+                )
+        got = cache.get_many("m", prompts + ["unknown"], cfg)
+        assert got == ["text 0", None, "text 2", None, "text 4", None]
+        assert sorted(key for key, _ in self.entries(cache)) == sorted(
+            keys[i] for i in (0, 2, 4)
+        )
+        assert caplog.text.count("evicting corrupt cache entry") == 2
+        # The evicted prompts are regenerated and stored like any miss.
+        client = RecordingClient("fresh")
+        client.model_id = "m"
+        assert [cached_generate(client, cache, p, cfg) for p in prompts] == [
+            "text 0", "fresh", "text 2", "fresh", "text 4",
+        ]
+        assert [prompt for prompt, _ in client.seen] == [prompts[1], prompts[3]]
+        assert cache.get_many("m", prompts, cfg) == [
+            "text 0", "fresh", "text 2", "fresh", "text 4",
+        ]
+
+    @pytest.mark.parametrize("trouble", ["not a database", "a directory"])
+    def test_an_unreadable_database_is_one_warning_per_batch(
+        self, tmp_path, caplog, trouble
+    ):
+        cache = ResponseCache(tmp_path)
+        if trouble == "a directory":
+            cache.path.mkdir()
+        else:
+            cache.path.write_bytes(b"not a database\n" * 512)
+        prompts = [f"prompt {i}" for i in range(6)]
+        assert cache.get_many("m", prompts, SamplingConfig()) == [None] * 6
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "cache read failed, generating instead",
+        ]
+
+    def test_a_search_over_an_unreadable_database_generates_every_prompt(
+        self, tmp_path, caplog
+    ):
+        sample, planted = support.planted_sample("bad-db", 5, 2, (2, 4))
+        cache = ResponseCache(tmp_path)
+        cache.path.write_bytes(b"not a database\n" * 512)
+        client = CountingClient(EchoClient())
+        got = greedy_search(sample, client, settings=RoleSettings(cache=cache))
+        assert got == greedy_search(sample, EchoClient())
+        assert got[0] == planted
+        assert client.calls == 2 * 5
+        reads = [r for r in caplog.records if "cache read failed" in r.getMessage()]
+        # One for the five singletons, then one per accumulation step.
+        assert len(reads) == 1 + 5
+
+    def test_a_batch_past_the_parameter_limit_returns_every_hit(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        count = 2 * 999 + 5
+        with closing(sqlite3.connect(cache.path)) as conn, conn:
+            conn.execute(
+                "CREATE TABLE entries (key TEXT PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"
+            )
+            conn.executemany(
+                "INSERT INTO entries VALUES (?, ?)",
+                [(ResponseCache.key("m", f"prompt {i}", cfg), f"text {i}") for i in range(count)],
+            )
+        prompts = [f"prompt {i}" for i in range(count + 3)]
+        statements: list[str] = []
+        cache._use(lambda conn: conn.set_trace_callback(statements.append))
+        got = cache.get_many("m", prompts, cfg)
+        assert got == [f"text {i}" for i in range(count)] + [None] * 3
+        assert len(statements) == 3  # 999 + 999 + 8 keys
+
+    def test_get_and_get_many_agree(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        stored = self.fill(cache, cfg, 4)
+        prompts = [stored[2], "missing", stored[0], stored[2], "", stored[3]]
+        many = cache.get_many("m", prompts, cfg)
+        assert many == [cache.get("m", prompt, cfg) for prompt in prompts]
+        assert many == ["text 2", None, "text 0", "text 2", None, "text 3"]
+        assert cache.get_many("m", [], cfg) == []
+        assert cache.get_many("other", prompts, cfg) == [None] * len(prompts)
+
+    def test_a_warm_search_looks_its_singletons_up_in_one_statement(self, tmp_path):
+        sample, planted = support.planted_sample("one-statement", 6, 2, (1, 4), salt="s")
+        cache = ResponseCache(tmp_path)
+        settings = RoleSettings(cache=cache)
+        cold = greedy_search(sample, EchoClient(), settings=settings)
+        statements: list[str] = []
+        for conn in cache._idle:
+            conn.set_trace_callback(statements.append)
+        client = CountingClient(EchoClient())
+        warm = greedy_search(sample, client, settings=settings)
+        assert warm == cold and warm[0] == planted
+        assert client.calls == 0
+        steps = sum(1 for c in warm[2].candidates if c.phase == "accumulate")
+        assert steps == 6
+        assert len(statements) == 1 + steps
+        assert statements[0].partition(" IN (")[2].count(",") == 6 - 1  # six keys
+        assert all(sql.startswith("SELECT key, text FROM entries") for sql in statements)
 
     def test_a_blocked_cache_directory_is_a_logged_miss(self, tmp_path, caplog):
         blocker = tmp_path / "blocker"

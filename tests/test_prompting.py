@@ -364,19 +364,27 @@ def test_adversarial_queries_never_add_a_second_marker(query):
 
 
 # ------------------------------------------------ assembly by substitution
-# Prompt assembly as it was before each template was split once: one regex
-# substitution over the template text per prompt, every value capped first.
-# Values are not rescanned, so slot markers inside a value stay as they are.
+# Prompt assembly as one regex substitution over the template text per
+# prompt, every value capped first. Values are not rescanned, so slot
+# markers inside a value stay as they are. A value's '#' stands in as NUL
+# until the substitution is done; then every run of '#' that holds one keeps
+# the template's own '#' and as many of the values' as fit within two.
 
 _SLOT_RE = re.compile(r"\{\{(TABLE|QUERY|REFERENCE|EXAMPLES)\}\}")
+
+
+def _cap_seam_run(match: re.Match) -> str:
+    run = match.group()
+    return "#" * max(run.count("#"), min(len(run), 2))
 
 
 def assemble_by_substitution(
     template: PromptTemplate, values: dict[str, str], completion: str
 ) -> str:
-    safe = {slot: cap_hash_runs(value) for slot, value in values.items()}
+    safe = {slot: cap_hash_runs(value).replace("#", "\0") for slot, value in values.items()}
     head = _SLOT_RE.sub(lambda m: safe[m.group(1)], template.text)
-    return head + cap_hash_runs(completion)
+    text = head + cap_hash_runs(completion).replace("#", "\0")
+    return re.sub(r"[#\0]+", _cap_seam_run, text)
 
 
 # Hash runs below, at and over the cap, every slot marker, the output marker
@@ -388,12 +396,14 @@ _VALUE_PIECES = (
 _values = st.lists(st.sampled_from(_VALUE_PIECES), max_size=8).map("".join)
 
 # Each role's packaged template, and custom ones whose slots come in another
-# order, back to back, and at the very start and end of the head.
+# order, back to back, at the very start and end of the head, and beside a
+# literal '#'.
 _TEMPLATES = [load_template(role) for role in ROLES] + [
     PromptTemplate(name="summarizer", text="{{QUERY}}{{TABLE}}###Output"),
     PromptTemplate(
         name="distill", text="{{REFERENCE}}\n{{EXAMPLES}} {{QUERY}}|{{TABLE}}\n###Output\n"
     ),
+    PromptTemplate(name="summarizer", text="Q: #{{QUERY}}\n{{TABLE}}#\n###Output"),
 ]
 
 
@@ -411,11 +421,26 @@ def test_assemble_equals_substitution(data):
             _assemble(template, values, completion, template.name, "s", budget)
         assert (exc_info.value.estimate, exc_info.value.budget) == (estimate, budget)
     elif expected.count(OUTPUT_MARKER) != 1:
-        # Capped values side by side can still spell a marker ("#" then
-        # "##Output"); the prompt is refused, as it was.
+        # Only the template's own '#' can still spell a marker (an empty
+        # value between "#" and "##Output"); the prompt is refused.
         with pytest.raises(TemplateError):
             _assemble(template, values, completion, template.name, "s", budget)
     else:
         prompt = _assemble(template, values, completion, template.name, "s", budget)
         assert prompt.text == expected
         assert (prompt.role, prompt.sample_id) == (template.name, "s")
+
+
+def test_a_value_beside_a_template_hash_spells_no_second_marker():
+    template = PromptTemplate(name="summarizer", text="Q: #{{QUERY}}\n{{TABLE}}\n###Output")
+    table = Table(header=("a",), rows=(("b",),))
+    prompt = build_summarizer_prompt(table, None, "##Output", template=template)
+    assert prompt.text.count(OUTPUT_MARKER) == 1
+    assert prompt.text.startswith("Q: ##Output\n")
+
+
+def test_values_side_by_side_spell_no_second_marker():
+    template = PromptTemplate(name="summarizer", text="{{QUERY}}{{TABLE}}###Output")
+    values = {"QUERY": "#", "TABLE": "###Output"}
+    prompt = _assemble(template, values, "", "summarizer", "s", DEFAULT_TOKEN_BUDGET)
+    assert prompt.text == "##Output###Output\n"

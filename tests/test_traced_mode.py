@@ -119,3 +119,29 @@ def test_every_search_evaluation_passes_each_traced_hop(spans, tmp_path, capsys)
         if span[spans.NAME] in counts:
             counts[span[spans.NAME]] += 1
     assert counts == dict.fromkeys(SEARCH_HOPS, evaluations)
+
+
+def test_a_warm_search_passes_each_traced_hop_but_the_oracle(spans, tmp_path, capsys):
+    # With a warm cache the singletons' prompts are looked up in one batch,
+    # not through `ResponseCache.get`; each evaluation must still build its
+    # prompt and score its text through the traced names.
+    cache = str(tmp_path / "cache")
+    assert cli.main(["search-labels", str(TOY), str(tmp_path / "cold.jsonl"),
+                     "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        code = cli.main(["search-labels", str(TOY), str(tmp_path / "warm.jsonl"),
+                         "--cache-dir", cache])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    evaluations = int(re.search(r"oracle evaluations (\d+)", stdout).group(1))
+    assert evaluations == 86
+    counts = {name: 0 for name in SEARCH_HOPS}
+    for span in tracer.spans:
+        if span[spans.NAME] in counts:
+            counts[span[spans.NAME]] += 1
+    expected = dict.fromkeys(SEARCH_HOPS, evaluations)
+    expected["feedback.echo_oracle_generate"] = 0
+    assert counts == expected
+    assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
