@@ -59,6 +59,7 @@ from .feedback import (
     RoleSettings,
     SamplingConfig,
     cached_generate,
+    shown_rows,
 )
 from .metrics import corpus_evaluate
 from .prompting import (
@@ -175,7 +176,7 @@ def map_ordered(
 
     At most WINDOW_PER_WORKER * workers calls are queued or running at
     once; one more is submitted as each result is taken. Per-item
-    exceptions are yielded, not raised, except JOB_FATAL_ERRORS (auth, 404),
+    exceptions are yielded, not raised, except JOB_FATAL_ERRORS (auth, 404, 3xx),
     which abort the whole job: every subsequent call would fail identically,
     so nothing more is submitted, and a queued call that a worker takes up
     after the error returns at once, unrun, before it is cancelled.
@@ -421,9 +422,9 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
                 continue
             merged = replace(
                 merged,
-                e_search=record.e_search or merged.e_search,
-                e_distill=record.e_distill or merged.e_distill,
-                e_manual=record.e_manual or merged.e_manual,
+                e_search=merged.e_search if record.e_search is None else record.e_search,
+                e_distill=merged.e_distill if record.e_distill is None else record.e_distill,
+                e_manual=merged.e_manual if record.e_manual is None else record.e_manual,
                 flags=tuple(dict.fromkeys(merged.flags + record.flags)),
             )
         return merge_labels(merged, sample, feedbacker, settings=settings)
@@ -536,11 +537,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 flags.append("no-evidence")
         else:
             flags.append("no_highlight")
-        shown, marked = sample.table, None
-        if run.ablation == "subtab" and len(evidence) > 0:
-            shown = subtable(sample.table, evidence)
-        elif run.ablation == "full" and len(evidence) > 0:
-            marked = evidence
+        mode = "subtable" if run.ablation == "subtab" and evidence else "highlight"
+        shown, marked = shown_rows(sample.table, evidence, mode)
         s_prompt = build_summarizer_prompt(
             shown,
             marked,

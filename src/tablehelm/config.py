@@ -21,7 +21,7 @@ from typing import Mapping
 from .errors import SchemaError
 from .feedback import SamplingConfig
 
-__all__ = ["RunConfig", "build_config", "load_config_file", "ENV_PREFIX"]
+__all__ = ["RunConfig", "build_config", "ENV_PREFIX"]
 
 ENV_PREFIX = "HELM_"
 
@@ -152,13 +152,9 @@ def _coerce(key: str, raw: str) -> object:
     return raw
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse 'key = value' lines; '#' starts a comment, blanks are skipped."""
-    return {key: value for key, (value, _) in _read_config_file(path).items()}
-
-
 def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
-    """key -> (raw value, "<file>:<line>" it was read from)."""
+    """Parse 'key = value' lines ('#' starts a comment, blanks are skipped)
+    into key -> (raw value, "<file>:<line>" it was read from)."""
     values: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):

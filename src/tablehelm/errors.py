@@ -105,8 +105,9 @@ class TransportError(TableHelmError):
 
 
 class EndpointNotFoundError(TransportError):
-    """The endpoint answered 404: a wrong path or an unknown model. That
-    holds for every prompt, so it ends the whole job, as AuthError does."""
+    """The endpoint answered 404 (a wrong path or an unknown model) or a
+    redirect, which is never followed (a wrong URL). That holds for every
+    prompt, so it ends the whole job, as AuthError does."""
 
 
 class MalformedResponseError(TableHelmError):

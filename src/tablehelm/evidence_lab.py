@@ -11,17 +11,18 @@ it has none, as the offline clients do); their outcomes are tallied in row
 order, so the trace is the same as a serial search would make. The merge
 scores its distinct candidate sets the same way.
 
-With a response cache, the singletons' prompts (and the merge's) are built
-first and looked up with one cache statement; only the misses are
+The singletons' prompts (and the merge's) are always built first and, with
+a response cache, looked up with one cache statement; only the misses are
 generated, and stored. Each accumulation step depends on the last, so it
-looks its one prompt up on its own. Cache trouble during a batched lookup
-makes the whole batch a miss, with one logged warning.
+builds and looks up its one prompt on its own. Cache trouble during a
+batched lookup makes the whole batch a miss, with one logged warning.
 
 Each candidate is evaluated once. Retrying transient backend failures is
 the HTTP client's job, within its `max_attempts`; a candidate whose call
 still fails, or whose prompt is over the token budget, is skipped with a
-"skipped:" note in the trace and never evaluated again. An auth failure or
-a 404 is not skipped: it ends the search, as it would every later call.
+"skipped:" note in the trace and never evaluated again. An auth failure, a
+404 or a redirect is not skipped: it ends the search, as it would every
+later call.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ __all__ = [
 ]
 
 # Failures that disqualify one candidate without sinking the whole search.
-# JOB_FATAL_ERRORS (auth, 404) are not, although a 404 is a TransportError:
-# every later call would fail the same way.
+# JOB_FATAL_ERRORS (auth, 404, 3xx) are not, although a 404 or a 3xx is a
+# TransportError: every later call would fail the same way.
 _SKIPPABLE_ERRORS = (
     RateLimitError,
     TransportError,
@@ -146,19 +147,15 @@ def _evaluate_all(
     """`_reward_or_error` of each of `sets`, in order, up to the
     feedbacker's `max_in_flight` at once.
 
-    With a cache, every prompt is built first (`reward_prompt`; a skippable
-    failure there is that set's outcome) and the prompts are looked up with
-    one statement; each evaluation then gets its prompt and what was found.
-    A prompt that repeats an earlier one waits for a later round, looked up
-    after the earlier one was stored, so it is generated no more often than
-    in a serial search.
+    Every prompt is built first (`reward_prompt`; a skippable failure there
+    is that set's outcome) and the prompts are looked up in the settings'
+    cache with one statement (with no cache, all are misses); each
+    evaluation then gets its prompt and what was found. A prompt that
+    repeats an earlier one waits for a later round, looked up after the
+    earlier one was stored, so it is generated no more often than in a
+    serial search.
     """
     width = getattr(feedbacker, "max_in_flight", 1)
-    cache = settings.cache
-    if cache is None:
-        return _map_in_order(
-            lambda ev: _reward_or_error(sample, ev, mode, feedbacker, settings), sets, width
-        )
     outcomes: list[float | Exception] = [0.0] * len(sets)
     prompts: dict[int, str] = {}
     rounds: list[list[int]] = []
@@ -181,7 +178,7 @@ def _evaluate_all(
         return _reward_or_error(sample, sets[i], mode, feedbacker, settings, prompts[i], text)
 
     for batch in rounds:
-        found = cached_texts(feedbacker, cache, [prompts[i] for i in batch], settings.cfg)
+        found = cached_texts(feedbacker, settings.cache, [prompts[i] for i in batch], settings.cfg)
         for i, outcome in zip(batch, _map_in_order(evaluate, list(zip(batch, found)), width)):
             outcomes[i] = outcome
     return outcomes

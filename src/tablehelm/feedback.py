@@ -37,7 +37,6 @@ from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .errors import (
     AuthError,
-    EmptyEvidenceError,
     EndpointNotFoundError,
     MalformedResponseError,
     NoTableFoundError,
@@ -66,6 +65,7 @@ __all__ = [
     "echo_oracle_generate",
     "feedback_reward",
     "reward_prompt",
+    "shown_rows",
 ]
 
 logger = logging.getLogger(__name__)
@@ -233,9 +233,9 @@ class HttpClient:
 
     This is the only layer that retries. Transient failures (connection
     errors, 429, 5xx) are retried up to `max_attempts` times with
-    exponential backoff, then raised; auth and other 4xx failures, and
-    redirects (3xx, not followed), are raised at once. A 404 raises
-    `EndpointNotFoundError`, which ends the job: the path or the model is
+    exponential backoff, then raised; auth and other 4xx failures are
+    raised at once. A 404, or a redirect (3xx, never followed), raises
+    `EndpointNotFoundError`, which ends the job: the URL or the model is
     wrong for every prompt. A semaphore bounds
     concurrent in-flight requests, and so open connections, to
     `max_in_flight`, which also bounds how many evaluations one label
@@ -328,8 +328,8 @@ class HttpClient:
             logger.debug("prompt %s attempt %d: HTTP %d", digest, attempt, status)
             if status in (401, 403):
                 raise AuthError(f"HTTP {status} from {self.endpoint}")
-            if status == 404:
-                raise EndpointNotFoundError(f"HTTP 404 from {self.endpoint}")
+            if status == 404 or 300 <= status < 400:
+                raise EndpointNotFoundError(f"HTTP {status} from {self.endpoint}")
             if status == 429:
                 last_transient = "HTTP 429"
                 rate_limited = True
@@ -431,8 +431,12 @@ def _key_frame(model_id: str, cfg: SamplingConfig, reprs: tuple[str, ...]) -> tu
 
 @lru_cache(maxsize=64)
 def _select_keys(count: int) -> str:
-    """The statement that reads the entries of `count` keys."""
-    return f"SELECT key, text FROM entries WHERE key IN ({', '.join('?' * count)})"
+    """The statement that reads the entries of `count` keys: each text as
+    its stored bytes, and the type it is stored as."""
+    return (
+        "SELECT key, CAST(text AS BLOB), typeof(text) FROM entries"
+        f" WHERE key IN ({', '.join('?' * count)})"
+    )
 
 
 class ResponseCache:
@@ -451,12 +455,14 @@ class ResponseCache:
     SQLite checkpoints the WAL and removes the `-wal` and `-shm` files.
     Per-entry JSON files of older versions are not read: they are misses.
 
+    Every read is one statement shape (`_select_keys`), through `_read`:
     `get_many` looks a batch of prompts up with one statement (one per
-    `_MAX_PARAMS` prompts), and `get` is a batch of one. Cache trouble
-    is never fatal: a `sqlite3.Error` or `OSError` makes every prompt of the
-    batch a miss, with one logged warning, and is a logged warning on `put`;
-    an entry whose text is not a string (or not UTF-8) is evicted and is a
-    miss.
+    `_MAX_PARAMS` prompts), and `get` is a batch of one. Each row comes back as its stored bytes
+    and type, decoded here. Cache trouble is never fatal: a `sqlite3.Error`
+    or `OSError` makes every prompt of the batch a miss, with one logged
+    warning, and is a logged warning on `put`; an entry whose text is not
+    stored as TEXT (a BLOB, INTEGER or REAL) or is not UTF-8 is evicted and
+    is a miss.
     """
 
     FILENAME = "responses.sqlite3"
@@ -485,7 +491,6 @@ class ResponseCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
         try:
-            conn.text_factory = bytes.decode  # strict UTF-8: a bad entry raises
             conn.execute("PRAGMA synchronous = NORMAL")
             conn.execute(f"PRAGMA cache_size = {_CACHE_PAGES}")
             if not self._set_up:
@@ -523,56 +528,42 @@ class ResponseCache:
         conn.execute("DELETE FROM entries WHERE key = ?", (key,))
 
     @classmethod
-    def _lookup(cls, conn: sqlite3.Connection, key: str) -> str | None:
-        try:
-            row = conn.execute("SELECT text FROM entries WHERE key = ?", (key,)).fetchone()
-            if row is None:
-                return None
-            if isinstance(row[0], str):
-                return row[0]
-        except UnicodeDecodeError:
-            pass
-        cls._evict(conn, key)
-        return None
-
-    @classmethod
     def _lookup_many(cls, conn: sqlite3.Connection, keys: list[str]) -> dict[str, str]:
         """The text of each of `keys` that has a good entry, read with one
-        statement per `_MAX_PARAMS` keys. A corrupt entry is evicted and left
-        out. Text that is not UTF-8 fails the whole fetch without naming its
-        row, so that chunk is read again key by key (`_lookup`)."""
+        statement per `_MAX_PARAMS` keys. An entry whose text is not stored
+        as TEXT, or is not UTF-8, is evicted and left out."""
         found: dict[str, str] = {}
         for start in range(0, len(keys), _MAX_PARAMS):
             chunk = keys[start : start + _MAX_PARAMS]
-            try:
-                rows = conn.execute(_select_keys(len(chunk)), chunk).fetchall()
-            except UnicodeDecodeError:
-                for key in chunk:
-                    text = cls._lookup(conn, key)
-                    if text is not None:
-                        found[key] = text
-                continue
-            for key, text in rows:
-                if isinstance(text, str):
-                    found[key] = text
-                else:
-                    cls._evict(conn, key)
+            for key, raw, kind in conn.execute(_select_keys(len(chunk)), chunk).fetchall():
+                if kind == "text":
+                    try:
+                        found[key] = raw.decode("utf-8")
+                        continue
+                    except UnicodeDecodeError:
+                        pass
+                cls._evict(conn, key)
         return found
 
+    def _read(self, keys: list[str]) -> dict[str, str]:
+        """The text of each of `keys` with a good entry (`_lookup_many`);
+        none, with one logged warning, on cache trouble."""
+        try:
+            return self._use(lambda conn: self._lookup_many(conn, keys))
+        except (sqlite3.Error, OSError) as exc:
+            logger.warning("cache read failed, generating instead: %s", exc)
+            return {}
+
     def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
-        return self.get_many(model_id, [prompt], cfg)[0]
+        key = self.key(model_id, prompt, cfg)
+        return self._read([key]).get(key)
 
     def get_many(
         self, model_id: str, prompts: list[str], cfg: SamplingConfig
     ) -> list[str | None]:
         """The cached text of each prompt, None for a miss, in order."""
         keys = [self.key(model_id, prompt, cfg) for prompt in prompts]
-        try:
-            found = self._use(lambda conn: self._lookup_many(conn, keys))
-        except (sqlite3.Error, OSError) as exc:
-            logger.warning("cache read failed, generating instead: %s", exc)
-            return [None] * len(keys)
-        return list(map(found.get, keys))
+        return list(map(self._read(keys).get, keys))
 
     def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
         key = self.key(model_id, prompt, cfg)
@@ -612,12 +603,15 @@ def cached_generate(
 
 def cached_texts(
     client: GeneratorClient,
-    cache: ResponseCache,
+    cache: ResponseCache | None,
     prompts: list[str],
     cfg: SamplingConfig,
 ) -> list[str | None]:
     """What `cache` holds for each of `prompts` from `client`, None for a
-    miss, looked up together (`ResponseCache.get_many`)."""
+    miss, looked up together (`ResponseCache.get_many`). With no cache,
+    every prompt is a miss and nothing is looked up."""
+    if cache is None:
+        return [None] * len(prompts)
     return cache.get_many(_cache_identity(client), prompts, cfg)
 
 
@@ -656,6 +650,19 @@ class RoleSettings:
 SEARCH_SETTINGS = RoleSettings()
 
 
+def shown_rows(table: Table, evidence: Evidence, mode: str) -> tuple[Table, Evidence | None]:
+    """The table a summarizer prompt shows for `evidence`, and the rows it
+    stars. "subtable" mode shows only the evidence rows (and requires at
+    least one), unstarred; "highlight" mode shows the whole table with the
+    evidence rows starred, which with empty evidence is the unmarked table.
+    """
+    if mode == "subtable":
+        return subtable(table, evidence), None
+    if mode != "highlight":
+        raise ValueError(f"mode must be one of {REWARD_MODES}, got {mode!r}")
+    return table, evidence or None
+
+
 def reward_prompt(
     table: Table,
     evidence: Evidence,
@@ -663,20 +670,10 @@ def reward_prompt(
     mode: str,
     settings: RoleSettings = SEARCH_SETTINGS,
 ) -> str:
-    """The summarizer prompt that `feedback_reward` scores `evidence` by,
-    built with the template and token budget of `settings`.
-
-    "subtable" mode keeps only the evidence rows (and requires at least one);
-    "highlight" mode shows the whole table with evidence rows starred, which
-    with empty evidence degrades to the unmarked table.
-    """
-    if mode not in REWARD_MODES:
-        raise ValueError(f"mode must be one of {REWARD_MODES}, got {mode!r}")
-    shown, marked = table, evidence
-    if mode == "subtable":
-        if len(evidence) == 0:
-            raise EmptyEvidenceError("subtable mode needs at least one evidence row")
-        shown, marked = subtable(table, evidence), None
+    """The summarizer prompt that `feedback_reward` scores `evidence` by, in
+    `mode` ("subtable" or "highlight", see `shown_rows`), built with the
+    template and token budget of `settings`."""
+    shown, marked = shown_rows(table, evidence, mode)
     prompt = build_summarizer_prompt(
         shown, marked, query, template=settings.template, token_budget=settings.token_budget
     )

@@ -862,6 +862,28 @@ class TestMergeLabels:
         merged = load_labels(out)
         assert merged["cli-1"].e_search == first_planted
 
+    def test_a_present_empty_label_competes(self, tmp_path, capsys):
+        search_file = tmp_path / "search.jsonl"
+        distill_file = tmp_path / "distill.jsonl"
+        support.save_labels(
+            search_file, [LabeledSample(sample_id="toy-01", e_search=Evidence((1,)))]
+        )
+        support.save_labels(
+            distill_file, [LabeledSample(sample_id="toy-01", e_distill=Evidence(()))]
+        )
+        data = tmp_path / "toy-01.jsonl"
+        data.write_bytes(TOY.read_bytes().splitlines(keepends=True)[0])
+        out = tmp_path / "merged.jsonl"
+        code, stdout, _ = run_cli(
+            ["merge-labels", data, out, "--labels", search_file, "--labels", distill_file], capsys
+        )
+        assert code == EXIT_OK
+        assert stdout.strip() == "merged 1/1 samples (0 skipped); generator calls 2"
+        merged = load_labels(out)["toy-01"]
+        assert merged.e_distill == Evidence(())
+        assert [name for name, _ in merged.merge_rewards] == ["distill", "search"]
+        assert merged.e_merge == Evidence((1,))
+
     def test_without_any_label_source_exits_partial(self, tmp_path, capsys):
         sample, _ = support.planted_sample("nl-1", 3, 2, (1,))
         data = tmp_path / "data.jsonl"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tablehelm.config import ENV_PREFIX, RunConfig, build_config, load_config_file
+from tablehelm.config import ENV_PREFIX, RunConfig, build_config
 from tablehelm.errors import SchemaError
 from tablehelm.feedback import SamplingConfig
 
@@ -50,22 +50,19 @@ class TestConfigFile:
             "timeout =  7.5\n",
             encoding="utf-8",
         )
-        assert load_config_file(path) == {
-            "workers": "2",
-            "ablation": "no_highlight",
-            "timeout": "7.5",
-        }
+        cfg = build_config(path, {})
+        assert (cfg.workers, cfg.ablation, cfg.timeout) == (2, "no_highlight", 7.5)
 
     def test_value_may_contain_equals_signs(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("cache_dir = /tmp/a=b=c\n", encoding="utf-8")
-        assert load_config_file(path) == {"cache_dir": "/tmp/a=b=c"}
+        assert build_config(path, {}).cache_dir == "/tmp/a=b=c"
 
     def test_unknown_key_is_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("worker_count = 2\n", encoding="utf-8")
         with pytest.raises(SchemaError) as exc_info:
-            load_config_file(path)
+            build_config(path, {})
         assert exc_info.value.field == "worker_count"
         assert str(exc_info.value) == f"{path}:1: worker_count: unknown config key"
 
@@ -73,7 +70,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("just some words\n", encoding="utf-8")
         with pytest.raises(SchemaError) as exc_info:
-            load_config_file(path)
+            build_config(path, {})
         assert exc_info.value.field == "config"
         assert "1" in str(exc_info.value)
 

@@ -44,7 +44,7 @@ from tablehelm.feedback import (
     echo_oracle_generate,
     feedback_reward,
 )
-from tablehelm.evidence_lab import greedy_search
+from tablehelm.evidence_lab import LabeledSample, greedy_search, merge_labels
 from tablehelm.table_core import Evidence, Table
 from tablehelm.transforms import subtable
 from tablehelm.prompting import build_summarizer_prompt
@@ -165,6 +165,16 @@ class ChatPathHandler(RecordingHandler):
         self.rfile.read(int(self.headers.get("Content-Length", "0")))
         self.server.seen.append(("POST", self.path, None))
         self._reply(404, b'{"error": "not found"}')
+
+
+class MovedHandler(RecordingHandler):
+    """Answers every POST with a 301 to another path."""
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.server.seen.append(("POST", self.path, None))
+        head = "HTTP/1.1 301 X\r\nLocation: /v1/moved\r\nContent-Length: 0\r\n\r\n"
+        self.wfile.write(head.encode("ascii"))
 
 
 class RecordingServer(ThreadingHTTPServer):
@@ -533,6 +543,27 @@ class TestHttpClientSession:
         assert len(server.seen) == 1
         assert output.read_text("utf-8") == ""
 
+    def test_search_labels_against_a_redirect_sends_one_request(
+        self, plain_environment, tmp_path, capsys
+    ):
+        data = tmp_path / "data.jsonl"
+        support.write_dataset(
+            data, [support.planted_sample(f"s-{i}", 4, 2, (1,))[0] for i in (1, 2, 3)]
+        )
+        output = tmp_path / "labels.jsonl"
+        with serving(handler=MovedHandler) as (server, base):
+            code = cli.main([
+                "search-labels", str(data), str(output),
+                "--feedbacker-endpoint", f"{base}/v1/chat",
+                "--workers", "1", "--max-in-flight", "1",
+            ])
+        stderr = capsys.readouterr().err
+        assert code == EXIT_BACKEND
+        assert "error: EndpointNotFoundError: HTTP 301" in stderr
+        assert "failed" not in stderr
+        assert len(server.seen) == 1
+        assert output.read_text("utf-8") == ""
+
     def test_the_request_on_the_wire_is_pinned(self, plain_environment):
         with serving() as (server, base):
             client = HttpClient(f"{base}/v1/chat", "m", api_key="KEY")
@@ -735,16 +766,25 @@ class TestResponseCache:
             cache.put("m", prompt, cfg, f"text {i}")
         return prompts
 
-    # A BLOB comes back from the batched fetch and is evicted there; text
-    # that is not UTF-8 fails the fetch, which is then redone key by key.
+    # Every row of the batch comes back as its bytes and stored type: one not
+    # stored as TEXT (a BLOB, an INTEGER, a REAL), or not UTF-8, is evicted.
+    # The text column is made without a type, as another program sharing the
+    # file could make it, so that it keeps numbers as numbers.
     @pytest.mark.parametrize(
         "damage",
-        [("X'00ff'", "X'0102'"), ("CAST(X'fffe' AS TEXT)",) * 2, ("X'00ff'", "CAST(X'fffe' AS TEXT)")],
+        [
+            ("X'00ff'", "X'0102'"),
+            ("CAST(X'fffe' AS TEXT)",) * 2,
+            ("X'00ff'", "CAST(X'fffe' AS TEXT)"),
+            ("42", "1.5"),
+        ],
     )
     def test_a_corrupt_row_in_a_batch_is_evicted_and_the_other_hits_served(
         self, tmp_path, caplog, damage
     ):
         cache = ResponseCache(tmp_path)
+        with closing(sqlite3.connect(cache.path)) as conn:
+            conn.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, text NOT NULL) WITHOUT ROWID")
         cfg = SamplingConfig()
         prompts = self.fill(cache, cfg, 5)
         keys = [ResponseCache.key("m", prompt, cfg) for prompt in prompts]
@@ -846,7 +886,28 @@ class TestResponseCache:
         assert steps == 6
         assert len(statements) == 1 + steps
         assert statements[0].partition(" IN (")[2].count(",") == 6 - 1  # six keys
-        assert all(sql.startswith("SELECT key, text FROM entries") for sql in statements)
+        assert all(
+            sql.startswith("SELECT key, CAST(text AS BLOB), typeof(text) FROM entries")
+            for sql in statements
+        )
+
+    def test_a_warm_merge_looks_its_distinct_sets_up_in_one_statement(self, tmp_path):
+        sample, planted = support.planted_sample("merge-statement", 6, 2, (1, 4), salt="m")
+        labeled = LabeledSample(
+            sample_id=sample.id, e_search=planted, e_distill=Evidence((2,)), e_manual=planted
+        )
+        cache = ResponseCache(tmp_path)
+        settings = RoleSettings(cache=cache)
+        cold = merge_labels(labeled, sample, EchoClient(), settings=settings)
+        statements: list[str] = []
+        for conn in cache._idle:
+            conn.set_trace_callback(statements.append)
+        client = CountingClient(EchoClient())
+        warm = merge_labels(labeled, sample, client, settings=settings)
+        assert warm == cold and warm.e_merge == planted
+        assert client.calls == 0
+        assert len(statements) == 1
+        assert statements[0].partition(" IN (")[2].count(",") == 2 - 1  # two distinct sets
 
     def test_a_blocked_cache_directory_is_a_logged_miss(self, tmp_path, caplog):
         blocker = tmp_path / "blocker"
