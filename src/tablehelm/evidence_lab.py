@@ -11,11 +11,13 @@ it has none, as the offline clients do); their outcomes are tallied in row
 order, so the trace is the same as a serial search would make. The merge
 scores its distinct candidate sets the same way.
 
-The singletons' prompts (and the merge's) are always built first and, with
-a response cache, looked up with one cache statement; only the misses are
-generated, and stored. Each accumulation step depends on the last, so it
-builds and looks up its one prompt on its own. Cache trouble during a
-batched lookup makes the whole batch a miss, with one logged warning.
+A search or a merge renders its table once (`transforms.render_table`) and
+joins every candidate's prompt from that rendering. The singletons' prompts
+(and the merge's) are always built first and, with a response cache, looked
+up with one cache statement; only the misses are generated, and stored.
+Each accumulation step depends on the last, so it builds and looks up its
+one prompt on its own. Cache trouble during a batched lookup makes the
+whole batch a miss, with one logged warning.
 
 Each candidate is evaluated once. Retrying transient backend failures is
 the HTTP client's job, within its `max_attempts`; a candidate whose call
@@ -63,6 +65,7 @@ from .prompting import (
     parse_evidence_output,
 )
 from .table_core import Dataset, Evidence, Sample, read_records
+from .transforms import TableRendering, render_table
 
 __all__ = [
     "LabeledSample",
@@ -121,6 +124,7 @@ def _reward_or_error(
     mode: str,
     feedbacker: GeneratorClient,
     settings: RoleSettings,
+    rendering: TableRendering,
     prompt: str | None = None,
     cached: str | None = None,
 ) -> float | Exception:
@@ -129,7 +133,7 @@ def _reward_or_error(
     try:
         return feedback_reward(
             sample.table, evidence, sample.query, sample.reference, mode,
-            feedbacker, settings, prompt=prompt, cached=cached,
+            feedbacker, settings, rendering=rendering, prompt=prompt, cached=cached,
         )
     except JOB_FATAL_ERRORS:
         raise
@@ -143,17 +147,18 @@ def _evaluate_all(
     mode: str,
     feedbacker: GeneratorClient,
     settings: RoleSettings,
+    rendering: TableRendering,
 ) -> list[float | Exception]:
     """`_reward_or_error` of each of `sets`, in order, up to the
     feedbacker's `max_in_flight` at once.
 
-    Every prompt is built first (`reward_prompt`; a skippable failure there
-    is that set's outcome) and the prompts are looked up in the settings'
-    cache with one statement (with no cache, all are misses); each
-    evaluation then gets its prompt and what was found. A prompt that
-    repeats an earlier one waits for a later round, looked up after the
-    earlier one was stored, so it is generated no more often than in a
-    serial search.
+    Every prompt is joined from the table's `rendering` first
+    (`reward_prompt`; a skippable failure there is that set's outcome) and
+    the prompts are looked up in the settings' cache with one statement;
+    each evaluation then gets its prompt and what was found. With a cache, a
+    prompt that repeats an earlier one waits for a later round, looked up
+    after the earlier one was stored, so it is generated no more often than
+    in a serial search; with none, it runs beside the one it repeats.
     """
     width = getattr(feedbacker, "max_in_flight", 1)
     outcomes: list[float | Exception] = [0.0] * len(sets)
@@ -162,12 +167,12 @@ def _evaluate_all(
     repeats: dict[str, int] = {}
     for i, evidence in enumerate(sets):
         try:
-            prompt = reward_prompt(sample.table, evidence, sample.query, mode, settings)
+            prompt = reward_prompt(rendering, evidence, sample.query, mode, settings)
         except _SKIPPABLE_ERRORS as exc:
             outcomes[i] = exc
             continue
         prompts[i] = prompt
-        seen = repeats.get(prompt, 0)
+        seen = repeats.get(prompt, 0) if settings.cache is not None else 0
         repeats[prompt] = seen + 1
         if seen == len(rounds):
             rounds.append([])
@@ -175,7 +180,9 @@ def _evaluate_all(
 
     def evaluate(job: tuple[int, str | None]) -> float | Exception:
         i, text = job
-        return _reward_or_error(sample, sets[i], mode, feedbacker, settings, prompts[i], text)
+        return _reward_or_error(
+            sample, sets[i], mode, feedbacker, settings, rendering, prompts[i], text
+        )
 
     for batch in rounds:
         found = cached_texts(feedbacker, settings.cache, [prompts[i] for i in batch], settings.cfg)
@@ -268,8 +275,9 @@ def greedy_search(
         calls += 1
         return outcome, ""
 
+    rendering = render_table(sample.table)
     singletons = [Evidence((i,)) for i in range(1, n + 1)]
-    outcomes = _evaluate_all(sample, singletons, "subtable", feedbacker, settings)
+    outcomes = _evaluate_all(sample, singletons, "subtable", feedbacker, settings, rendering)
     singles: list[tuple[float, int]] = []
     for i, (evidence, outcome) in enumerate(zip(singletons, outcomes), start=1):
         reward, note = tally(outcome)
@@ -287,9 +295,9 @@ def greedy_search(
         if step_cap is not None and accepted_count >= step_cap:
             flags.append("step_cap_reached")
             break
-        evidence = Evidence(tuple(sorted(set(held) | {row})))
+        evidence = Evidence(tuple(sorted(held + (row,))))
         reward, note = tally(
-            _reward_or_error(sample, evidence, "subtable", feedbacker, settings)
+            _reward_or_error(sample, evidence, "subtable", feedbacker, settings, rendering)
         )
         accepted = reward is not None and reward > held_reward
         candidates.append(SearchCandidate(evidence, reward, "accumulate", accepted, note))
@@ -333,13 +341,14 @@ def exhaustive_search(
             itertools.combinations(range(1, n + 1), size) for size in range(1, n + 1)
         )
     )
+    rendering = render_table(sample.table)
     best_evidence: Evidence | None = None
     best_reward = -1.0
     for indices in subsets:
         evidence = Evidence(indices)
         reward = feedback_reward(
             sample.table, evidence, sample.query, sample.reference, "subtable",
-            feedbacker, settings,
+            feedbacker, settings, rendering=rendering,
         )
         if reward > best_reward:
             best_evidence, best_reward = evidence, reward
@@ -405,7 +414,8 @@ def merge_labels(
         return replace(labeled, e_merge=evidence)
 
     sets = list(dict.fromkeys(candidates.values()))
-    outcomes = _evaluate_all(sample, sets, "highlight", feedbacker, settings)
+    rendering = render_table(sample.table)
+    outcomes = _evaluate_all(sample, sets, "highlight", feedbacker, settings, rendering)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -8,7 +8,9 @@ A content-addressed cache in one SQLite file can wrap any of them.
 `RoleSettings` bundles what one model role generates with: cache, decoding
 settings, template and token budget. `feedback_reward` composes prompt
 construction, generation, and scoring into the scalar signal the evidence
-search consumes.
+search consumes; `reward_prompt` joins each candidate's prompt from the
+table's rendering (`transforms.render_table`), which a search or a merge
+builds once.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from .errors import (
     TransportError,
 )
 from .metrics import eval_reward
-from .prompting import DEFAULT_TOKEN_BUDGET, PromptTemplate, build_summarizer_prompt
+from .prompting import DEFAULT_TOKEN_BUDGET, PromptTemplate, summarizer_prompt_from_text
+from .prompting import build_summarizer_prompt  # not called; benchmark/spans.py wraps it
 from .table_core import Evidence, Table
-from .transforms import parse_row_lines, subtable
+from .transforms import TableRendering, parse_row_lines, render_table, subtable
 
 __all__ = [
     "SamplingConfig",
@@ -664,18 +667,24 @@ def shown_rows(table: Table, evidence: Evidence, mode: str) -> tuple[Table, Evid
 
 
 def reward_prompt(
-    table: Table,
+    rendering: TableRendering,
     evidence: Evidence,
     query: str,
     mode: str,
     settings: RoleSettings = SEARCH_SETTINGS,
 ) -> str:
     """The summarizer prompt that `feedback_reward` scores `evidence` by, in
-    `mode` ("subtable" or "highlight", see `shown_rows`), built with the
-    template and token budget of `settings`."""
-    shown, marked = shown_rows(table, evidence, mode)
-    prompt = build_summarizer_prompt(
-        shown, marked, query, template=settings.template, token_budget=settings.token_budget
+    `mode` ("subtable" or "highlight", see `shown_rows`), joined from the
+    table's `rendering` with the template and token budget of `settings`:
+    `build_summarizer_prompt` of the shown table, with the same errors."""
+    if mode == "subtable":
+        text = rendering.subtable_text(evidence)
+    elif mode == "highlight":
+        text = rendering.highlight_text(evidence)
+    else:
+        raise ValueError(f"mode must be one of {REWARD_MODES}, got {mode!r}")
+    prompt = summarizer_prompt_from_text(
+        text, query, template=settings.template, token_budget=settings.token_budget
     )
     return prompt.text
 
@@ -689,19 +698,23 @@ def feedback_reward(
     feedbacker: GeneratorClient,
     settings: RoleSettings = SEARCH_SETTINGS,
     *,
+    rendering: TableRendering | None = None,
     prompt: str | None = None,
     cached: str | None = None,
 ) -> float:
     """Score candidate evidence: summarize from it (`reward_prompt`) with
     the feedbacker's `settings`, compare to the reference.
 
-    A caller that looked a batch of prompts up at once passes this one's
-    `prompt`, as `reward_prompt` built it, and `cached`, the text the
-    settings' cache held for it; a miss (None) is then generated and stored
-    without a second lookup.
+    A caller that scores many candidates of one table passes its
+    `rendering` (`render_table`), built once. A caller that looked a batch
+    of prompts up at once passes this one's `prompt`, as `reward_prompt`
+    built it, and `cached`, the text the settings' cache held for it; a miss
+    (None) is then generated and stored without a second lookup.
     """
     if prompt is None:
-        prompt = reward_prompt(table, evidence, query, mode, settings)
+        if rendering is None:
+            rendering = render_table(table)
+        prompt = reward_prompt(rendering, evidence, query, mode, settings)
         output = cached_generate(feedbacker, settings.cache, prompt, settings.cfg)
     elif cached is None:
         output = _generate_and_store(feedbacker, settings.cache, prompt, settings.cfg)

@@ -15,6 +15,9 @@ prepared once: its tokens are counted into n-grams per order on first use,
 and the result is memoised for the last `_PREPARED_REFERENCES` distinct
 (reference, order) pairs, a fixed bound, so memory does not grow with the
 dataset. Scores are the same as counting the reference afresh on every call.
+Counting stops at the first order with no clipped match: a matching longer
+gram would contain a matching gram of that order, so each later order gets
+0 matches over its usual total, as counting it would give.
 
 Clipped n-gram matches are counted in one place, `_clipped_matches`, for
 BLEU and ROUGE-N alike. The hypothesis grams found in the reference are
@@ -154,6 +157,10 @@ def bleu(hypothesis: str, reference: str, max_order: int = 4) -> float:
         m, t = _clipped_matches(hyp, ref_counts[n - 1], n)
         matches.append(m)
         totals.append(t)
+        if m == 0:  # a matching longer gram would hold a matching order-n one
+            matches += [0] * (order - n)
+            totals += [len(hyp) - k + 1 for k in range(n + 1, order + 1)]
+            break
     return _bleu_from_stats(matches, totals, len(hyp), ref_len, order)
 
 

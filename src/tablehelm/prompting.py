@@ -14,7 +14,10 @@ Each template text is split around its slots once, and the split is
 memoised for a fixed number of recent texts. A prompt is then one join of
 the literal pieces, each slot's capped value and the capped completion.
 Values are never scanned for slots, so a query that itself contains
-"{{QUERY}}" stays as it is.
+"{{QUERY}}" stays as it is. A label search joins its table text from a
+per-table rendering (`transforms.render_table`) and passes it to
+`summarizer_prompt_from_text`, the assembly `build_summarizer_prompt` ends
+in, so the token estimate and the budget check stay per prompt.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "load_example_blocks",
     "load_template",
     "parse_evidence_output",
+    "summarizer_prompt_from_text",
 ]
 
 OUTPUT_MARKER = "###Output"
@@ -269,10 +273,26 @@ def build_summarizer_prompt(
     already reduced to a subtable). `reference` fills the output area in
     training mode.
     """
+    shown = table if evidence is None else highlight(table, evidence)
+    return summarizer_prompt_from_text(
+        linearize(shown).text, query, reference,
+        template=template, sample_id=sample_id, token_budget=token_budget,
+    )
+
+
+def summarizer_prompt_from_text(
+    table_text: str,
+    query: str,
+    reference: str | None = None,
+    *,
+    template: PromptTemplate | None = None,
+    sample_id: str = "",
+    token_budget: int = DEFAULT_TOKEN_BUDGET,
+) -> RenderedPrompt:
+    """`build_summarizer_prompt` of a table already linearized to `table_text`."""
     if template is None:
         template = load_template("summarizer")
-    shown = table if evidence is None else highlight(table, evidence)
-    values = {"TABLE": linearize(shown).text, "QUERY": query}
+    values = {"TABLE": table_text, "QUERY": query}
     completion = reference if reference is not None else ""
     return _assemble(template, values, completion, "summarizer", sample_id, token_budget)
 

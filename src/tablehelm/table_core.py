@@ -133,12 +133,15 @@ class Evidence:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        for prev, cur in zip((0,) + self.indices, self.indices):
-            if cur < 1:
-                raise ValueError(f"evidence index {cur} is not 1-based")
+        indices = tuple(map(int, self.indices))
+        object.__setattr__(self, "indices", indices)
+        prev = 0
+        for cur in indices:
             if cur <= prev:
-                raise ValueError(f"evidence indices not strictly ascending: {self.indices}")
+                if cur < 1:
+                    raise ValueError(f"evidence index {cur} is not 1-based")
+                raise ValueError(f"evidence indices not strictly ascending: {indices}")
+            prev = cur
 
     @classmethod
     def from_any(cls, values: Iterable[int]) -> Evidence:

@@ -22,22 +22,32 @@ and `parse_row_lines` unescapes only row bodies that contain "\\|" (and
 runs its regex only on lines that start with "row "). `highlight` and
 `subtable` build their result with `Table.with_rows`, without re-validating
 cells that came from a valid table.
+
+The format has one home, `render_table`, which renders the title and header
+lines and each row's body once; `linearize` joins them. A label search
+renders its table once and joins each candidate from the same pieces: the
+sub-table renumbers the evidence rows, and the highlighted table renders
+only its starred rows afresh. Both equal, and fail like, `linearize` of
+`subtable` or `highlight`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import EmptyEvidenceError
 from .table_core import Evidence, Table
 
 __all__ = [
     "LinearizedTable",
+    "TableRendering",
     "cap_hash_runs",
     "highlight",
     "subtable",
     "linearize",
+    "render_table",
     "star_cell",
     "strip_star",
     "is_starred",
@@ -84,11 +94,15 @@ def highlight(table: Table, evidence: Evidence) -> Table:
     return table.with_rows(rows)
 
 
-def subtable(table: Table, evidence: Evidence) -> Table:
-    """Extract only the evidence rows (original relative order) plus header."""
+def _check_subtable(evidence: Evidence, n_rows: int) -> None:
     if len(evidence) == 0:
         raise EmptyEvidenceError("sub-table extraction needs at least one evidence row")
-    evidence.check_range(table.n_rows)
+    evidence.check_range(n_rows)
+
+
+def subtable(table: Table, evidence: Evidence) -> Table:
+    """Extract only the evidence rows (original relative order) plus header."""
+    _check_subtable(evidence, table.n_rows)
     return table.with_rows(tuple(table.rows[i - 1] for i in evidence))
 
 
@@ -119,15 +133,45 @@ def _render_cells(cells: tuple[str, ...]) -> str:
     return " | ".join(map(_render_cell, cells))
 
 
+@dataclass(frozen=True)
+class TableRendering:
+    """A table's prompt text in pieces (see `render_table`): the title and
+    header lines, and each row's body without its "row i : " prefix."""
+
+    table: Table
+    head: str
+    bodies: tuple[str, ...]
+
+    def join(self, bodies: Iterable[str]) -> str:
+        """The head over `bodies`, numbered from 1."""
+        return "\n".join([self.head] + [f"row {i} : {b}" for i, b in enumerate(bodies, 1)])
+
+    def subtable_text(self, evidence: Evidence) -> str:
+        """`linearize(subtable(table, evidence)).text`."""
+        _check_subtable(evidence, len(self.bodies))
+        return self.join([self.bodies[i - 1] for i in evidence])
+
+    def highlight_text(self, evidence: Evidence) -> str:
+        """`linearize(highlight(table, evidence)).text`."""
+        evidence.check_range(len(self.bodies))
+        bodies = list(self.bodies)
+        for i in evidence:
+            bodies[i - 1] = _render_cells(tuple(map(star_cell, self.table.rows[i - 1])))
+        return self.join(bodies)
+
+
+def render_table(table: Table) -> TableRendering:
+    """Render a table's title, header and row bodies once."""
+    head = "col : " + _render_cells(table.header)
+    if table.title:
+        head = f"title : {_render_cell(table.title)}\n{head}"
+    return TableRendering(table, head, tuple(map(_render_cells, table.rows)))
+
+
 def linearize(table: Table) -> LinearizedTable:
     """Render a table to its deterministic prompt text."""
-    lines = []
-    if table.title:
-        lines.append(f"title : {_render_cell(table.title)}")
-    lines.append("col : " + _render_cells(table.header))
-    for i, row in enumerate(table.rows, start=1):
-        lines.append(f"row {i} : " + _render_cells(row))
-    return LinearizedTable(text="\n".join(lines))
+    rendering = render_table(table)
+    return LinearizedTable(text=rendering.join(rendering.bodies))
 
 
 def parse_row_lines(text: str) -> list[tuple[int, list[str], bool]]:

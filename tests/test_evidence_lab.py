@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from tablehelm import evidence_lab, feedback
+from tablehelm import evidence_lab, feedback, transforms
 from tablehelm.errors import (
     AuthError,
     EndpointNotFoundError,
@@ -50,10 +50,11 @@ from tablehelm.feedback import (
 )
 from tablehelm.prompting import (
     OUTPUT_MARKER,
-    build_summarizer_prompt,
     load_example_blocks,
+    summarizer_prompt_from_text,
 )
 from tablehelm.table_core import Dataset, Evidence, Sample, Table
+from tablehelm.transforms import render_table
 
 
 class FlakyClient:
@@ -287,18 +288,37 @@ class TestGreedySearch:
     def test_an_over_budget_prompt_is_rendered_once_per_candidate(
         self, champions_sample, monkeypatch
     ):
+        # A search builds each candidate's prompt from the table's rendering
+        # through `summarizer_prompt_from_text`, where the budget is checked.
         rendered = []
 
         def counting_build(*args, **kwargs):
             rendered.append(args)
-            return build_summarizer_prompt(*args, **kwargs)
+            return summarizer_prompt_from_text(*args, **kwargs)
 
-        monkeypatch.setattr(feedback, "build_summarizer_prompt", counting_build)
+        monkeypatch.setattr(feedback, "summarizer_prompt_from_text", counting_build)
         client = CountingClient(EchoClient())
         with pytest.raises(PromptTooLongError):
             greedy_search(champions_sample, client, settings=RoleSettings(token_budget=5))
         assert len(rendered) == champions_sample.table.n_rows
         assert client.calls == 0
+
+    def test_a_search_renders_each_row_once(self, champions_sample, monkeypatch):
+        # The header and each row body are rendered once per search; every
+        # one of the 2n prompts is joined from them.
+        rendered = []
+        original = transforms._render_cells
+
+        def counting(cells):
+            rendered.append(cells)
+            return original(cells)
+
+        monkeypatch.setattr(transforms, "_render_cells", counting)
+        table = champions_sample.table
+        client = CountingClient(EchoClient())
+        greedy_search(champions_sample, client)
+        assert client.calls == 2 * table.n_rows
+        assert rendered == [table.header, *table.rows]
 
     def test_a_prompt_without_a_table_is_evaluated_once(self, champions_sample):
         client = AlwaysFailingClient(NoTableFoundError)
@@ -763,12 +783,15 @@ def test_greedy_search_recovers_random_planted_subsets(rng_seed):
 # With a cache, phase 1 and the merge build their prompts first and look them
 # all up in one statement. The reference below is the path they took before:
 # one plain `feedback_reward` call per set, in order on one thread, each
-# looking its own prompt up. Everything else in the search is shared.
+# rendering the table and looking its own prompt up. Everything else in the
+# search is shared.
 
 
-def one_by_one(sample, sets, mode, feedbacker, role):
+def one_by_one(sample, sets, mode, feedbacker, role, rendering):
     return [
-        evidence_lab._reward_or_error(sample, evidence, mode, feedbacker, role)
+        evidence_lab._reward_or_error(
+            sample, evidence, mode, feedbacker, role, render_table(sample.table)
+        )
         for evidence in sets
     ]
 
@@ -918,3 +941,42 @@ def test_a_repeated_singleton_prompt_is_generated_once_per_cold_search(tmp_path)
     # Two distinct singleton prompts; then step {5} repeats singleton 5, and
     # the steps {i, 5} for i = 1..4 all show the same two rows.
     assert client.calls == 2 + 1
+
+
+class GatheringEcho(EchoClient):
+    """The echo oracle at `max_in_flight` 8, recording the most calls in
+    flight at once. Each call waits until 8 are in flight; a wait that times
+    out stops all later ones, so calls made one after another fail the test
+    without stalling it."""
+
+    max_in_flight = 8
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.gathered = threading.Event()
+        self.in_flight = self.peak = self.calls = 0
+
+    def generate(self, prompt, cfg):
+        with self.lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            if self.in_flight == self.max_in_flight:
+                self.gathered.set()
+        if not self.gathered.wait(timeout=5):
+            self.gathered.set()
+        with self.lock:
+            self.in_flight -= 1
+        return super().generate(prompt, cfg)
+
+
+def test_repeated_singleton_prompts_run_side_by_side_without_a_cache():
+    # With no cache a repeat could not be served by an earlier call, so it
+    # does not wait for one: the 8 identical singletons are all in flight.
+    table = Table(header=("h1", "h2"), rows=(("a", "b"),) * 8)
+    sample = Sample(id="dup", table=table, query="q?", reference="a b")
+    client = GatheringEcho()
+    evidence, reward, trace = greedy_search(sample, client)
+    assert (evidence, reward) == (Evidence((1,)), 1.0)
+    assert client.peak == 8
+    assert trace.oracle_calls == client.calls == 2 * table.n_rows

@@ -28,6 +28,7 @@ from tablehelm.metrics import (
     _align,
     _bleu_from_stats,
     _chunk_count,
+    _clipped_matches,
     _lcs_length,
     _prepared_reference,
     bleu,
@@ -391,6 +392,69 @@ def test_bleu_equals_naive_counting(references, hyps, max_order):
 @given(hypotheses, repetitive(), st.integers(1, 4))
 def test_rouge_n_equals_naive_counting(hyp, ref, n):
     assert rouge_n(hyp, ref, n) == naive_rouge_n(hyp, ref, n)
+
+
+# ------------------------------------------------------ BLEU's early stop
+# `bleu` stops counting at the first order with no clipped match. The
+# reference below counts every order with `_clipped_matches`.
+
+
+def bleu_counting_every_order(hypothesis: str, reference: str, max_order: int = 4) -> float:
+    hyp = tokenize(hypothesis)
+    ref_len, ref_counts = _prepared_reference(reference, max_order)
+    order = min(max_order, len(hyp))
+    stats = [_clipped_matches(hyp, ref_counts[n - 1], n) for n in range(1, order + 1)]
+    return _bleu_from_stats(
+        [m for m, _ in stats], [t for _, t in stats], len(hyp), ref_len, order
+    )
+
+
+def first_unmatched_order(hypothesis: str, reference: str, max_order: int = 4) -> int | None:
+    hyp = tokenize(hypothesis)
+    _, ref_counts = _prepared_reference(reference, max_order)
+    for n in range(1, min(max_order, len(hyp)) + 1):
+        if _clipped_matches(hyp, ref_counts[n - 1], n)[0] == 0:
+            return n
+    return None
+
+
+_REFERENCE_WORDS = [f"w{i}" for i in range(8)]
+
+
+@st.composite
+def stopping_pairs(draw, stop: int) -> tuple[str, str]:
+    """A (hypothesis, reference) pair whose first order with no clipped
+    match is `stop` (1-4), or that matches at every order up to 4 (5): a run
+    of stop - 1 reference words in a row, then words the reference lacks."""
+    reference = " ".join(_REFERENCE_WORDS)
+    if stop == 5:
+        start = draw(st.integers(0, 4))
+        length = draw(st.integers(4, len(_REFERENCE_WORDS) - start))
+        return " ".join(_REFERENCE_WORDS[start:start + length]), reference
+    start = draw(st.integers(0, len(_REFERENCE_WORDS) - stop + 1))
+    run = _REFERENCE_WORDS[start:start + stop - 1]
+    tail = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=5))
+    lead = draw(st.lists(st.sampled_from(["x", "y"]), max_size=2))
+    return " ".join(lead + run + tail), reference
+
+
+@given(st.integers(1, 5).flatmap(lambda stop: st.tuples(st.just(stop), stopping_pairs(stop))))
+def test_bleu_stopping_early_equals_counting_every_order(case):
+    stop, (hyp, ref) = case
+    assert first_unmatched_order(hyp, ref) == (None if stop == 5 else stop)
+    assert bleu(hyp, ref).hex() == bleu_counting_every_order(hyp, ref).hex()
+
+
+@given(hypotheses, repetitive(), st.integers(1, 5))
+def test_bleu_equals_counting_every_order(hyp, ref, max_order):
+    expected = bleu_counting_every_order(hyp, ref, max_order)
+    assert bleu(hyp, ref, max_order).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("hyp", ["", "w3", "zz", "W3!"])
+def test_empty_and_one_token_hypotheses_equal_counting_every_order(hyp):
+    ref = " ".join(_REFERENCE_WORDS)
+    assert bleu(hyp, ref).hex() == bleu_counting_every_order(hyp, ref).hex()
 
 
 def test_threads_share_prepared_references_without_corrupting_them():

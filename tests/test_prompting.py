@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import support
 from tablehelm.errors import (
+    EmptyEvidenceError,
     EvidenceRangeError,
     NoIndicesError,
     PromptTooLongError,
@@ -31,8 +33,15 @@ from tablehelm.prompting import (
     _assemble,
     parse_evidence_output,
 )
+from tablehelm.feedback import REWARD_MODES, RoleSettings, reward_prompt
 from tablehelm.table_core import Evidence, Table
-from tablehelm.transforms import cap_hash_runs, linearize, parse_row_lines
+from tablehelm.transforms import (
+    cap_hash_runs,
+    linearize,
+    parse_row_lines,
+    render_table,
+    subtable,
+)
 
 HIGHLIGHTER_TEXT = "Pick rows.\n\nTable:\n{{TABLE}}\n\nQuery: {{QUERY}}\n\n###Output\n"
 SUMMARIZER_TEXT = "Answer briefly.\n\nTable:\n{{TABLE}}\n\nQuery: {{QUERY}}\n\n###Output\n"
@@ -444,3 +453,74 @@ def test_values_side_by_side_spell_no_second_marker():
     values = {"QUERY": "#", "TABLE": "###Output"}
     prompt = _assemble(template, values, "", "summarizer", "s", DEFAULT_TOKEN_BUDGET)
     assert prompt.text == "##Output###Output\n"
+
+
+# ------------------------------------------- reward prompts from a rendering
+# A label search renders each table once and joins every candidate's prompt
+# from that (`feedback.reward_prompt`). Each must be the prompt the builders
+# make from the sub-table or the highlighted table, and fail as they fail.
+
+# A pipe, an escaped pipe, hash runs below, at and over the cap, and text
+# wrapped in stars, alone and together.
+_RENDER_PROBES = (
+    "|", "a|b", "a \\| b", "\\|", "#", "##", "###", "a####b", "|#", "#|#",
+    "*", "**", "*x*", "*|*", "*###*", "plain", "",
+)
+_probe_cells = st.one_of(st.sampled_from(_RENDER_PROBES), support.cells())
+
+
+@st.composite
+def _probe_tables(draw) -> Table:
+    n_cols = draw(st.integers(1, 3))
+    row = st.tuples(*[_probe_cells] * n_cols)
+    rows = tuple(draw(row) for _ in range(draw(st.integers(1, 5))))
+    title = draw(st.one_of(st.just(""), _probe_cells))
+    return Table(header=draw(row), rows=rows, title=title)
+
+
+_SUMMARIZER_TEMPLATES = [None] + [t for t in _TEMPLATES if t.name == "summarizer"]
+
+
+def _builders_prompt(table, evidence, query, mode, template, budget) -> str:
+    if mode == "subtable":
+        shown, marked = subtable(table, evidence), None
+    else:
+        shown, marked = table, evidence or None
+    return build_summarizer_prompt(
+        shown, marked, query, template=template, token_budget=budget
+    ).text
+
+
+@given(st.data())
+def test_reward_prompts_equal_the_builders_prompts(data):
+    table = data.draw(_probe_tables())
+    template = data.draw(st.sampled_from(_SUMMARIZER_TEMPLATES))
+    query = data.draw(_values)
+    # Small budgets put some prompts over budget.
+    budget = data.draw(st.one_of(st.just(DEFAULT_TOKEN_BUDGET), st.integers(0, 120)))
+    settings = RoleSettings(template=template, token_budget=budget)
+    rendering = render_table(table)
+    # One rendering serves many candidates, as in a search: empty evidence
+    # and rows past the table's end included.
+    candidates = data.draw(st.lists(
+        st.tuples(st.sampled_from(REWARD_MODES), st.sets(st.integers(1, table.n_rows + 1))),
+        min_size=1, max_size=6,
+    ))
+    for mode, rows in candidates:
+        evidence = Evidence(tuple(sorted(rows)))
+        try:
+            expected = _builders_prompt(table, evidence, query, mode, template, budget)
+        except (EmptyEvidenceError, EvidenceRangeError, PromptTooLongError,
+                TemplateError) as exc:
+            with pytest.raises(type(exc)) as exc_info:
+                reward_prompt(rendering, evidence, query, mode, settings)
+            assert str(exc_info.value) == str(exc)
+        else:
+            assert reward_prompt(rendering, evidence, query, mode, settings) == expected
+    assert linearize(table).text == rendering.join(rendering.bodies)
+
+
+def test_reward_prompt_refuses_an_unknown_mode():
+    table = Table(header=("a",), rows=(("b",),))
+    with pytest.raises(ValueError, match="mode must be one of"):
+        reward_prompt(render_table(table), Evidence((1,)), "q", "full")

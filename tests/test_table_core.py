@@ -116,6 +116,27 @@ class TestEvidence:
         with pytest.raises(ValueError):
             Evidence((0,))
 
+    def test_indices_are_coerced_with_int(self):
+        evidence = Evidence(("1", 2.0, True + 2))
+        assert evidence.indices == (1, 2, 3)
+        assert all(type(i) is int for i in evidence.indices)
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([0], "evidence index 0 is not 1-based"),
+            ([-1], "evidence index -1 is not 1-based"),
+            ([2, 2], "evidence indices not strictly ascending: (2, 2)"),
+            ([3, 1], "evidence indices not strictly ascending: (3, 1)"),
+            (["3", 1.0], "evidence indices not strictly ascending: (3, 1)"),
+            ([2, 0], "evidence index 0 is not 1-based"),
+        ],
+    )
+    def test_error_messages(self, indices, message):
+        with pytest.raises(ValueError) as excinfo:
+            Evidence(indices)
+        assert str(excinfo.value) == message
+
     def test_from_any_sorts_and_dedupes(self):
         assert Evidence.from_any([3, 1, 3, 2]) == Evidence((1, 2, 3))
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import tablehelm.cli as cli
+import tablehelm.evidence_lab as evidence_lab
 import tablehelm.table_core as table_core
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +65,7 @@ def test_traced_commands_write_what_untraced_ones_write(spans, tmp_path, capsys)
     assert files == plain_files
     names = {span[spans.NAME] for span in tracer.spans}
     assert {"cli.main", "evidence_lab.greedy_search", "transforms.highlight",
-            "transforms.subtable", "metrics.eval_reward"} <= names
+            "transforms.linearize", "metrics.eval_reward"} <= names
 
     sample_ids = {json.loads(line)["id"] for line in TOY.read_text("utf-8").splitlines()}
     for name in ("evidence_lab.greedy_search", "evidence_lab.distill_one",
@@ -96,15 +97,41 @@ def test_loader_builds_each_table_through_the_traced_name(spans):
 # it would leave its per-layer metrics short without failing anything.
 SEARCH_HOPS = (
     "feedback.feedback_reward",
-    "transforms.subtable",
-    "prompting.build_summarizer_prompt",
-    "transforms.linearize",
     "feedback.echo_oracle_generate",
     "metrics.eval_reward",
 )
+# Traced rendering hops that a search does not take: it renders each table
+# once (`render_table`) and joins every evaluation's prompt from that.
+UNUSED_HOPS = (
+    "transforms.subtable",
+    "prompting.build_summarizer_prompt",
+    "transforms.linearize",
+)
 
 
-def test_every_search_evaluation_passes_each_traced_hop(spans, tmp_path, capsys):
+@pytest.fixture
+def renders(monkeypatch):
+    """The tables `evidence_lab` renders, one entry per `render_table` call."""
+    rendered = []
+    original = evidence_lab.render_table
+
+    def counting(table):
+        rendered.append(table)
+        return original(table)
+
+    monkeypatch.setattr(evidence_lab, "render_table", counting)
+    return rendered
+
+
+def hop_counts(spans, tracer) -> dict[str, int]:
+    counts = dict.fromkeys(SEARCH_HOPS + UNUSED_HOPS, 0)
+    for span in tracer.spans:
+        if span[spans.NAME] in counts:
+            counts[span[spans.NAME]] += 1
+    return counts
+
+
+def test_every_search_evaluation_passes_each_traced_hop(spans, renders, tmp_path, capsys):
     tracer = spans.Tracer()
     with spans.patched(tracer):
         code = cli.main(["search-labels", str(TOY), str(tmp_path / "search.jsonl"),
@@ -114,21 +141,22 @@ def test_every_search_evaluation_passes_each_traced_hop(spans, tmp_path, capsys)
     evaluations = int(re.search(r"oracle evaluations (\d+)", stdout).group(1))
     dataset, _ = table_core.load_dataset(TOY, strict=True)
     assert evaluations == 2 * sum(sample.table.n_rows for sample in dataset) == 86
-    counts = {name: 0 for name in SEARCH_HOPS}
-    for span in tracer.spans:
-        if span[spans.NAME] in counts:
-            counts[span[spans.NAME]] += 1
-    assert counts == dict.fromkeys(SEARCH_HOPS, evaluations)
+    expected = dict.fromkeys(SEARCH_HOPS, evaluations) | dict.fromkeys(UNUSED_HOPS, 0)
+    assert hop_counts(spans, tracer) == expected
+    assert renders == [sample.table for sample in dataset]
 
 
-def test_a_warm_search_passes_each_traced_hop_but_the_oracle(spans, tmp_path, capsys):
+def test_a_warm_search_passes_each_traced_hop_but_the_oracle(
+    spans, renders, tmp_path, capsys
+):
     # With a warm cache the singletons' prompts are looked up in one batch,
-    # not through `ResponseCache.get`; each evaluation must still build its
-    # prompt and score its text through the traced names.
+    # not through `ResponseCache.get`; each evaluation must still pass
+    # `feedback_reward` and score its text through the traced names.
     cache = str(tmp_path / "cache")
     assert cli.main(["search-labels", str(TOY), str(tmp_path / "cold.jsonl"),
                      "--cache-dir", cache]) == 0
     capsys.readouterr()
+    renders.clear()
     tracer = spans.Tracer()
     with spans.patched(tracer):
         code = cli.main(["search-labels", str(TOY), str(tmp_path / "warm.jsonl"),
@@ -137,11 +165,8 @@ def test_a_warm_search_passes_each_traced_hop_but_the_oracle(spans, tmp_path, ca
     assert code == 0
     evaluations = int(re.search(r"oracle evaluations (\d+)", stdout).group(1))
     assert evaluations == 86
-    counts = {name: 0 for name in SEARCH_HOPS}
-    for span in tracer.spans:
-        if span[spans.NAME] in counts:
-            counts[span[spans.NAME]] += 1
-    expected = dict.fromkeys(SEARCH_HOPS, evaluations)
+    expected = dict.fromkeys(SEARCH_HOPS, evaluations) | dict.fromkeys(UNUSED_HOPS, 0)
     expected["feedback.echo_oracle_generate"] = 0
-    assert counts == expected
+    assert hop_counts(spans, tracer) == expected
+    assert len(renders) == 10
     assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
