@@ -3,7 +3,8 @@
 Three interchangeable backends satisfy one small contract: an HTTP
 chat-completions client for real model servers, a deterministic offline
 oracle that reads the table straight out of the prompt (used to exercise
-the label-search machinery without a model), and a fixed-output stub.
+the label-search machinery without a model; it reads the row lines back in
+one pass and builds its answer as it goes), and a fixed-output stub.
 A content-addressed cache in one SQLite file can wrap any of them.
 `RoleSettings` bundles what one model role generates with: cache, decoding
 settings, template and token budget. `feedback_reward` composes prompt
@@ -50,7 +51,7 @@ from .metrics import eval_reward
 from .prompting import DEFAULT_TOKEN_BUDGET, PromptTemplate, summarizer_prompt_from_text
 from .prompting import build_summarizer_prompt  # not called; benchmark/spans.py wraps it
 from .table_core import Evidence, Table
-from .transforms import TableRendering, parse_row_lines, render_table, subtable
+from .transforms import ROW_LINE_RE, TableRendering, render_table, subtable, unescape_cell
 
 __all__ = [
     "SamplingConfig",
@@ -363,13 +364,40 @@ def echo_oracle_generate(prompt: str, cfg: SamplingConfig) -> str:
     Starred rows (a highlighted table) contribute their cells; if no row is
     starred, every row does (a sub-table prompt). Cells are space-joined in
     row order, stars stripped.
+
+    The rows are read back in one pass over the prompt's lines, and the
+    answer is built as they go by. A line is a row when `ROW_LINE_RE`
+    matches it. Its body's cells are split on " | " and unescaped only when
+    it holds "\\|". A row is starred when every cell is, by the rule of
+    `transforms.is_starred` (two characters or more, a "*" at each end),
+    which is how `highlight` marks evidence rows. A body that does not both
+    start and end with "*" cannot be starred, so its cells are joined by
+    replacing each " | " with a space, without splitting it.
     """
-    rows = parse_row_lines(prompt)
-    if not rows:
+    plain: list[str] = []
+    starred: list[str] = []
+    match = ROW_LINE_RE.match
+    for line in prompt.splitlines():
+        if not line.startswith("row "):
+            continue
+        row = match(line)
+        if row is None:
+            continue
+        body = row.group(2)
+        if "\\|" in body:
+            cells = [unescape_cell(c) for c in body.split(" | ")]
+        elif body[:1] != "*" or body[-1:] != "*":
+            plain.append(body.replace(" | ", " "))
+            continue
+        else:
+            cells = body.split(" | ")
+        if all(len(c) > 1 and c[0] == "*" == c[-1] for c in cells):
+            starred.append(" ".join([c[1:-1] for c in cells]))
+        else:
+            plain.append(" ".join(cells))
+    if not plain and not starred:
         raise NoTableFoundError("prompt contains no table row lines")
-    starred = [cells for _, cells, is_starred in rows if is_starred]
-    chosen = starred if starred else [cells for _, cells, _ in rows]
-    return " ".join(" ".join(cells) for cells in chosen)
+    return " ".join(starred or plain)
 
 
 class EchoClient:

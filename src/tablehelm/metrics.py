@@ -17,14 +17,20 @@ and the result is memoised for the last `_PREPARED_REFERENCES` distinct
 dataset. Scores are the same as counting the reference afresh on every call.
 Counting stops at the first order with no clipped match: a matching longer
 gram would contain a matching gram of that order, so each later order gets
-0 matches over its usual total, as counting it would give.
+0 matches over its usual total, as counting it would give. `bleu` adds each
+order's log precision as it is counted, in the order `_bleu_from_stats`
+adds them, so its floats are the same as building the lists would give.
 
 Clipped n-gram matches are counted in one place, `_clipped_matches`, for
-BLEU and ROUGE-N alike. The hypothesis grams found in the reference are
-collected in order. When none of them repeats, the clipped count is their
-number. Only when one repeats are the hits counted, and each distinct gram
-clipped to its count in the reference. Order-1 grams are the tokens
-themselves, higher orders tuples of tokens.
+BLEU and ROUGE-N alike. The caller checks once per hypothesis whether any
+token repeats. When none does, no gram of any order repeats either (each
+starts at a different token), so nothing needs clipping: the count is the
+number of hypothesis grams the reference holds, summed at C level by one
+`map` over the reference's `__contains__`, with no list of hits. Otherwise
+the hits are collected in order; when none of them repeats, the count is
+their number, and only when one does is each distinct gram clipped to its
+count in the reference. Order-1 grams are the tokens themselves, higher
+orders tuples of tokens.
 
 `corpus_evaluate` scores each pair once: both texts are tokenized once, the
 reference's n-grams are counted once and shared by pooled BLEU and
@@ -100,20 +106,23 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter[Gram]:
     return Counter(_ngrams(tokens, n))
 
 
-def _clipped_matches(hyp: list[str], ref_counts: Counter[Gram], n: int) -> tuple[int, int]:
-    """(clipped match count, hypothesis n-gram count) for order n, given the
-    reference's order-n counts (see the module docstring)."""
-    total = max(len(hyp) - n + 1, 0)
-    if total == 0:
-        return 0, 0
-    hits = [gram for gram in _ngrams(hyp, n) if gram in ref_counts]
+def _clipped_matches(
+    hyp: list[str], ref_counts: Counter[Gram], n: int, distinct: bool
+) -> int:
+    """The clipped match count of `hyp`'s order-n grams against the
+    reference's order-n counts. `distinct` says that no token of `hyp`
+    repeats, so that no gram of any order does (see the module docstring)."""
+    grams = _ngrams(hyp, n)
+    if distinct:
+        return sum(map(ref_counts.__contains__, grams))
+    hits = [gram for gram in grams if gram in ref_counts]
     if len(set(hits)) == len(hits):
-        return len(hits), total
+        return len(hits)
     matched = 0
     for gram, count in Counter(hits).items():
         ref_count = ref_counts[gram]
         matched += count if count < ref_count else ref_count
-    return matched, total
+    return matched
 
 
 @lru_cache(maxsize=_PREPARED_REFERENCES)
@@ -151,17 +160,23 @@ def bleu(hypothesis: str, reference: str, max_order: int = 4) -> float:
     """
     hyp = tokenize(hypothesis)
     ref_len, ref_counts = _prepared_reference(reference, max_order)
-    order = min(max_order, len(hyp))
-    matches, totals = [], []
+    hyp_len = len(hyp)
+    order = min(max_order, hyp_len)
+    if hyp_len == 0 or order == 0:
+        return 0.0
+    distinct = len(set(hyp)) == hyp_len
+    # The log terms are added in `_bleu_from_stats`'s order, so every float
+    # is the same as building its lists would give.
+    log_sum = 0.0
     for n in range(1, order + 1):
-        m, t = _clipped_matches(hyp, ref_counts[n - 1], n)
-        matches.append(m)
-        totals.append(t)
-        if m == 0:  # a matching longer gram would hold a matching order-n one
-            matches += [0] * (order - n)
-            totals += [len(hyp) - k + 1 for k in range(n + 1, order + 1)]
+        matched = _clipped_matches(hyp, ref_counts[n - 1], n, distinct)
+        if matched == 0:  # a matching longer gram would hold a matching order-n one
+            for k in range(n, order + 1):
+                log_sum += math.log(BLEU_EPSILON / (hyp_len - k + 1))
             break
-    return _bleu_from_stats(matches, totals, len(hyp), ref_len, order)
+        log_sum += math.log(matched / (hyp_len - n + 1))
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return brevity * math.exp(log_sum / order)
 
 
 def eval_reward(hypothesis: str, reference: str) -> float:
@@ -189,7 +204,8 @@ def rouge_n(hypothesis: str, reference: str, n: int) -> float:
     """ROUGE-N F1 over clipped n-gram overlap."""
     hyp = tokenize(hypothesis)
     ref = tokenize(reference)
-    return _rouge_n(_clipped_matches(hyp, _ngram_counts(ref, n), n), len(ref), n)
+    clipped = _clipped_matches(hyp, _ngram_counts(ref, n), n, len(set(hyp)) == len(hyp))
+    return _rouge_n((clipped, max(len(hyp) - n + 1, 0)), len(ref), n)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -302,8 +318,9 @@ def _pair_stats(
     ROUGE-L and METEOR. The reference's n-grams are counted once, and
     ROUGE-1/2 reuse the clipped counts of orders 1 and 2 (counted here also
     when BLEU's order is lower)."""
+    distinct = len(set(hyp)) == len(hyp)
     clipped = [
-        _clipped_matches(hyp, _ngram_counts(ref, n), n)
+        (_clipped_matches(hyp, _ngram_counts(ref, n), n, distinct), max(len(hyp) - n + 1, 0))
         for n in range(1, max(order, 2) + 1)
     ]
     scores = (

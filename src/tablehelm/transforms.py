@@ -17,11 +17,14 @@ capped at two so table content can never fake a prompt-control marker.
 Escaping is skipped where it would change nothing: a row or header whose
 cells, joined, hold neither "|" nor "#" is rendered with one join, and only
 other rows are escaped cell by cell; a cell with neither "|" nor "#" is
-rendered as it is, the "#"-run regex runs only on text that contains "###",
-and `parse_row_lines` unescapes only row bodies that contain "\\|" (and
-runs its regex only on lines that start with "row "). `highlight` and
-`subtable` build their result with `Table.with_rows`, without re-validating
-cells that came from a valid table.
+rendered as it is, and the "#"-run regex runs only on text that contains
+"###". `highlight` and `subtable` build their result with `Table.with_rows`,
+without re-validating cells that came from a valid table.
+
+The offline echo oracle (`feedback.echo_oracle_generate`) reads rows back
+out of a prompt: a line is a row when `ROW_LINE_RE` matches it, its cells
+are split on " | " and unescaped with `unescape_cell`, and a row whose
+every cell `is_starred` is an evidence row.
 
 The format has one home, `render_table`, which renders the title and header
 lines and each row's body once; `linearize` joins them. A label search
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 _HASH_RUN_RE = re.compile(r"#{3,}")
+# A data row line of the rendering: its number and its body.
 ROW_LINE_RE = re.compile(r"^row (\d+) : (.*)$")
 
 
@@ -172,28 +176,3 @@ def linearize(table: Table) -> LinearizedTable:
     """Render a table to its deterministic prompt text."""
     rendering = render_table(table)
     return LinearizedTable(text=rendering.join(rendering.bodies))
-
-
-def parse_row_lines(text: str) -> list[tuple[int, list[str], bool]]:
-    """Recover (row number, cells, starred) triples from linearized text.
-
-    Used by offline oracles that must read a table back out of a prompt.
-    A row counts as starred when every cell is star-wrapped, which is how
-    highlight() marks evidence rows.
-    """
-    rows = []
-    for line in text.splitlines():
-        if not line.startswith("row "):
-            continue
-        m = ROW_LINE_RE.match(line)
-        if not m:
-            continue
-        body = m.group(2)
-        cells = body.split(" | ")
-        if "\\|" in body:
-            cells = [unescape_cell(c) for c in cells]
-        starred = all(map(is_starred, cells))
-        if starred:
-            cells = [strip_star(c) for c in cells]
-        rows.append((int(m.group(1)), cells, starred))
-    return rows

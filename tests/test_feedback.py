@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import resource
 import sqlite3
 import sys
@@ -628,6 +629,97 @@ class TestEchoOracle:
         client = EchoClient()
         assert client.model_id == "echo-oracle"
         assert client.generate(prompt.text, SEARCH_SAMPLING) == "1999 Ajax 78"
+
+
+# ------------------------------------------------ the oracle's read-back
+# The echo oracle as it was when it read rows through `parse_row_lines`,
+# which built (number, cells, starred) triples: the one-pass oracle must
+# answer, and fail, exactly as it did.
+
+ROW_LINE_BEFORE = re.compile(r"^row (\d+) : (.*)$")
+
+
+def parse_row_lines_before(text: str) -> list[tuple[int, list[str], bool]]:
+    rows = []
+    for line in text.splitlines():
+        if not line.startswith("row "):
+            continue
+        m = ROW_LINE_BEFORE.match(line)
+        if not m:
+            continue
+        body = m.group(2)
+        cells = body.split(" | ")
+        if "\\|" in body:
+            cells = [c.replace("\\|", "|") for c in cells]
+        starred = all(len(c) >= 2 and c.startswith("*") and c.endswith("*") for c in cells)
+        if starred:
+            cells = [c[1:-1] for c in cells]
+        rows.append((int(m.group(1)), cells, starred))
+    return rows
+
+
+def echo_oracle_before(prompt: str) -> str:
+    rows = parse_row_lines_before(prompt)
+    if not rows:
+        raise NoTableFoundError("prompt contains no table row lines")
+    starred = [cells for _, cells, is_starred in rows if is_starred]
+    chosen = starred if starred else [cells for _, cells, _ in rows]
+    return " ".join(" ".join(cells) for cells in chosen)
+
+
+# Every line boundary `str.splitlines` knows.
+LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Line starts: row numbers in ASCII, Arabic-Indic, Devanagari and fullwidth
+# digits (all match `\d`), and near misses that are not row lines.
+LINE_STARTS = (
+    "row 1 : ", "row 12 : ", "row ٣ : ", "row १२ : ", "row ５ : ",
+    "row  : ", "row x : ", "row 1: ", "row 1 :", "Row 1 : ", "col : ", "title : ", "",
+)
+ORACLE_CELLS = (
+    "*", "**", "***", "*a", "a*", "*a*", "a", "", " ", "\\|", "a\\|b", "*\\|*", "|", "\\",
+    "*x | y*", "* | *", "row 2 : b", "#", "é", "٣",
+)
+oracle_cells = st.one_of(
+    st.sampled_from(ORACLE_CELLS),
+    st.text(alphabet="ab *|\\:" + "".join(LINE_BOUNDARIES), max_size=6),
+)
+oracle_lines = st.builds(
+    lambda start, cells, sep: start + sep.join(cells),
+    st.sampled_from(LINE_STARTS),
+    st.lists(oracle_cells, max_size=4),
+    st.sampled_from((" | ", " | ", "|", " |")),
+)
+
+
+@st.composite
+def oracle_prompts(draw) -> str:
+    lines = draw(st.lists(oracle_lines, max_size=8))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(LINE_BOUNDARIES))
+    return text if draw(st.booleans()) else text[:-1]
+
+
+def oracle_outcome(generate, prompt: str) -> tuple[str, str]:
+    try:
+        return "answer", generate(prompt)
+    except NoTableFoundError as exc:
+        return "error", str(exc)
+
+
+@given(oracle_prompts())
+def test_echo_oracle_equals_reading_through_row_triples(prompt):
+    got = oracle_outcome(lambda p: echo_oracle_generate(p, SEARCH_SAMPLING), prompt)
+    assert got == oracle_outcome(echo_oracle_before, prompt)
+
+
+@given(support.tables_with_evidence(), st.booleans())
+def test_echo_oracle_equals_reading_through_row_triples_on_rendered_tables(case, sub):
+    table, evidence = case
+    shown = subtable(table, evidence) if sub and len(evidence) else table
+    prompt = build_summarizer_prompt(shown, None if sub else evidence, "q").text
+    got = oracle_outcome(lambda p: echo_oracle_generate(p, SEARCH_SAMPLING), prompt)
+    assert got == oracle_outcome(echo_oracle_before, prompt)
 
 
 class TestStubClients:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablehelm._porter import porter_stem
@@ -394,16 +394,89 @@ def test_rouge_n_equals_naive_counting(hyp, ref, n):
     assert rouge_n(hyp, ref, n) == naive_rouge_n(hyp, ref, n)
 
 
+# ------------------------------------------ counting before the fast path
+# `_clipped_matches` and `bleu` as they were before the all-distinct fast
+# path and the folded log terms: hits collected for every order, the stats
+# built into lists and scored by `_bleu_from_stats`. The search's rewards
+# must equal them bit for bit.
+
+
+def clipped_matches_before(hyp: list[str], ref_counts: Counter, n: int) -> tuple[int, int]:
+    total = max(len(hyp) - n + 1, 0)
+    if total == 0:
+        return 0, 0
+    grams = hyp if n == 1 else zip(*[hyp[i:] for i in range(n)])
+    hits = [gram for gram in grams if gram in ref_counts]
+    if len(set(hits)) == len(hits):
+        return len(hits), total
+    matched = 0
+    for gram, count in Counter(hits).items():
+        ref_count = ref_counts[gram]
+        matched += count if count < ref_count else ref_count
+    return matched, total
+
+
+def bleu_before(hypothesis: str, reference: str, max_order: int = 4) -> float:
+    hyp = tokenize(hypothesis)
+    ref_len, ref_counts = _prepared_reference(reference, max_order)
+    order = min(max_order, len(hyp))
+    matches, totals = [], []
+    for n in range(1, order + 1):
+        m, t = clipped_matches_before(hyp, ref_counts[n - 1], n)
+        matches.append(m)
+        totals.append(t)
+        if m == 0:
+            matches += [0] * (order - n)
+            totals += [len(hyp) - k + 1 for k in range(n + 1, order + 1)]
+            break
+    return _bleu_from_stats(matches, totals, len(hyp), ref_len, order)
+
+
+def distinct_tokens(min_size: int = 0, max_size: int = 12) -> st.SearchStrategy[list[str]]:
+    return st.lists(st.sampled_from([f"w{i}" for i in range(16)]), unique=True,
+                    min_size=min_size, max_size=max_size)
+
+
+def few_tokens(min_size: int = 0, max_size: int = 12) -> st.SearchStrategy[list[str]]:
+    return st.lists(st.sampled_from(["w0", "w1", "w2", "w3"]), min_size=min_size,
+                    max_size=max_size)
+
+
+# Hypotheses: all distinct, repeating tokens and grams, or 0-1 tokens.
+counted_hypotheses = st.one_of(
+    distinct_tokens(), few_tokens(), distinct_tokens(max_size=1), few_tokens(max_size=1)
+)
+
+
+@given(counted_hypotheses, st.one_of(few_tokens(), distinct_tokens()), st.integers(1, 4))
+def test_clipped_matches_equals_counting_before(hyp, ref, n):
+    ref_counts = Counter(zip(*[ref[i:] for i in range(n)])) if n > 1 else Counter(ref)
+    distinct = len(set(hyp)) == len(hyp)
+    assert _clipped_matches(hyp, ref_counts, n, distinct) == clipped_matches_before(
+        hyp, ref_counts, n
+    )[0]
+
+
+# The folded log terms differ from the lists' only in the last bits of a
+# few percent of pairs, so this test draws more examples than the default.
+@settings(max_examples=600)
+@given(counted_hypotheses, st.one_of(few_tokens(), distinct_tokens()), st.integers(1, 4))
+def test_bleu_equals_counting_before(hyp, ref, max_order):
+    hypothesis, reference = " ".join(hyp), " ".join(ref)
+    expected = bleu_before(hypothesis, reference, max_order)
+    assert bleu(hypothesis, reference, max_order).hex() == expected.hex()
+
+
 # ------------------------------------------------------ BLEU's early stop
 # `bleu` stops counting at the first order with no clipped match. The
-# reference below counts every order with `_clipped_matches`.
+# reference below counts every order.
 
 
 def bleu_counting_every_order(hypothesis: str, reference: str, max_order: int = 4) -> float:
     hyp = tokenize(hypothesis)
     ref_len, ref_counts = _prepared_reference(reference, max_order)
     order = min(max_order, len(hyp))
-    stats = [_clipped_matches(hyp, ref_counts[n - 1], n) for n in range(1, order + 1)]
+    stats = [clipped_matches_before(hyp, ref_counts[n - 1], n) for n in range(1, order + 1)]
     return _bleu_from_stats(
         [m for m, _ in stats], [t for _, t in stats], len(hyp), ref_len, order
     )
@@ -413,7 +486,7 @@ def first_unmatched_order(hypothesis: str, reference: str, max_order: int = 4) -
     hyp = tokenize(hypothesis)
     _, ref_counts = _prepared_reference(reference, max_order)
     for n in range(1, min(max_order, len(hyp)) + 1):
-        if _clipped_matches(hyp, ref_counts[n - 1], n)[0] == 0:
+        if clipped_matches_before(hyp, ref_counts[n - 1], n)[0] == 0:
             return n
     return None
 

@@ -33,12 +33,17 @@ from tablehelm.prompting import (
     _assemble,
     parse_evidence_output,
 )
-from tablehelm.feedback import REWARD_MODES, RoleSettings, reward_prompt
+from tablehelm.feedback import (
+    REWARD_MODES,
+    SEARCH_SAMPLING,
+    RoleSettings,
+    echo_oracle_generate,
+    reward_prompt,
+)
 from tablehelm.table_core import Evidence, Table
 from tablehelm.transforms import (
     cap_hash_runs,
     linearize,
-    parse_row_lines,
     render_table,
     subtable,
 )
@@ -239,7 +244,9 @@ class TestSummarizerPrompt:
             champions_sample.table, None, champions_sample.query
         )
         # The instruction text mentions "*" itself; only the rows matter.
-        assert all(not starred for _, _, starred in parse_row_lines(prompt.text))
+        # With no starred row the echo oracle reads every row.
+        answer = echo_oracle_generate(prompt.text, SEARCH_SAMPLING)
+        assert answer == "1999 Ajax 78 2000 PSV 84 2001 Feyenoord 80"
         assert "*2000*" not in prompt.text
 
     def test_empty_evidence_equals_no_evidence(self, champions_sample):

@@ -9,14 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from tablehelm.errors import EmptyEvidenceError, EvidenceRangeError
+from tablehelm.errors import EmptyEvidenceError, EvidenceRangeError, NoTableFoundError
+from tablehelm.feedback import SEARCH_SAMPLING, echo_oracle_generate
 from tablehelm.table_core import Evidence, Table
 from tablehelm.transforms import (
     cap_hash_runs,
     highlight,
     is_starred,
     linearize,
-    parse_row_lines,
     star_cell,
     strip_star,
     subtable,
@@ -155,27 +155,30 @@ class TestLinearize:
 
 
 class TestParseRowLines:
+    """Row lines read back out of a rendering. The one reader is the echo
+    oracle, which answers with the cells of the starred rows, or of every
+    row when none is starred."""
+
+    @staticmethod
+    def read(text: str) -> str:
+        return echo_oracle_generate(text, SEARCH_SAMPLING)
+
     def test_round_trip_through_rendering(self, champions_table):
-        rows = parse_row_lines(linearize(champions_table).text)
-        assert rows == [
-            (1, ["1999", "Ajax", "78"], False),
-            (2, ["2000", "PSV", "84"], False),
-            (3, ["2001", "Feyenoord", "80"], False),
-        ]
+        got = self.read(linearize(champions_table).text)
+        assert got == "1999 Ajax 78 2000 PSV 84 2001 Feyenoord 80"
 
     def test_starred_rows_are_flagged_and_unwrapped(self, champions_table):
         text = linearize(highlight(champions_table, Evidence((2,)))).text
-        rows = parse_row_lines(text)
-        assert rows[1] == (2, ["2000", "PSV", "84"], True)
-        assert rows[0][2] is False
+        assert self.read(text) == "2000 PSV 84"
 
     def test_escaped_pipes_are_restored(self):
         table = Table(header=("h",), rows=(("a | b",),))
-        rows = parse_row_lines(linearize(table).text)
-        assert rows == [(1, ["a | b"], False)]
+        assert self.read(linearize(table).text) == "a | b"
 
     def test_ignores_non_row_lines(self):
-        assert parse_row_lines("no table here\ncol : a") == []
+        with pytest.raises(NoTableFoundError):
+            self.read("no table here\ncol : a")
+        assert self.read("col : a\nrow 1 : b\nrows 2 : c\nrow x : d") == "b"
 
 
 def test_cap_hash_runs():
@@ -250,16 +253,16 @@ def test_empty_evidence_highlight_renders_identically(data):
 def test_parse_row_lines_inverts_linearize(data):
     # A row whose cells are all naturally star-wrapped is indistinguishable
     # from a highlighted one, so this inverse holds only for star-free cells;
-    # capping "###" is lossy, so those probes are left out too.
-    alphabet = support.CELL_ALPHABET.replace("*", "")
-    probes = tuple(p for p in ESCAPE_PROBES if "###" not in p and "*" not in p)
+    # capping "###" is lossy, so those probes are left out too. Reading a row
+    # back joins its cells with spaces, so cells here hold no space: the
+    # answer, split on spaces, is then the read rows' cells.
+    alphabet = support.CELL_ALPHABET.replace("*", "").replace(" ", "")
+    probes = tuple(p for p in ESCAPE_PROBES if "###" not in p and "*" not in p and " " not in p)
     table = data.draw(probe_tables(probes, alphabet))
     evidence = data.draw(support.evidence_for(table))
-    parsed = parse_row_lines(linearize(highlight(table, evidence)).text)
-    assert [n for n, _, _ in parsed] == list(range(1, table.n_rows + 1))
-    for number, cells, starred in parsed:
-        assert tuple(cells) == table.rows[number - 1]
-        assert starred == (number in evidence)
+    answer = echo_oracle_generate(linearize(highlight(table, evidence)).text, SEARCH_SAMPLING)
+    read = evidence if len(evidence) else range(1, table.n_rows + 1)
+    assert answer.split(" ") == [cell for i in read for cell in table.rows[i - 1]]
 
 
 @given(st.data())
