@@ -34,11 +34,12 @@ orders tuples of tokens.
 
 `corpus_evaluate` scores each pair once: both texts are tokenized once, the
 reference's n-grams are counted once and shared by pooled BLEU and
-ROUGE-1/2, and the per-pair ROUGE and METEOR values are summed in pair
-order. ROUGE-L takes its LCS from a bit-parallel recurrence over Python
-ints (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004), and METEOR aligns from
-per-token lists of free reference positions, so neither builds an
-O(m*n) table or scan. Each formula has one home, shared by the public
+ROUGE-1/2, and the per-pair ROUGE and METEOR values are summed exactly
+(`math.fsum`, correctly rounded), so a report depends neither on the pair
+order nor on the Python version. ROUGE-L takes its LCS from a bit-parallel
+recurrence over Python ints (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004),
+and METEOR aligns from per-token lists of free reference positions, so
+neither builds an O(m*n) table or scan. Each formula has one home, shared by the public
 sentence-level functions and the corpus path.
 """
 
@@ -395,9 +396,10 @@ def corpus_evaluate(pairs: list[tuple[str, str]], max_order: int = 4) -> ScoreRe
         per_pair.append(scores)
     pooled_bleu = _bleu_from_stats(matches, totals, hyp_len, ref_len, order)
 
-    # ROUGE-1, ROUGE-2, ROUGE-L and METEOR, each the builtin sum of its
-    # per-pair values in pair order: from Python 3.12 sum() compensates
-    # float rounding, so a += loop would change the report.
+    # ROUGE-1, ROUGE-2, ROUGE-L and METEOR, each the correctly rounded sum
+    # of its per-pair values: the builtin sum() rounds differently before
+    # and from Python 3.12, which compensates, so only an exact sum gives one
+    # report on every supported version.
     count = len(pairs)
-    means = [100.0 * sum(column) / count for column in zip(*per_pair)]
+    means = [100.0 * math.fsum(column) / count for column in zip(*per_pair)]
     return ScoreReport(100.0 * pooled_bleu, *means, sample_count=count)

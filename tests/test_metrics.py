@@ -15,11 +15,14 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablehelm import metrics
 from tablehelm._porter import porter_stem
 from tablehelm.errors import EmptyCorpusError
 from tablehelm.metrics import (
@@ -702,18 +705,24 @@ def test_lcs_length_equals_the_naive_dp(a, b):
 
 
 # ------------------------------------------------ naive corpus scoring
-# Every corpus score against the naive oracles above, summed per pair in
-# pair order, as the report was computed before pairs were scored once.
+# Every corpus score against the naive oracles above, as the report was
+# computed before pairs were scored once; each per-pair column is summed
+# exactly, then rounded once.
+
+
+def exact_sum(column: Iterable[float]) -> float:
+    """The correctly rounded sum: add exactly, round once."""
+    return float(sum(map(Fraction, column)))
 
 
 def naive_report(pairs: list[tuple[str, str]], max_order: int = 4) -> dict[str, float]:
     count = len(pairs)
     return {
         "bleu": 100.0 * naive_pooled_bleu(pairs, max_order),
-        "rouge1": 100.0 * sum(naive_rouge_n(h, r, 1) for h, r in pairs) / count,
-        "rouge2": 100.0 * sum(naive_rouge_n(h, r, 2) for h, r in pairs) / count,
-        "rouge_l": 100.0 * sum(naive_rouge_l(h, r) for h, r in pairs) / count,
-        "meteor": 100.0 * sum(naive_meteor(h, r) for h, r in pairs) / count,
+        "rouge1": 100.0 * exact_sum(naive_rouge_n(h, r, 1) for h, r in pairs) / count,
+        "rouge2": 100.0 * exact_sum(naive_rouge_n(h, r, 2) for h, r in pairs) / count,
+        "rouge_l": 100.0 * exact_sum(naive_rouge_l(h, r) for h, r in pairs) / count,
+        "meteor": 100.0 * exact_sum(naive_meteor(h, r) for h, r in pairs) / count,
     }
 
 
@@ -734,6 +743,71 @@ corpus_references = st.one_of(repetitive(), stemmy_sides)
 def test_corpus_scores_equal_naive_counting(pairs):
     report = corpus_evaluate(pairs)
     assert report == replace(report, **naive_report(pairs))
+
+
+# ------------------------------------------------ exact column sums
+# A report's ROUGE and METEOR means must not depend on how the running
+# Python rounds `sum`: before 3.12 the builtin adds in plain floating point,
+# from 3.12 it compensates (Neumaier). The columns below are ones where the
+# plain sum, Neumaier's and the exact sum all differ, and the report must
+# give the exact one.
+
+
+def plain_sum(column: list[float]) -> float:
+    total = 0.0
+    for value in column:
+        total += value
+    return total
+
+
+def neumaier_sum(column: list[float]) -> float:
+    total = compensation = 0.0
+    for value in column:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+DISAGREEING_COLUMNS = [
+    [2.0**-52 * 0.75, 0.5, 2.0**-106, 0.3, 2.0**-52 * 0.75],
+    [2.0**-106, 2.0**-54, 0.5, 2.0**-54, 0.3],
+    [2.0**-54, 2.0**-106, 2 / 3, 2.0**-52 * 0.75, 0.3],
+]
+
+
+def report_over_column(monkeypatch, column: list[float]):
+    """`corpus_evaluate` with every per-pair ROUGE and METEOR value taken
+    from `column`, one pair per value."""
+    values = iter(column)
+
+    def pair_stats(hyp, ref, order):
+        value = next(values)
+        return [(1, 1)] * order, (value, value, value, value)
+
+    monkeypatch.setattr(metrics, "_pair_stats", pair_stats)
+    return corpus_evaluate([("a", "a")] * len(column))
+
+
+@pytest.mark.parametrize("column", DISAGREEING_COLUMNS)
+def test_corpus_means_are_exact_where_plain_and_compensated_sums_differ(
+    monkeypatch, column
+):
+    exact = exact_sum(column)
+    assert len({plain_sum(column), neumaier_sum(column), exact}) == 3
+    report = report_over_column(monkeypatch, column)
+    want = 100.0 * exact / len(column)
+    assert (report.rouge1, report.rouge2, report.rouge_l, report.meteor) == (want,) * 4
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_corpus_means_equal_the_exactly_rounded_sum(column):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        report = report_over_column(monkeypatch, column)
+    assert report.meteor == 100.0 * exact_sum(column) / len(column)
 
 
 # ------------------------------------------------ punctuated text
