@@ -8,6 +8,12 @@ in the output, so an interrupted job resumes where it stopped (with a warm
 response cache, finished work costs nothing to skip past); a last line that
 the interruption cut short is dropped, and its sample redone.
 
+One job writes an output at a time: a batch command takes an exclusive
+`flock` on its output (and on search's `--trace` file) before it reads what
+is there or calls a generator, and exits 2 naming the file if another job
+holds it. Where `fcntl` does not exist (not POSIX), outputs are written
+unlocked.
+
 Exit codes: 0 success, 2 validation problem, 3 backend/transport failure,
 4 finished but with a success rate below the configured threshold.
 """
@@ -26,7 +32,12 @@ from contextlib import closing, nullcontext
 from dataclasses import asdict, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import Callable, ContextManager, Iterator, TypeVar
+from typing import Callable, ContextManager, Iterator, TextIO, TypeVar
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: outputs are written unlocked
+    fcntl = None
 
 from .config import RunConfig, build_config
 from .errors import (
@@ -34,6 +45,7 @@ from .errors import (
     JOB_FATAL_ERRORS,
     EmptyEvidenceError,
     NoIndicesError,
+    OutputBusyError,
     SchemaError,
     TableHelmError,
     UnmatchedIdError,
@@ -140,6 +152,20 @@ def settings_for(
     )
 
 
+def open_locked(path: str | Path) -> TextIO:
+    """Open `path` for appending with an exclusive lock held until the file
+    is closed, so that no second job appends to it meanwhile; raises
+    OutputBusyError at once if another job holds the lock."""
+    handle = open(path, "a", encoding="utf-8")
+    if fcntl is not None:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            handle.close()
+            raise OutputBusyError(str(path)) from None
+    return handle
+
+
 def existing_ids(path: str | Path) -> set[str]:
     """Ids already present in an output file (resume support). A last line
     without its newline is a record cut short by an interrupted job: it is
@@ -235,14 +261,17 @@ def run_batch(
     to (search's `--trace`): a sample is then skipped only when its id is in
     both files, so an interrupted side write is redone too. The redone
     sample's second output record supersedes its first (the last record of
-    an id wins when labels are read)."""
-    done = existing_ids(output)
-    if side_ids is not None:
-        done &= side_ids
-    todo = [s for s in dataset if s.id not in done]
-    succeeded = 0
-    failures: list[tuple[str, Exception]] = []
-    with open(output, "a", encoding="utf-8") as out:
+    an id wins when labels are read).
+
+    The output is locked (`open_locked`) before its ids are read, so a
+    second job on the same output exits before it runs anything."""
+    with open_locked(output) as out:
+        done = existing_ids(output)
+        if side_ids is not None:
+            done &= side_ids
+        todo = [s for s in dataset if s.id not in done]
+        succeeded = 0
+        failures: list[tuple[str, Exception]] = []
         for sample, result, exc in map_ordered(work, todo, run.workers):
             if exc is not None:
                 failures.append((sample.id, exc))
@@ -347,8 +376,8 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
     trace_file = nullcontext()
     traced_ids = None
     if args.trace:
+        trace_file = open_locked(args.trace)
         traced_ids = existing_ids(args.trace)  # also cuts a torn last line
-        trace_file = open(args.trace, "a", encoding="utf-8")
     with trace_file as trace_out, closing_cache(settings.cache):
         return run_batch(
             dataset, args.output, run, work, _first_record, summary, after_write,

@@ -27,6 +27,7 @@ __all__ = [
     "TableTooLargeError",
     "MissingLabelError",
     "UnmatchedIdError",
+    "OutputBusyError",
     "BACKEND_ERRORS",
     "JOB_FATAL_ERRORS",
 ]
@@ -137,6 +138,15 @@ class UnmatchedIdError(TableHelmError):
         shown = ", ".join(self.ids[:5])
         more = "" if len(self.ids) <= 5 else f" (+{len(self.ids) - 5} more)"
         super().__init__(f"prediction ids not in dataset: {shown}{more}")
+
+
+class OutputBusyError(TableHelmError):
+    """Another job holds the lock on an output file that a batch command
+    appends to, so both would run and write the same samples."""
+
+    def __init__(self, path: str):
+        self.path = path
+        super().__init__(f"{path} is locked by another job writing it")
 
 
 # Errors that map to the "backend" CLI exit code rather than "validation".

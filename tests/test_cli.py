@@ -542,6 +542,83 @@ class TestRoleSettings:
         assert calls == []
 
 
+class TestOneWriterPerOutput:
+    """A batch command locks its output (and search's trace) before it reads
+    it or calls a generator. While another open file description of the
+    same file holds the lock, here one of this process, the command exits 2,
+    names the file and makes no call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli, "make_client", lambda endpoint, model_id, run: RecordingClient(model_id, calls)
+        )
+        return calls
+
+    @pytest.fixture
+    def hold(self):
+        fcntl = pytest.importorskip("fcntl")
+        handles = []
+
+        def hold(path):
+            handle = open(path, "a", encoding="utf-8")
+            handles.append(handle)
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+        yield hold
+        for handle in handles:
+            handle.close()
+
+    @pytest.mark.parametrize(
+        "command", ["search-labels", "distill-labels", "merge-labels", "pipeline"]
+    )
+    def test_a_held_output_exits_2_before_any_call(
+        self, command, two_planted, tmp_path, capsys, calls, hold
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        labels = tmp_path / "labels.jsonl"
+        support.save_labels(labels, [LabeledSample(sample_id="cli-1", e_search=Evidence((1,)))])
+        argv = [command, data, out] + (["--labels", labels] if command == "merge-labels" else [])
+        hold(out)
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr == f"error: OutputBusyError: {out} is locked by another job writing it\n"
+        assert stdout == ""
+        assert calls == []
+        assert out.read_bytes() == b""
+
+    def test_a_held_trace_exits_2_before_any_call(self, two_planted, tmp_path, capsys, calls, hold):
+        data, _, _ = two_planted
+        out, trace_path = tmp_path / "out.jsonl", tmp_path / "trace.jsonl"
+        hold(trace_path)
+        code, _, stderr = run_cli(["search-labels", data, out, "--trace", trace_path], capsys)
+        assert code == EXIT_VALIDATION
+        assert str(trace_path) in stderr
+        assert calls == []
+
+    def test_a_held_output_keeps_its_torn_last_line(self, two_planted, tmp_path, capsys, hold):
+        # The torn-tail repair cuts the file, so it too waits for the lock.
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        run_cli(["search-labels", data, out], capsys)
+        torn = out.read_bytes()[:-5]
+        out.write_bytes(torn)
+        hold(out)
+        code, _, _ = run_cli(["search-labels", data, out], capsys)
+        assert code == EXIT_VALIDATION
+        assert out.read_bytes() == torn
+
+    def test_the_lock_ends_with_the_command(self, two_planted, tmp_path, capsys, calls):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        assert run_cli(["search-labels", data, out], capsys)[0] == EXIT_OK
+        code, stdout, _ = run_cli(["search-labels", data, out], capsys)
+        assert code == EXIT_OK
+        assert stdout.startswith("searched 0/0 samples (skipped 2 already labeled)")
+
+
 class TestSearchLabels:
     def test_labels_and_counts(self, two_planted, tmp_path, capsys):
         data, (first, first_planted), (second, second_planted) = two_planted
