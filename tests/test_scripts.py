@@ -54,3 +54,35 @@ def test_toy_pipeline_runs_end_to_end(tmp_path):
     }
     assert artifacts <= {path.name for path in tmp_path.iterdir()}
     assert (tmp_path / "predictions.jsonl").read_text("utf-8").count("\n") == 10
+
+
+def test_check_interpreters_gives_one_digest_per_output(tmp_path):
+    # Only this interpreter here: the others a machine has may lack the
+    # test dependencies, and one interpreter must agree with itself.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "check_interpreters.py"),
+         "--work", str(tmp_path), sys.executable],
+        env=script_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    names = [line.split("  ")[1] for line in lines]
+    assert set(names) == {
+        "toy-search.jsonl", "toy-trace.jsonl", "toy-distill.jsonl", "toy-merged.jsonl",
+        "toy-train-highlighter.jsonl", "toy-train-summarizer.jsonl",
+        "toy-predictions.jsonl", "toy-scores.json", "pairs-scores.json",
+        "tables-search.jsonl", "tables-trace.jsonl",
+    }
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    # The toy chain it runs is the one the goldens pin.
+    for output, golden in (
+        ("toy-search.jsonl", "toy_search.jsonl"),
+        ("toy-trace.jsonl", "toy_search_trace.jsonl"),
+        ("toy-merged.jsonl", "toy_merge.jsonl"),
+        ("toy-scores.json", "toy_scores.json"),
+    ):
+        expected = (ROOT / "tests" / "goldens" / golden).read_bytes()
+        assert (tmp_path / "run-0" / output).read_bytes() == expected, output
