@@ -373,12 +373,11 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
             f" oracle evaluations {oracle_total}, generator calls {feedbacker.calls}"
         )
 
-    trace_file = nullcontext()
-    traced_ids = None
-    if args.trace:
-        trace_file = open_locked(args.trace)
-        traced_ids = existing_ids(args.trace)  # also cuts a torn last line
-    with trace_file as trace_out, closing_cache(settings.cache):
+    with closing_cache(settings.cache), (
+        open_locked(args.trace) if args.trace else nullcontext()
+    ) as trace_out:
+        # Read once the trace is locked: this also cuts a torn last line.
+        traced_ids = existing_ids(args.trace) if args.trace else None
         return run_batch(
             dataset, args.output, run, work, _first_record, summary, after_write,
             side_ids=traced_ids,

@@ -39,8 +39,8 @@ ROUGE-1/2, and the per-pair ROUGE and METEOR values are summed exactly
 order nor on the Python version. ROUGE-L takes its LCS from a bit-parallel
 recurrence over Python ints (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004),
 and METEOR aligns from per-token lists of free reference positions, so
-neither builds an O(m*n) table or scan. Each formula has one home, shared by the public
-sentence-level functions and the corpus path.
+neither builds an O(m*n) table or scan. Each formula has one home, shared
+by the public sentence-level functions and the corpus path.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ def bleu(hypothesis: str, reference: str, max_order: int = 4) -> float:
     if hyp_len == 0 or order == 0:
         return 0.0
     distinct = len(set(hyp)) == hyp_len
-    # The log terms are added in `_bleu_from_stats`'s order, so every float
-    # is the same as building its lists would give.
+    # The log terms are added in `_bleu_from_stats`'s order, so that every
+    # float equals what it would give.
     log_sum = 0.0
     for n in range(1, order + 1):
         matched = _clipped_matches(hyp, ref_counts[n - 1], n, distinct)

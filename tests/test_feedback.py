@@ -668,7 +668,9 @@ def echo_oracle_before(prompt: str) -> str:
 
 
 # Every line boundary `str.splitlines` knows.
-LINE_BOUNDARIES = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+LINE_BOUNDARIES = (
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
 # Line starts: row numbers in ASCII, Arabic-Indic, Devanagari and fullwidth
 # digits (all match `\d`), and near misses that are not row lines.
 LINE_STARTS = (
@@ -687,7 +689,7 @@ oracle_lines = st.builds(
     lambda start, cells, sep: start + sep.join(cells),
     st.sampled_from(LINE_STARTS),
     st.lists(oracle_cells, max_size=4),
-    st.sampled_from((" | ", " | ", "|", " |")),
+    st.sampled_from((" | ", "|", " |")),
 )
 
 
