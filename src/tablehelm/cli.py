@@ -1,12 +1,13 @@
 """Operator commands: ingest, search-labels, distill-labels, merge-labels,
 highlight, export-train, pipeline, evaluate.
 
-Batch commands share one runner, `run_batch`: samples fan out over a thread
-pool, while results are written from the main thread in dataset order, one
-full line at a time, to id-keyed JSONL files. Reruns skip ids already present
-in the output, so an interrupted job resumes where it stopped (with a warm
-response cache, finished work costs nothing to skip past); a last line that
-the interruption cut short is dropped, and its sample redone.
+Batch commands share one runner, `run_batch`: samples fan out over
+`map_ordered`'s thread pool (with one worker, they run in order on the main
+thread), while results are written from the main thread in dataset order,
+one full line at a time, to id-keyed JSONL files. Reruns skip ids already
+present in the output, so an interrupted job resumes where it stopped (with
+a warm response cache, finished work costs nothing to skip past); a last
+line that the interruption cut short is dropped, and its sample redone.
 
 One job writes an output at a time: a batch command takes an exclusive
 `flock` on its output (and on search's `--trace` file) before it reads what
@@ -25,14 +26,10 @@ import functools
 import json
 import os
 import sys
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import asdict, fields, replace
-from itertools import islice
 from pathlib import Path
-from typing import Callable, ContextManager, Iterator, TextIO, TypeVar
+from typing import Callable, ContextManager, TextIO, TypeVar
 
 try:
     import fcntl
@@ -42,7 +39,6 @@ except ImportError:  # not POSIX: outputs are written unlocked
 from .config import RunConfig, build_config
 from .errors import (
     BACKEND_ERRORS,
-    JOB_FATAL_ERRORS,
     EmptyEvidenceError,
     NoIndicesError,
     OutputBusyError,
@@ -50,7 +46,9 @@ from .errors import (
     TableHelmError,
     UnmatchedIdError,
 )
+# Bound here for `run_batch`, so that a tracer can wrap its loop, not a search's.
 from .evidence_lab import (
+    WINDOW_PER_WORKER,
     LabeledSample,
     SearchTrace,
     distill_one,
@@ -59,6 +57,7 @@ from .evidence_lab import (
     greedy_search,
     labeled_to_record,
     load_labels,
+    map_ordered,
     merge_labels,
 )
 from .feedback import (
@@ -91,12 +90,7 @@ EXIT_VALIDATION = 2
 EXIT_BACKEND = 3
 EXIT_PARTIAL = 4
 
-T = TypeVar("T")
 R = TypeVar("R")
-
-# Calls queued or running per pool worker in `map_ordered`: keeps every
-# worker busy while the main thread writes, without a future per sample.
-WINDOW_PER_WORKER = 2
 
 
 def make_client(endpoint: str, model_id: str, run: RunConfig) -> GeneratorClient:
@@ -195,51 +189,6 @@ def existing_ids(path: str | Path) -> set[str]:
     return ids
 
 
-def map_ordered(
-    fn: Callable[[T], R], items: list[T], workers: int
-) -> Iterator[tuple[T, R | None, Exception | None]]:
-    """Run fn over items in a pool, yielding results in input order.
-
-    At most WINDOW_PER_WORKER * workers calls are queued or running at
-    once; one more is submitted as each result is taken. Per-item
-    exceptions are yielded, not raised, except JOB_FATAL_ERRORS (auth, 404, 3xx),
-    which abort the whole job: every subsequent call would fail identically,
-    so nothing more is submitted, and a queued call that a worker takes up
-    after the error returns at once, unrun, before it is cancelled.
-    """
-    source = iter(items)
-    pool = ThreadPoolExecutor(max_workers=workers)
-    fatal = threading.Event()
-
-    def call(item: T) -> R | None:
-        if fatal.is_set():
-            return None  # never yielded: the job ends at the fatal error
-        try:
-            return fn(item)
-        except JOB_FATAL_ERRORS:
-            fatal.set()
-            raise
-
-    try:
-        pending = deque(
-            (item, pool.submit(call, item))
-            for item in islice(source, WINDOW_PER_WORKER * workers)
-        )
-        while pending:
-            item, future = pending.popleft()
-            try:
-                outcome = (item, future.result(), None)
-            except JOB_FATAL_ERRORS:
-                raise
-            except Exception as exc:
-                outcome = (item, None, exc)
-            for following in islice(source, 1):
-                pending.append((following, pool.submit(call, following)))
-            yield outcome
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_batch(
     dataset: Dataset,
     output: str,
@@ -333,6 +282,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_search_labels(args: argparse.Namespace) -> int:
     run = _run_config(args)
+    if args.trace and _same_file(args.trace, args.output):
+        raise SchemaError("trace", f"--trace names the output file {args.output}")
     dataset = _load_input(args.input, run)
     feedbacker = CountingClient(
         make_client(run.feedbacker_endpoint, run.feedbacker_model, run)
@@ -382,6 +333,13 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
             dataset, args.output, run, work, _first_record, summary, after_write,
             side_ids=traced_ids,
         )
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return Path(a).resolve() == Path(b).resolve()
 
 
 def _first_record(result: tuple[LabeledSample, object]) -> dict[str, object]:

@@ -123,11 +123,12 @@ class TableTooLargeError(TableHelmError):
 
 
 class MissingLabelError(TableHelmError):
-    """A strict training export hit a sample without the required label."""
+    """A strict export's `source` label, or for a merge any label, is missing."""
 
-    def __init__(self, sample_id: str, source: str):
+    def __init__(self, sample_id: str, source: str | None = None):
         self.sample_id = sample_id
-        super().__init__(f"sample {sample_id!r} has no {source} label")
+        missing = f"{source} label" if source else "label from any source"
+        super().__init__(f"sample {sample_id!r} has no {missing}")
 
 
 class UnmatchedIdError(TableHelmError):

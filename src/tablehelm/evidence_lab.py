@@ -5,11 +5,11 @@ of label sources, and training-data export.
 The greedy search evaluates the n singleton rows first, reorders them by
 reward, then accumulates rows one at a time, keeping an addition only when
 it strictly improves the reward. That costs exactly 2n feedback evaluations
-instead of 2^n. The singletons do not depend on each other, so they run
-concurrently, up to the feedbacker's `max_in_flight` at once (serially when
-it has none, as the offline clients do); their outcomes are tallied in row
-order, so the trace is the same as a serial search would make. The merge
-scores its distinct candidate sets the same way.
+instead of 2^n. The singletons do not depend on each other, so
+`map_ordered` (which runs the batch commands' samples too) runs them up to
+the feedbacker's `max_in_flight` at once, or in order on this thread when it
+has none, as the offline clients do; outcomes are tallied in row order, as
+in a serial search. The merge scores its distinct candidate sets alike.
 
 A search or a merge renders its table once (`transforms.render_table`) and
 joins every candidate's prompt from that rendering. The singletons' prompts
@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import (
     JOB_FATAL_ERRORS,
@@ -79,6 +81,7 @@ __all__ = [
     "labeled_from_record",
     "labeled_to_record",
     "load_labels",
+    "map_ordered",
     "merge_labels",
 ]
 
@@ -99,23 +102,62 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _map_in_order(fn: Callable[[T], R], items: list[T], width: int) -> list[R]:
-    """`fn` over `items`, results in item order.
+# Calls queued or running per pool worker in `map_ordered`: keeps every
+# worker busy while the caller handles each result, without a future per item.
+WINDOW_PER_WORKER = 2
 
-    With `width` > 1 the calls run on min(width, len(items)) threads;
-    otherwise in order on this thread. An exception from any call cancels
-    the calls not yet started and is raised once the running ones finish
-    (of several, the one from the earliest item).
-    """
-    if width <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(max_workers=min(width, len(items)))
+
+def _outcome(item: T, call: Callable[..., R], *args) -> tuple[T, R | None, Exception | None]:
     try:
-        futures = [pool.submit(fn, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        return item, call(*args), None
+    except JOB_FATAL_ERRORS:
+        raise
+    except Exception as exc:
+        return item, None, exc
+
+
+def map_ordered(
+    fn: Callable[[T], R], items: list[T], workers: int
+) -> Iterator[tuple[T, R | None, Exception | None]]:
+    """Run fn over items, yielding (item, result, exception) in input order.
+
+    With `workers` <= 1 each call runs on the calling thread as its result
+    is asked for. Otherwise at most WINDOW_PER_WORKER * workers calls are
+    queued or running in a pool at once; one more is submitted as each
+    result is taken. Per-item exceptions are yielded, not raised, except
+    JOB_FATAL_ERRORS (auth, 404, 3xx), which abort the whole job: every
+    later call would fail identically, so none starts, and a queued call
+    that a pool worker takes up after the error returns at once, unrun.
+    """
+    if workers <= 1:
+        yield from (_outcome(item, fn, item) for item in items)
+        return
+    source = iter(items)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    fatal = threading.Event()
+
+    def call(item: T) -> R | None:
+        if fatal.is_set():
+            return None  # never yielded: the job ends at the fatal error
+        try:
+            return fn(item)
+        except JOB_FATAL_ERRORS:
+            fatal.set()
+            raise
+
+    try:
+        pending = deque(
+            (item, pool.submit(call, item))
+            for item in itertools.islice(source, WINDOW_PER_WORKER * workers)
+        )
+        while pending:
+            item, future = pending.popleft()
+            outcome = _outcome(item, future.result)
+            for following in itertools.islice(source, 1):
+                pending.append((following, pool.submit(call, following)))
+            yield outcome
     finally:
         pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
 
 
 def _reward_or_error(
@@ -129,7 +171,7 @@ def _reward_or_error(
     cached: str | None = None,
 ) -> float | Exception:
     """`feedback_reward` of `evidence`, or the skippable error that replaced
-    it. Runs on pool threads, so it touches no shared state."""
+    it. May run on pool threads, so it touches no shared state."""
     try:
         return feedback_reward(
             sample.table, evidence, sample.query, sample.reference, mode,
@@ -186,7 +228,9 @@ def _evaluate_all(
 
     for batch in rounds:
         found = cached_texts(feedbacker, settings.cache, [prompts[i] for i in batch], settings.cfg)
-        for i, outcome in zip(batch, _map_in_order(evaluate, list(zip(batch, found)), width)):
+        for (i, _), outcome, exc in map_ordered(evaluate, list(zip(batch, found)), width):
+            if exc is not None:
+                raise exc  # not skippable: `_reward_or_error` returns those
             outcomes[i] = outcome
     return outcomes
 
@@ -408,7 +452,7 @@ def merge_labels(
     """
     candidates = labeled.candidates()
     if not candidates:
-        raise MissingLabelError(labeled.sample_id, "any")
+        raise MissingLabelError(labeled.sample_id)
     if len(candidates) == 1:
         (evidence,) = candidates.values()
         return replace(labeled, e_merge=evidence)
@@ -421,13 +465,8 @@ def merge_labels(
             raise outcome
     distinct = dict(zip(sets, outcomes))
     rewards = tuple((name, distinct[ev]) for name, ev in candidates.items())
-    best_name, best_evidence, best_reward = "", None, -1.0
-    for name, evidence in candidates.items():
-        reward = distinct[evidence]
-        if reward > best_reward:
-            best_name, best_evidence, best_reward = name, evidence, reward
-    assert best_evidence is not None
-    return replace(labeled, e_merge=best_evidence, merge_rewards=rewards)
+    best = max(candidates.values(), key=distinct.__getitem__)  # first of equals wins
+    return replace(labeled, e_merge=best, merge_rewards=rewards)
 
 
 def labeled_to_record(labeled: LabeledSample) -> dict[str, object]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -14,7 +15,7 @@ import support
 import tablehelm.cli as cli
 from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
 from tablehelm.config import RunConfig
-from tablehelm.errors import AuthError, SchemaError, TransportError
+from tablehelm.errors import AuthError, EndpointNotFoundError, SchemaError, TransportError
 from tablehelm.evidence_lab import LabeledSample, load_labels
 from tablehelm.feedback import EchoClient, FixedClient, HttpClient, ResponseCache, SamplingConfig
 from tablehelm.table_core import Evidence, serialize_sample
@@ -326,6 +327,74 @@ class TestMapOrdered:
         assert 0 < len(started) <= cli.WINDOW_PER_WORKER * 2
 
 
+class TestMapOrderedOnOneWorker:
+    """With one worker `map_ordered` makes each call on the calling thread,
+    in order, when its result is asked for."""
+
+    def test_every_call_runs_on_the_calling_thread_in_order(self):
+        seen = []
+
+        def work(item):
+            seen.append((item, threading.get_ident()))
+            return item * 2
+
+        results = cli.map_ordered(work, list(range(6)), workers=1)
+        assert next(results) == (0, 0, None)
+        assert seen == [(0, threading.get_ident())]
+        assert list(results) == [(item, item * 2, None) for item in range(1, 6)]
+        assert seen == [(item, threading.get_ident()) for item in range(6)]
+
+    def test_per_item_errors_are_yielded(self):
+        def work(item):
+            if item % 2:
+                raise ValueError(f"bad {item}")
+            return item
+
+        seen = list(cli.map_ordered(work, list(range(4)), workers=1))
+        assert [item for item, _, _ in seen] == [0, 1, 2, 3]
+        assert [result for _, result, _ in seen] == [0, None, 2, None]
+        assert [exc and str(exc) for _, _, exc in seen] == [None, "bad 1", None, "bad 3"]
+
+    @pytest.mark.parametrize("error", [AuthError("HTTP 401"), EndpointNotFoundError("HTTP 404")])
+    def test_a_job_fatal_error_raises_before_any_later_call(self, error):
+        called = []
+
+        def work(item):
+            called.append(item)
+            if item == 2:
+                raise error
+            return item
+
+        results = cli.map_ordered(work, list(range(6)), workers=1)
+        assert [next(results), next(results)] == [(0, 0, None), (1, 1, None)]
+        with pytest.raises(type(error)):
+            next(results)
+        assert called == [0, 1, 2]
+
+    def test_a_one_worker_search_runs_on_the_main_thread_and_writes_the_same_bytes(
+        self, two_planted, tmp_path, capsys, monkeypatch
+    ):
+        data, _, _ = two_planted
+        threads = []
+        search = cli.greedy_search
+
+        def noting_thread(sample, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return search(sample, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "greedy_search", noting_thread)
+        written = {}
+        for workers in (1, 2):
+            out, trace = tmp_path / f"out-{workers}.jsonl", tmp_path / f"trace-{workers}.jsonl"
+            argv = ["search-labels", data, out, "--trace", trace, "--workers", workers]
+            assert run_cli(argv, capsys)[0] == EXIT_OK
+            written[workers] = (out.read_bytes(), trace.read_bytes())
+        main = threading.main_thread().ident
+        assert threads[:2] == [main, main]
+        assert main not in threads[2:]
+        assert written[1] == written[2]
+
+
 def positional(command, data, out):
     """A command's positional arguments over the dataset `data`, with `out`
     as the file it writes (evaluate: reads) and `data` as any label file."""
@@ -609,6 +678,29 @@ class TestOneWriterPerOutput:
         code, _, _ = run_cli(["search-labels", data, out], capsys)
         assert code == EXIT_VALIDATION
         assert out.read_bytes() == torn
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+    def test_a_trace_naming_the_output_exits_2_before_either_is_opened(
+        self, spelling, two_planted, tmp_path, capsys, calls
+    ):
+        data, _, _ = two_planted
+        out = tmp_path / "out.jsonl"
+        trace = {"same": out, "dotted": tmp_path / "sub" / ".." / "out.jsonl"}.get(
+            spelling, tmp_path / "trace.jsonl"
+        )
+        if spelling in ("symlink", "hardlink"):
+            out.write_bytes(b"")
+            (os.symlink if spelling == "symlink" else os.link)(out, trace)
+        code, stdout, stderr = run_cli(["search-labels", data, out, "--trace", trace], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr == f"error: SchemaError: --trace names the output file {out}\n"
+        assert stdout == ""
+        assert calls == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["data.jsonl"] + (["out.jsonl", "trace.jsonl"] if spelling.endswith("link") else [])
+        )
+        if spelling.endswith("link"):
+            assert out.read_bytes() == b""
 
     def test_the_lock_ends_with_the_command(self, two_planted, tmp_path, capsys, calls):
         data, _, _ = two_planted
@@ -969,7 +1061,7 @@ class TestMergeLabels:
             ["merge-labels", data, tmp_path / "out.jsonl"], capsys
         )
         assert code == EXIT_PARTIAL
-        assert "failed nl-1:" in stderr
+        assert stderr == "failed nl-1: sample 'nl-1' has no label from any source\n"
 
 
 class TestHighlight:

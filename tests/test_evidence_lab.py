@@ -423,6 +423,48 @@ class TestFanOut:
         assert CountingClient(EchoClient()).max_in_flight == 1
 
 
+class ThreadNotingClient:
+    """The echo oracle with no fan-out (`max_in_flight` 1), noting the
+    thread of every call."""
+
+    model_id = "thread-noting"
+    max_in_flight = 1
+
+    def __init__(self) -> None:
+        self.threads = []
+
+    def generate(self, prompt, cfg):
+        self.threads.append(threading.get_ident())
+        return echo_oracle_generate(prompt, cfg)
+
+
+class TestWidthOne:
+    """A feedbacker of width 1 is called on the caller's thread."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_search_makes_every_call_on_the_callers_thread(self, tmp_path, cached):
+        sample, planted = support.planted_sample("one-1", 6, 2, (2, 5), salt="q")
+        client = ThreadNotingClient()
+        role = RoleSettings(cache=ResponseCache(tmp_path) if cached else None)
+        evidence, _, trace = greedy_search(sample, client, settings=role)
+        assert evidence == planted
+        assert trace.oracle_calls == 12
+        # With a cache a repeated prompt is served, not generated.
+        assert len(client.threads) == (11 if cached else 12)
+        assert set(client.threads) == {threading.get_ident()}
+
+    def test_a_merge_makes_every_call_on_the_callers_thread(self):
+        sample, planted = support.planted_sample("one-2", 5, 2, (3,), salt="q")
+        labeled = LabeledSample(
+            sample_id="one-2", e_manual=Evidence((1,)), e_search=planted,
+            e_distill=Evidence((4,)),
+        )
+        client = ThreadNotingClient()
+        merged = merge_labels(labeled, sample, client)
+        assert merged.e_merge == planted
+        assert client.threads == [threading.get_ident()] * 3
+
+
 class TestExhaustiveSearch:
     def test_agrees_with_greedy_on_a_planted_subset(self):
         sample, planted = support.planted_sample("ex-1", 4, 2, (2, 4))
