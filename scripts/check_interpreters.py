@@ -3,17 +3,18 @@
 Each interpreter runs, with this checkout's package, on inputs generated
 once by the interpreter that runs this script:
 
-- the toy chain on data/toy.jsonl: search-labels with --trace,
-  distill-labels, merge-labels, both export-train roles, pipeline and
-  evaluate, every role on the offline oracles;
+- the toy chain on data/toy.jsonl: search-labels with --trace and a fresh
+  response cache, the same search again on that cache (warm: it must make
+  no generator call), distill-labels, merge-labels, both export-train
+  roles, pipeline and evaluate, every role on the offline oracles;
 - evaluate over 3,000 seeded random (prediction, reference) pairs;
 - search-labels with --trace over 300 planted 20x4 tables (the shape of the
   benchmark's echo-loop workload).
 
 It prints one SHA-256 digest per output, and exits 1 when an output's
 digests differ between interpreters (each interpreter's digest is printed
-then) and 2 when an interpreter fails to run the chain. The interpreters
-need only the standard library.
+then) and 2 when an interpreter fails to run the chain or a warm rerun
+calls a generator. The interpreters need only the standard library.
 
 Usage: python scripts/check_interpreters.py [--work DIR] [INTERPRETER ...]
 (default: the interpreter running the script), for example
@@ -38,6 +39,10 @@ ROOT = Path(__file__).resolve().parent.parent
 EVALUATE_PAIRS = 3000
 SEARCH_TABLES = 300
 SEED = 8
+
+# Outputs of a rerun on a warm response cache: their commands must report
+# "generator calls 0".
+WARM_RUNS = ("toy-search-warm.jsonl",)
 
 # The evaluate inputs draw from a small vocabulary, so that hypotheses and
 # references share and repeat words and every score column is non-trivial.
@@ -88,7 +93,10 @@ def chain(work: Path) -> dict[str, list[str]]:
 
     commands = {
         "toy-search.jsonl": ["search-labels", toy, path("toy-search.jsonl"),
-                             "--trace", path("toy-trace.jsonl")],
+                             "--trace", path("toy-trace.jsonl"),
+                             "--cache-dir", path("cache")],
+        "toy-search-warm.jsonl": ["search-labels", toy, path("toy-search-warm.jsonl"),
+                                  "--cache-dir", path("cache")],
         "toy-distill.jsonl": ["distill-labels", toy, path("toy-distill.jsonl")],
         "toy-merged.jsonl": ["merge-labels", toy, path("toy-merged.jsonl"),
                              "--labels", path("toy-search.jsonl"),
@@ -112,7 +120,7 @@ def chain(work: Path) -> dict[str, list[str]]:
 
 
 # What `write_inputs` writes; each run copies them, and every other file it
-# leaves is an output.
+# leaves is an output (the cache is a directory).
 INPUTS = ("pairs.jsonl", "pairs-predictions.jsonl", "tables.jsonl")
 
 
@@ -125,15 +133,19 @@ def run_child(inputs: Path, out: Path) -> int:
     for name in INPUTS:
         (out / name).write_bytes((inputs / name).read_bytes())
     for name, argv in chain(out).items():
-        with contextlib.redirect_stdout(io.StringIO()):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
             code = cli.main(argv)
         if code != 0:
             print(f"{name}: exit {code}", file=sys.stderr)
             return 2
+        if name in WARM_RUNS and "generator calls 0" not in printed.getvalue():
+            print(f"{name}: the warm rerun said {printed.getvalue()!r}", file=sys.stderr)
+            return 2
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
-        if path.name not in INPUTS
+        if path.is_file() and path.name not in INPUTS
     }
     print(json.dumps(digests))
     return 0

@@ -11,13 +11,15 @@ the feedbacker's `max_in_flight` at once, or in order on this thread when it
 has none, as the offline clients do; outcomes are tallied in row order, as
 in a serial search. The merge scores its distinct candidate sets alike.
 
-A search or a merge renders its table once (`transforms.render_table`) and
-joins every candidate's prompt from that rendering. The singletons' prompts
-(and the merge's) are always built first and, with a response cache, looked
-up with one cache statement; only the misses are generated, and stored.
-Each accumulation step depends on the last, so it builds and looks up its
-one prompt on its own. Cache trouble during a batched lookup makes the
-whole batch a miss, with one logged warning.
+A search, a merge or an exhaustive search renders its table once
+(`transforms.render_table`) and joins every candidate's prompt from that
+rendering. With a response cache, it first reads every answer cached for
+its table and query with one statement (`feedback.reward_settings`), and
+serves every lookup from that read: the singletons, each accumulation step
+and each merge candidate. Only the misses are generated, and they are
+stored in the cache and in the read, so a prompt asked for again is not
+generated again. Cache trouble during the read makes every prompt of the
+sample a miss, with one logged warning.
 
 Each candidate is evaluated once. Retrying transient backend failures is
 the HTTP client's job, within its `max_attempts`; a candidate whose call
@@ -55,9 +57,9 @@ from .feedback import (
     GeneratorClient,
     RoleSettings,
     cached_generate,
-    cached_texts,
     feedback_reward,
     reward_prompt,
+    reward_settings,
 )
 from .prompting import (
     build_distill_prompt,
@@ -168,14 +170,14 @@ def _reward_or_error(
     settings: RoleSettings,
     rendering: TableRendering,
     prompt: str | None = None,
-    cached: str | None = None,
 ) -> float | Exception:
     """`feedback_reward` of `evidence`, or the skippable error that replaced
-    it. May run on pool threads, so it touches no shared state."""
+    it. May run on pool threads, so it touches no shared state but the
+    settings' cache, which threads may share."""
     try:
         return feedback_reward(
             sample.table, evidence, sample.query, sample.reference, mode,
-            feedbacker, settings, rendering=rendering, prompt=prompt, cached=cached,
+            feedbacker, settings, rendering=rendering, prompt=prompt,
         )
     except JOB_FATAL_ERRORS:
         raise
@@ -195,12 +197,12 @@ def _evaluate_all(
     feedbacker's `max_in_flight` at once.
 
     Every prompt is joined from the table's `rendering` first
-    (`reward_prompt`; a skippable failure there is that set's outcome) and
-    the prompts are looked up in the settings' cache with one statement;
-    each evaluation then gets its prompt and what was found. With a cache, a
-    prompt that repeats an earlier one waits for a later round, looked up
-    after the earlier one was stored, so it is generated no more often than
-    in a serial search; with none, it runs beside the one it repeats.
+    (`reward_prompt`; a skippable failure there is that set's outcome), and
+    each evaluation gets its prompt. With a cache (the caller's
+    `CacheScope`, already read), a prompt that repeats an earlier one waits
+    for a later round, looked up after the earlier one was stored, so it is
+    generated no more often than in a serial search; with none, it runs
+    beside the one it repeats.
     """
     width = getattr(feedbacker, "max_in_flight", 1)
     outcomes: list[float | Exception] = [0.0] * len(sets)
@@ -220,15 +222,13 @@ def _evaluate_all(
             rounds.append([])
         rounds[seen].append(i)
 
-    def evaluate(job: tuple[int, str | None]) -> float | Exception:
-        i, text = job
+    def evaluate(i: int) -> float | Exception:
         return _reward_or_error(
-            sample, sets[i], mode, feedbacker, settings, rendering, prompts[i], text
+            sample, sets[i], mode, feedbacker, settings, rendering, prompts[i]
         )
 
     for batch in rounds:
-        found = cached_texts(feedbacker, settings.cache, [prompts[i] for i in batch], settings.cfg)
-        for (i, _), outcome, exc in map_ordered(evaluate, list(zip(batch, found)), width):
+        for i, outcome, exc in map_ordered(evaluate, batch, width):
             if exc is not None:
                 raise exc  # not skippable: `_reward_or_error` returns those
             outcomes[i] = outcome
@@ -294,9 +294,11 @@ def greedy_search(
     """Search evidence rows greedily, spending two evaluations per row, each
     a `feedback_reward` call with the feedbacker's `settings`.
 
-    Phase 1 scores each singleton sub-table, up to the feedbacker's
-    `max_in_flight` at once, and tallies the outcomes in row order; with a
-    cache, all n singleton prompts are looked up with one statement. Phase 2
+    With a cache, every answer cached for this table and query is read with
+    one statement before the first evaluation (`reward_settings`), and all
+    2n lookups are served from that read. Phase 1 scores each singleton
+    sub-table, up to the feedbacker's `max_in_flight` at once, and tallies
+    the outcomes in row order. Phase 2
     walks the singletons in descending-reward order (ties: ascending row
     index) and grows the result set one evaluation at a time, accepting an
     addition only on strict reward improvement. `step_cap` bounds the
@@ -320,6 +322,7 @@ def greedy_search(
         return outcome, ""
 
     rendering = render_table(sample.table)
+    settings = reward_settings(settings, feedbacker, rendering, sample.query, "subtable")
     singletons = [Evidence((i,)) for i in range(1, n + 1)]
     outcomes = _evaluate_all(sample, singletons, "subtable", feedbacker, settings, rendering)
     singles: list[tuple[float, int]] = []
@@ -375,7 +378,8 @@ def exhaustive_search(
     the verification oracle.
 
     Returns the lexicographically smallest argmax. Cost is 2^n - 1
-    evaluations, so tables beyond `n_max` rows are refused.
+    evaluations, so tables beyond `n_max` rows are refused. With a cache,
+    every lookup is served from one read, as in `greedy_search`.
     """
     n = sample.table.n_rows
     if n > n_max:
@@ -386,6 +390,7 @@ def exhaustive_search(
         )
     )
     rendering = render_table(sample.table)
+    settings = reward_settings(settings, feedbacker, rendering, sample.query, "subtable")
     best_evidence: Evidence | None = None
     best_reward = -1.0
     for indices in subsets:
@@ -444,11 +449,12 @@ def merge_labels(
     scored with the feedbacker's `settings`.
 
     Identical candidate sets are evaluated once, up to the feedbacker's
-    `max_in_flight` at once, and with a cache their prompts are looked up
-    with one statement. A failed evaluation raises (of several, the one of
-    the earliest source). Ties go to the earlier source in
-    manual > distill > search order. A single candidate wins outright, with
-    no evaluation at all.
+    `max_in_flight` at once, and with a cache every answer cached for this
+    table and query in highlight mode is read with one statement before the
+    first evaluation (`reward_settings`). A failed evaluation raises (of
+    several, the one of the earliest source). Ties go to the earlier source
+    in manual > distill > search order. A single candidate wins outright,
+    with no evaluation and no cache read at all.
     """
     candidates = labeled.candidates()
     if not candidates:
@@ -459,6 +465,7 @@ def merge_labels(
 
     sets = list(dict.fromkeys(candidates.values()))
     rendering = render_table(sample.table)
+    settings = reward_settings(settings, feedbacker, rendering, sample.query, "highlight")
     outcomes = _evaluate_all(sample, sets, "highlight", feedbacker, settings, rendering)
     for outcome in outcomes:
         if isinstance(outcome, Exception):

@@ -5,13 +5,15 @@ chat-completions client for real model servers, a deterministic offline
 oracle that reads the table straight out of the prompt (used to exercise
 the label-search machinery without a model; it reads the row lines back in
 one pass and builds its answer as it goes), and a fixed-output stub.
-A content-addressed cache in one SQLite file can wrap any of them.
-`RoleSettings` bundles what one model role generates with: cache, decoding
-settings, template and token budget. `feedback_reward` composes prompt
-construction, generation, and scoring into the scalar signal the evidence
-search consumes; `reward_prompt` joins each candidate's prompt from the
-table's rendering (`transforms.render_table`), which a search or a merge
-builds once.
+A content-addressed cache in one SQLite file can wrap any of them, and
+`CacheScope` serves one sample's reward prompts from it after reading them
+all with one statement. `RoleSettings` bundles what one model role
+generates with: cache, decoding settings, template and token budget.
+`feedback_reward` composes prompt construction, generation, and scoring into
+the scalar signal the evidence search consumes; `reward_prompt` joins each
+candidate's prompt from the table's rendering (`transforms.render_table`),
+which a search or a merge builds once, and `reward_settings` narrows the
+settings' cache to that table's scope.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -48,7 +50,12 @@ from .errors import (
     TransportError,
 )
 from .metrics import eval_reward
-from .prompting import DEFAULT_TOKEN_BUDGET, PromptTemplate, summarizer_prompt_from_text
+from .prompting import (
+    DEFAULT_TOKEN_BUDGET,
+    PromptTemplate,
+    load_template,
+    summarizer_prompt_from_text,
+)
 from .prompting import build_summarizer_prompt  # not called; benchmark/spans.py wraps it
 from .table_core import Evidence, Table
 from .transforms import ROW_LINE_RE, TableRendering, render_table, subtable, unescape_cell
@@ -64,11 +71,12 @@ __all__ = [
     "FixedClient",
     "CountingClient",
     "ResponseCache",
+    "CacheScope",
     "cached_generate",
-    "cached_texts",
     "echo_oracle_generate",
     "feedback_reward",
     "reward_prompt",
+    "reward_settings",
     "shown_rows",
 ]
 
@@ -80,13 +88,13 @@ REWARD_MODES = ("subtable", "highlight")
 
 # SQLite page-cache size of each pooled cache connection, in pages (4 KiB
 # each by default; SQLite's own default is about 2 MB). Lookups are point
-# reads by key, so a small cache costs no speed and keeps memory flat as the
-# pool grows with the number of threads.
+# reads or short range reads by key, so a small cache costs no speed and
+# keeps memory flat as the pool grows with the number of threads.
 _CACHE_PAGES = 64
 
-# Most keys one batched cache lookup binds in a statement: SQLite's limit on
-# bound parameters before 3.32, so every SQLite library takes it.
-_MAX_PARAMS = 999
+# Hex digits of a scope prefix (`_scope_prefix`); the key of a scoped entry
+# is the prefix followed by the 64 of its request key.
+_SCOPE_DIGITS = 16
 
 
 @dataclass(frozen=True)
@@ -460,16 +468,6 @@ def _key_frame(model_id: str, cfg: SamplingConfig, reprs: tuple[str, ...]) -> tu
     return head + '"prompt": ', tail
 
 
-@lru_cache(maxsize=64)
-def _select_keys(count: int) -> str:
-    """The statement that reads the entries of `count` keys: each text as
-    its stored bytes, and the type it is stored as."""
-    return (
-        "SELECT key, CAST(text AS BLOB), typeof(text) FROM entries"
-        f" WHERE key IN ({', '.join('?' * count)})"
-    )
-
-
 class ResponseCache:
     """Content-addressed completion store: one SQLite database per directory.
 
@@ -486,14 +484,15 @@ class ResponseCache:
     SQLite checkpoints the WAL and removes the `-wal` and `-shm` files.
     Per-entry JSON files of older versions are not read: they are misses.
 
-    Every read is one statement shape (`_select_keys`), through `_read`:
-    `get_many` looks a batch of prompts up with one statement (one per
-    `_MAX_PARAMS` prompts), and `get` is a batch of one. Each row comes back as its stored bytes
-    and type, decoded here. Cache trouble is never fatal: a `sqlite3.Error`
-    or `OSError` makes every prompt of the batch a miss, with one logged
-    warning, and is a logged warning on `put`; an entry whose text is not
-    stored as TEXT (a BLOB, INTEGER or REAL) or is not UTF-8 is evicted and
-    is a miss.
+    `get` and `put` read and write one entry under its request key (`key`),
+    `get` with one `WHERE key = ?` statement. A `CacheScope` keeps its
+    entries under a scope prefix followed by the request key, and reads all
+    of them with one range read on the primary key (`_scan`). Each row comes
+    back as its stored bytes and type, decoded here. Cache trouble is never
+    fatal: a `sqlite3.Error` or `OSError` makes a read a miss (a scope read,
+    every entry of the scope), with one logged warning, and is a logged
+    warning on a write; an entry whose text is not stored as TEXT (a BLOB,
+    INTEGER or REAL) or is not UTF-8 is evicted and is a miss.
     """
 
     FILENAME = "responses.sqlite3"
@@ -554,50 +553,59 @@ class ResponseCache:
         return result
 
     @staticmethod
-    def _evict(conn: sqlite3.Connection, key: str) -> None:
+    def _decode(conn: sqlite3.Connection, key: str, raw: bytes, kind: str) -> str | None:
+        """The text of a row read as its stored bytes and type; None, with
+        the entry evicted, when it is not stored as TEXT or is not UTF-8."""
+        if kind == "text":
+            try:
+                return raw.decode("utf-8")
+            except UnicodeDecodeError:
+                pass
         logger.warning("evicting corrupt cache entry %s", key)
         conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+        return None
 
-    @classmethod
-    def _lookup_many(cls, conn: sqlite3.Connection, keys: list[str]) -> dict[str, str]:
-        """The text of each of `keys` that has a good entry, read with one
-        statement per `_MAX_PARAMS` keys. An entry whose text is not stored
-        as TEXT, or is not UTF-8, is evicted and left out."""
-        found: dict[str, str] = {}
-        for start in range(0, len(keys), _MAX_PARAMS):
-            chunk = keys[start : start + _MAX_PARAMS]
-            for key, raw, kind in conn.execute(_select_keys(len(chunk)), chunk).fetchall():
-                if kind == "text":
-                    try:
-                        found[key] = raw.decode("utf-8")
-                        continue
-                    except UnicodeDecodeError:
-                        pass
-                cls._evict(conn, key)
-        return found
-
-    def _read(self, keys: list[str]) -> dict[str, str]:
-        """The text of each of `keys` with a good entry (`_lookup_many`);
-        none, with one logged warning, on cache trouble."""
+    def _read(self, work: Callable[[sqlite3.Connection], T], missing: T) -> T:
+        """`work(connection)`, or `missing` with one logged warning on cache
+        trouble."""
         try:
-            return self._use(lambda conn: self._lookup_many(conn, keys))
+            return self._use(work)
         except (sqlite3.Error, OSError) as exc:
             logger.warning("cache read failed, generating instead: %s", exc)
-            return {}
+            return missing
 
     def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
         key = self.key(model_id, prompt, cfg)
-        return self._read([key]).get(key)
 
-    def get_many(
-        self, model_id: str, prompts: list[str], cfg: SamplingConfig
-    ) -> list[str | None]:
-        """The cached text of each prompt, None for a miss, in order."""
-        keys = [self.key(model_id, prompt, cfg) for prompt in prompts]
-        return list(map(self._read(keys).get, keys))
+        def lookup(conn: sqlite3.Connection) -> str | None:
+            row = conn.execute(
+                "SELECT CAST(text AS BLOB), typeof(text) FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+            return None if row is None else self._decode(conn, key, *row)
 
-    def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
-        key = self.key(model_id, prompt, cfg)
+        return self._read(lookup, None)
+
+    def _scan(self, prefix: str) -> dict[str, str]:
+        """The text of every good entry whose key starts with `prefix`, a
+        scope prefix of hex digits, by the rest of its key: one range read
+        on the primary key (every hex digit sorts before "g")."""
+
+        def scan(conn: sqlite3.Connection) -> dict[str, str]:
+            rows = conn.execute(
+                "SELECT key, CAST(text AS BLOB), typeof(text) FROM entries"
+                " WHERE key >= ? AND key < ?",
+                (prefix, prefix + "g"),
+            ).fetchall()
+            found: dict[str, str] = {}
+            for key, raw, kind in rows:
+                text = self._decode(conn, key, raw, kind)
+                if text is not None:
+                    found[key[len(prefix) :]] = text
+            return found
+
+        return self._read(scan, {})
+
+    def _store(self, key: str, text: str) -> None:
         try:
             self._use(
                 lambda conn: conn.execute(
@@ -607,15 +615,44 @@ class ResponseCache:
         except (sqlite3.Error, OSError) as exc:
             logger.warning("cache write failed, continuing: %s", exc)
 
+    def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
+        self._store(self.key(model_id, prompt, cfg), text)
+
     def close(self) -> None:
         """Close the idle connections. The cache stays usable: the next
         `get` or `put` opens a new one."""
         _close_all(self._idle)
 
 
+class CacheScope:
+    """One sample's entries of a `ResponseCache` with the same `get` and
+    `put`: every entry stored under `prefix` (see `reward_settings`) is read
+    with one statement when the scope is made, and each `get` is then
+    served from that read and from what this scope has stored since.
+
+    `put` writes to both, so a prompt asked for again is not generated
+    again. Threads may share a scope. The scope belongs to one search,
+    merge or exhaustive search and is dropped with it: it sees what other
+    scopes or processes store only when made anew.
+    """
+
+    def __init__(self, cache: ResponseCache, prefix: str) -> None:
+        self._cache = cache
+        self._prefix = prefix
+        self._texts = cache._scan(prefix)
+
+    def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
+        return self._texts.get(ResponseCache.key(model_id, prompt, cfg))
+
+    def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
+        key = ResponseCache.key(model_id, prompt, cfg)
+        self._cache._store(self._prefix + key, text)
+        self._texts[key] = text
+
+
 def cached_generate(
     client: GeneratorClient,
-    cache: ResponseCache | None,
+    cache: ResponseCache | CacheScope | None,
     prompt: str,
     cfg: SamplingConfig,
 ) -> str:
@@ -626,38 +663,12 @@ def cached_generate(
     not fail."""
     if cache is None:
         return client.generate(prompt, cfg)
-    hit = cache.get(_cache_identity(client), prompt, cfg)
+    identity = _cache_identity(client)
+    hit = cache.get(identity, prompt, cfg)
     if hit is not None:
         return hit
-    return _generate_and_store(client, cache, prompt, cfg)
-
-
-def cached_texts(
-    client: GeneratorClient,
-    cache: ResponseCache | None,
-    prompts: list[str],
-    cfg: SamplingConfig,
-) -> list[str | None]:
-    """What `cache` holds for each of `prompts` from `client`, None for a
-    miss, looked up together (`ResponseCache.get_many`). With no cache,
-    every prompt is a miss and nothing is looked up."""
-    if cache is None:
-        return [None] * len(prompts)
-    return cache.get_many(_cache_identity(client), prompts, cfg)
-
-
-def _generate_and_store(
-    client: GeneratorClient,
-    cache: ResponseCache | None,
-    prompt: str,
-    cfg: SamplingConfig,
-) -> str:
-    """Generate a prompt that `cache` was found not to hold, and store the
-    text there (with no cache, just generate): the miss half of
-    `cached_generate`, for a prompt already looked up."""
     text = client.generate(prompt, cfg)
-    if cache is not None:
-        cache.put(_cache_identity(client), prompt, cfg, text)
+    cache.put(identity, prompt, cfg, text)
     return text
 
 
@@ -668,9 +679,11 @@ class RoleSettings:
     decoding settings, the prompt template (None: the packaged default for
     the prompt being built) and the token budget the rendered prompt must
     fit. A role's prompts are built with `template` and `token_budget` and
-    generated through `cached_generate(client, cache, prompt, cfg)`."""
+    generated through `cached_generate(client, cache, prompt, cfg)`. A
+    search or merge passes its sample's `CacheScope` in place of the cache
+    (`reward_settings`)."""
 
-    cache: ResponseCache | None = None
+    cache: ResponseCache | CacheScope | None = None
     cfg: SamplingConfig = SEARCH_SAMPLING
     template: PromptTemplate | None = None
     token_budget: int = DEFAULT_TOKEN_BUDGET
@@ -717,6 +730,47 @@ def reward_prompt(
     return prompt.text
 
 
+def _scope_prefix(
+    feedbacker: GeneratorClient,
+    settings: RoleSettings,
+    rendering: TableRendering,
+    query: str,
+    mode: str,
+) -> str:
+    """The first `_SCOPE_DIGITS` hex digits of the SHA-256 of everything a
+    reward prompt of this table is made from, but the evidence: the backend
+    and sampling fields (as `_key_frame` writes them), the mode, the template
+    text, the query and the table's rendering, joined by NUL characters.
+    Two tables whose parts join alike would share one scope, which costs
+    only a larger read: each entry's request key covers its whole prompt."""
+    cfg = settings.cfg
+    reprs = (repr(cfg.nucleus_p), repr(cfg.temperature), repr(cfg.max_new_tokens))
+    head, tail = _key_frame(_cache_identity(feedbacker), cfg, reprs)
+    template = settings.template or load_template("summarizer")
+    payload = "\0".join(
+        (head, tail, mode, template.text, query, rendering.head, *rendering.bodies)
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:_SCOPE_DIGITS]
+
+
+def reward_settings(
+    settings: RoleSettings,
+    feedbacker: GeneratorClient,
+    rendering: TableRendering,
+    query: str,
+    mode: str,
+) -> RoleSettings:
+    """`settings` with its cache narrowed to the `CacheScope` of the reward
+    prompts of one table (its `rendering`) and `query` in `mode`: every
+    answer cached for them is read with one statement, here, and every
+    later lookup of the caller is served from that read. With no cache,
+    `settings` as they are."""
+    if settings.cache is None:
+        return settings
+    prefix = _scope_prefix(feedbacker, settings, rendering, query, mode)
+    return replace(settings, cache=CacheScope(settings.cache, prefix))
+
+
 def feedback_reward(
     table: Table,
     evidence: Evidence,
@@ -728,24 +782,17 @@ def feedback_reward(
     *,
     rendering: TableRendering | None = None,
     prompt: str | None = None,
-    cached: str | None = None,
 ) -> float:
     """Score candidate evidence: summarize from it (`reward_prompt`) with
     the feedbacker's `settings`, compare to the reference.
 
     A caller that scores many candidates of one table passes its
-    `rendering` (`render_table`), built once. A caller that looked a batch
-    of prompts up at once passes this one's `prompt`, as `reward_prompt`
-    built it, and `cached`, the text the settings' cache held for it; a miss
-    (None) is then generated and stored without a second lookup.
+    `rendering` (`render_table`), built once, and may pass this one's
+    `prompt`, as `reward_prompt` built it.
     """
     if prompt is None:
         if rendering is None:
             rendering = render_table(table)
         prompt = reward_prompt(rendering, evidence, query, mode, settings)
-        output = cached_generate(feedbacker, settings.cache, prompt, settings.cfg)
-    elif cached is None:
-        output = _generate_and_store(feedbacker, settings.cache, prompt, settings.cfg)
-    else:
-        output = cached
+    output = cached_generate(feedbacker, settings.cache, prompt, settings.cfg)
     return eval_reward(output, reference)

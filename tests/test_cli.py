@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import threading
 import time
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import support
 import tablehelm.cli as cli
+import tablehelm.feedback as feedback
 from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, EndpointNotFoundError, SchemaError, TransportError
@@ -1374,6 +1376,46 @@ class TestCacheDirectory:
             assert [path.name for path in cache_dir.iterdir()] == [ResponseCache.FILENAME]
         assert calls in stdout
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_a_warm_search_and_merge_read_the_cache_once_per_sample(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cache_dir = tmp_path / "cache"
+        search, distill = tmp_path / "search.jsonl", tmp_path / "distill.jsonl"
+        assert run_cli(["search-labels", TOY, search, "--cache-dir", cache_dir], capsys)[0] == 0
+        assert run_cli(["distill-labels", TOY, distill,
+                        "--distill-endpoint", "fixed:{1, 2}"], capsys)[0] == 0
+        merge = ["merge-labels", TOY, "--labels", search, "--labels", distill,
+                 "--cache-dir", cache_dir]
+        assert run_cli(merge[:2] + [tmp_path / "cold-merge.jsonl"] + merge[2:], capsys)[0] == 0
+
+        statements: list[str] = []
+        connect = feedback.sqlite3.connect
+
+        def tracing_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(feedback.sqlite3, "connect", tracing_connect)
+        samples = len(TOY.read_text("utf-8").splitlines())
+        for argv, summary in (
+            (["search-labels", TOY, tmp_path / "warm-search.jsonl", "--cache-dir", cache_dir],
+             r"searched 10/10 samples .* generator calls 0"),
+            (merge[:2] + [tmp_path / "warm-merge.jsonl"] + merge[2:],
+             r"merged 10/10 samples .* generator calls 0"),
+        ):
+            statements.clear()
+            code, stdout, _ = run_cli(argv, capsys)
+            assert code == EXIT_OK
+            assert re.search(summary, stdout), stdout
+            reads = [sql for sql in statements if sql.startswith("SELECT")]
+            assert len(reads) == samples == 10
+
+        assert (tmp_path / "warm-search.jsonl").read_bytes() == search.read_bytes()
+        assert (tmp_path / "warm-merge.jsonl").read_bytes() == (
+            tmp_path / "cold-merge.jsonl"
+        ).read_bytes()
 
 
 class TestStrictInputLines:

@@ -822,11 +822,11 @@ def test_greedy_search_recovers_random_planted_subsets(rng_seed):
 
 
 # ---------------------------------------------------- batched cache lookups
-# With a cache, phase 1 and the merge build their prompts first and look them
-# all up in one statement. The reference below is the path they took before:
-# one plain `feedback_reward` call per set, in order on one thread, each
-# rendering the table and looking its own prompt up. Everything else in the
-# search is shared.
+# Phase 1 and the merge build their prompts first and evaluate them in
+# rounds, up to the feedbacker's `max_in_flight` at once. The reference below
+# is the path they took before: one plain `feedback_reward` call per set, in
+# order on one thread, each rendering the table. Everything else in the
+# search is shared, the sample's cache scope too.
 
 
 def one_by_one(sample, sets, mode, feedbacker, role, rendering):
@@ -969,6 +969,50 @@ def test_batched_lookups_merge_as_the_one_by_one_path(table, data, mode, width, 
     assert got == want
     assert got_calls == want_calls
     assert got_rows == want_rows
+
+
+class RecordingEcho(WideEcho):
+    """`WideEcho` recording each prompt it is asked for (thread-safe)."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__(width)
+        self.prompts: list[str] = []
+        self.lock = threading.Lock()
+
+    def generate(self, prompt, cfg):
+        with self.lock:
+            self.prompts.append(prompt)
+        return super().generate(prompt, cfg)
+
+
+def test_a_cold_cached_search_fanning_out_makes_the_calls_of_a_serial_one(tmp_path):
+    # Rows that repeat, so that singletons share prompts and the later
+    # accumulation steps repeat earlier prompts.
+    rows = (("a", "b"), ("c", "d"), ("a", "b"), ("e", "f"), ("c", "d"), ("a", "b"))
+    table = Table(header=("h1", "h2"), rows=rows)
+    sample = Sample(id="fan", table=table, query="q?", reference="c d e f")
+    outcomes = []
+    for width in (1, 4):
+        client = RecordingEcho(width)
+        cache = ResponseCache(tmp_path / f"width-{width}")
+        result = greedy_search(sample, client, settings=RoleSettings(cache=cache))
+        cache.close()
+        outcomes.append((result, sorted(client.prompts), _cache_rows(cache)))
+    assert outcomes[0] == outcomes[1]
+    (_, _, trace), prompts, rows_stored = outcomes[0]
+    assert len(prompts) == len(set(prompts)) == len(rows_stored) < trace.oracle_calls
+
+
+def test_no_cache_computes_no_scope(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a scope digest was computed with no cache")
+
+    monkeypatch.setattr(feedback, "_scope_prefix", refuse)
+    sample, planted = support.planted_sample("no-scope", 5, 2, (2, 4))
+    assert greedy_search(sample, EchoClient())[0] == planted
+    assert exhaustive_search(sample, EchoClient())[0] == planted
+    labeled = LabeledSample(sample_id=sample.id, e_search=planted, e_distill=Evidence((1,)))
+    assert merge_labels(labeled, sample, EchoClient()).e_merge == planted
 
 
 def test_a_repeated_singleton_prompt_is_generated_once_per_cold_search(tmp_path):

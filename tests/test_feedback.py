@@ -34,6 +34,7 @@ from tablehelm.errors import (
 )
 from tablehelm.feedback import (
     SEARCH_SAMPLING,
+    CacheScope,
     CountingClient,
     EchoClient,
     FixedClient,
@@ -853,14 +854,29 @@ class TestResponseCache:
         assert cache.get("m", "p", cfg) is None
         assert self.entries(cache) == []
 
-    def fill(self, cache: ResponseCache, cfg: SamplingConfig, count: int) -> list[str]:
-        """`count` prompts, each stored with the text "text <i>"."""
+    def test_get_is_one_point_read(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        cache.put("m", "p", cfg, "text")
+        statements: list[str] = []
+        cache._use(lambda conn: conn.set_trace_callback(statements.append))
+        assert cache.get("m", "p", cfg) == "text"
+        assert cache.get("m", "missing", cfg) is None
+        assert len(statements) == 2
+        assert all(sql.endswith(f"WHERE key = '{ResponseCache.key('m', p, cfg)}'")
+                   for sql, p in zip(statements, ("p", "missing")))
+
+    PREFIX = "0123456789abcdef"
+
+    def fill(self, scope, cfg: SamplingConfig, count: int) -> list[str]:
+        """`count` prompts, each stored in `scope` (a cache or a scope) with
+        the text "text <i>"."""
         prompts = [f"prompt {i}" for i in range(count)]
         for i, prompt in enumerate(prompts):
-            cache.put("m", prompt, cfg, f"text {i}")
+            scope.put("m", prompt, cfg, f"text {i}")
         return prompts
 
-    # Every row of the batch comes back as its bytes and stored type: one not
+    # Every row of a scope comes back as its bytes and stored type: one not
     # stored as TEXT (a BLOB, an INTEGER, a REAL), or not UTF-8, is evicted.
     # The text column is made without a type, as another program sharing the
     # file could make it, so that it keeps numbers as numbers.
@@ -880,27 +896,30 @@ class TestResponseCache:
         with closing(sqlite3.connect(cache.path)) as conn:
             conn.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, text NOT NULL) WITHOUT ROWID")
         cfg = SamplingConfig()
-        prompts = self.fill(cache, cfg, 5)
-        keys = [ResponseCache.key("m", prompt, cfg) for prompt in prompts]
+        prompts = self.fill(CacheScope(cache, self.PREFIX), cfg, 5)
+        keys = [self.PREFIX + ResponseCache.key("m", prompt, cfg) for prompt in prompts]
         with closing(sqlite3.connect(cache.path)) as conn, conn:
             for position, text_sql in zip((1, 3), damage):
                 conn.execute(
                     f"UPDATE entries SET text = {text_sql} WHERE key = ?", (keys[position],)
                 )
-        got = cache.get_many("m", prompts + ["unknown"], cfg)
+        scope = CacheScope(cache, self.PREFIX)
+        got = [scope.get("m", prompt, cfg) for prompt in prompts + ["unknown"]]
         assert got == ["text 0", None, "text 2", None, "text 4", None]
         assert sorted(key for key, _ in self.entries(cache)) == sorted(
             keys[i] for i in (0, 2, 4)
         )
         assert caplog.text.count("evicting corrupt cache entry") == 2
-        # The evicted prompts are regenerated and stored like any miss.
+        # The evicted prompts are regenerated and stored like any miss, once.
         client = RecordingClient("fresh")
         client.model_id = "m"
-        assert [cached_generate(client, cache, p, cfg) for p in prompts] == [
-            "text 0", "fresh", "text 2", "fresh", "text 4",
-        ]
+        for _ in range(2):
+            assert [cached_generate(client, scope, p, cfg) for p in prompts] == [
+                "text 0", "fresh", "text 2", "fresh", "text 4",
+            ]
         assert [prompt for prompt, _ in client.seen] == [prompts[1], prompts[3]]
-        assert cache.get_many("m", prompts, cfg) == [
+        fresh = CacheScope(cache, self.PREFIX)
+        assert [fresh.get("m", prompt, cfg) for prompt in prompts] == [
             "text 0", "fresh", "text 2", "fresh", "text 4",
         ]
 
@@ -913,8 +932,9 @@ class TestResponseCache:
             cache.path.mkdir()
         else:
             cache.path.write_bytes(b"not a database\n" * 512)
+        scope = CacheScope(cache, self.PREFIX)
         prompts = [f"prompt {i}" for i in range(6)]
-        assert cache.get_many("m", prompts, SamplingConfig()) == [None] * 6
+        assert [scope.get("m", p, SamplingConfig()) for p in prompts] == [None] * 6
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
             "cache read failed, generating instead",
         ]
@@ -929,40 +949,76 @@ class TestResponseCache:
         got = greedy_search(sample, client, settings=RoleSettings(cache=cache))
         assert got == greedy_search(sample, EchoClient())
         assert got[0] == planted
-        assert client.calls == 2 * 5
+        # Every distinct prompt: the first accumulation step repeats the top
+        # singleton's prompt, which the scope serves from what it stored.
+        assert got[2].oracle_calls == 2 * 5
+        assert client.calls == 2 * 5 - 1
         reads = [r for r in caplog.records if "cache read failed" in r.getMessage()]
-        # One for the five singletons, then one per accumulation step.
-        assert len(reads) == 1 + 5
+        # One for the search's scope read; every lookup is then served from it.
+        assert len(reads) == 1
 
-    def test_a_batch_past_the_parameter_limit_returns_every_hit(self, tmp_path):
+    def test_a_scope_is_read_whole_in_one_statement(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cfg = SamplingConfig()
-        count = 2 * 999 + 5
+        count = 2 * 999 + 5  # past SQLite's old limit on bound parameters
+        below, above = "0123456789abcdee", "0123456789abcdf0"
         with closing(sqlite3.connect(cache.path)) as conn, conn:
             conn.execute(
                 "CREATE TABLE entries (key TEXT PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"
             )
             conn.executemany(
                 "INSERT INTO entries VALUES (?, ?)",
-                [(ResponseCache.key("m", f"prompt {i}", cfg), f"text {i}") for i in range(count)],
+                [(prefix + ResponseCache.key("m", f"prompt {i}", cfg), f"{prefix} {i}")
+                 for prefix in (below, self.PREFIX, above) for i in range(count)],
             )
-        prompts = [f"prompt {i}" for i in range(count + 3)]
+        cache.put("m", "prompt 0", cfg, "point entry")
         statements: list[str] = []
         cache._use(lambda conn: conn.set_trace_callback(statements.append))
-        got = cache.get_many("m", prompts, cfg)
-        assert got == [f"text {i}" for i in range(count)] + [None] * 3
-        assert len(statements) == 3  # 999 + 999 + 8 keys
+        scope = CacheScope(cache, self.PREFIX)
+        assert len(statements) == 1
+        got = [scope.get("m", f"prompt {i}", cfg) for i in range(count + 3)]
+        assert got == [f"{self.PREFIX} {i}" for i in range(count)] + [None] * 3
+        assert scope.get("other", "prompt 0", cfg) is None
+        assert len(statements) == 1
 
-    def test_get_and_get_many_agree(self, tmp_path):
+    def test_a_scope_serves_what_it_stored_and_writes_it_through(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cfg = SamplingConfig()
-        stored = self.fill(cache, cfg, 4)
-        prompts = [stored[2], "missing", stored[0], stored[2], "", stored[3]]
-        many = cache.get_many("m", prompts, cfg)
-        assert many == [cache.get("m", prompt, cfg) for prompt in prompts]
-        assert many == ["text 2", None, "text 0", "text 2", None, "text 3"]
-        assert cache.get_many("m", [], cfg) == []
-        assert cache.get_many("other", prompts, cfg) == [None] * len(prompts)
+        scope = CacheScope(cache, self.PREFIX)
+        prompts = self.fill(scope, cfg, 3)
+        statements: list[str] = []
+        cache._use(lambda conn: conn.set_trace_callback(statements.append))
+        assert [scope.get("m", p, cfg) for p in prompts] == ["text 0", "text 1", "text 2"]
+        assert statements == []  # served from what the scope stored
+        assert [CacheScope(cache, self.PREFIX).get("m", p, cfg) for p in prompts] == [
+            "text 0", "text 1", "text 2",
+        ]
+        # Scoped entries are not point entries, nor entries of another scope.
+        assert cache.get("m", prompts[0], cfg) is None
+        assert CacheScope(cache, "fedcba9876543210").get("m", prompts[0], cfg) is None
+
+    @pytest.mark.parametrize(
+        "text_sql", ["X'00ff'", "42", "1.5", "CAST(X'fffe' AS TEXT)"]
+    )
+    def test_a_corrupt_entry_in_a_search_scope_is_evicted_and_regenerated_once(
+        self, tmp_path, caplog, text_sql
+    ):
+        sample, planted = support.planted_sample("corrupt-scope", 6, 2, (1, 4), salt="c")
+        cache = ResponseCache(tmp_path)
+        with closing(sqlite3.connect(cache.path)) as conn:
+            conn.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, text NOT NULL) WITHOUT ROWID")
+        settings = RoleSettings(cache=cache)
+        cold = greedy_search(sample, EchoClient(), settings=settings)
+        cache.close()
+        before = self.entries(cache)
+        damaged = before[3][0]
+        with closing(sqlite3.connect(cache.path)) as conn, conn:
+            conn.execute(f"UPDATE entries SET text = {text_sql} WHERE key = ?", (damaged,))
+        client = CountingClient(EchoClient())
+        assert greedy_search(sample, client, settings=settings) == cold
+        assert client.calls == 1
+        assert caplog.text.count("evicting corrupt cache entry") == 1
+        assert self.entries(cache) == before
 
     def test_a_warm_search_looks_its_singletons_up_in_one_statement(self, tmp_path):
         sample, planted = support.planted_sample("one-statement", 6, 2, (1, 4), salt="s")
@@ -978,11 +1034,10 @@ class TestResponseCache:
         assert client.calls == 0
         steps = sum(1 for c in warm[2].candidates if c.phase == "accumulate")
         assert steps == 6
-        assert len(statements) == 1 + steps
-        assert statements[0].partition(" IN (")[2].count(",") == 6 - 1  # six keys
-        assert all(
-            sql.startswith("SELECT key, CAST(text AS BLOB), typeof(text) FROM entries")
-            for sql in statements
+        # The singletons and every accumulation step, from one range read.
+        assert len(statements) == 1
+        assert statements[0].startswith(
+            "SELECT key, CAST(text AS BLOB), typeof(text) FROM entries WHERE key >= "
         )
 
     def test_a_warm_merge_looks_its_distinct_sets_up_in_one_statement(self, tmp_path):
@@ -1001,7 +1056,9 @@ class TestResponseCache:
         assert warm == cold and warm.e_merge == planted
         assert client.calls == 0
         assert len(statements) == 1
-        assert statements[0].partition(" IN (")[2].count(",") == 2 - 1  # two distinct sets
+        assert statements[0].startswith(
+            "SELECT key, CAST(text AS BLOB), typeof(text) FROM entries WHERE key >= "
+        )
 
     def test_a_blocked_cache_directory_is_a_logged_miss(self, tmp_path, caplog):
         blocker = tmp_path / "blocker"

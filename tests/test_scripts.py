@@ -71,7 +71,8 @@ def test_check_interpreters_gives_one_digest_per_output(tmp_path):
     lines = result.stdout.splitlines()
     names = [line.split("  ")[1] for line in lines]
     assert set(names) == {
-        "toy-search.jsonl", "toy-trace.jsonl", "toy-distill.jsonl", "toy-merged.jsonl",
+        "toy-search.jsonl", "toy-search-warm.jsonl", "toy-trace.jsonl",
+        "toy-distill.jsonl", "toy-merged.jsonl",
         "toy-train-highlighter.jsonl", "toy-train-summarizer.jsonl",
         "toy-predictions.jsonl", "toy-scores.json", "pairs-scores.json",
         "tables-search.jsonl", "tables-trace.jsonl",
@@ -80,6 +81,7 @@ def test_check_interpreters_gives_one_digest_per_output(tmp_path):
     # The toy chain it runs is the one the goldens pin.
     for output, golden in (
         ("toy-search.jsonl", "toy_search.jsonl"),
+        ("toy-search-warm.jsonl", "toy_search.jsonl"),
         ("toy-trace.jsonl", "toy_search_trace.jsonl"),
         ("toy-merged.jsonl", "toy_merge.jsonl"),
         ("toy-scores.json", "toy_scores.json"),

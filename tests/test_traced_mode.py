@@ -149,8 +149,8 @@ def test_every_search_evaluation_passes_each_traced_hop(spans, renders, tmp_path
 def test_a_warm_search_passes_each_traced_hop_but_the_oracle(
     spans, renders, tmp_path, capsys
 ):
-    # With a warm cache the singletons' prompts are looked up in one batch,
-    # not through `ResponseCache.get`; each evaluation must still pass
+    # With a warm cache every prompt is served from the search's one scope
+    # read, not through `ResponseCache.get`; each evaluation must still pass
     # `feedback_reward` and score its text through the traced names.
     cache = str(tmp_path / "cache")
     assert cli.main(["search-labels", str(TOY), str(tmp_path / "cold.jsonl"),
