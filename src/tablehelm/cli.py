@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from contextlib import closing, nullcontext
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, ContextManager, TextIO, TypeVar
 
@@ -352,7 +352,14 @@ def _trace_record(sample_id: str, trace: SearchTrace) -> dict[str, object]:
         "oracle_calls": trace.oracle_calls,
         "flags": list(trace.flags),
         "candidates": [
-            {**asdict(c), "evidence": list(c.evidence.indices)} for c in trace.candidates
+            {
+                "evidence": list(c.evidence.indices),
+                "reward": c.reward,
+                "phase": c.phase,
+                "accepted": c.accepted,
+                "note": c.note,
+            }
+            for c in trace.candidates
         ],
     }
 

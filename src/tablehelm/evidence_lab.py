@@ -35,7 +35,6 @@ import itertools
 import json
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
@@ -130,10 +129,14 @@ def map_ordered(
     JOB_FATAL_ERRORS (auth, 404, 3xx), which abort the whole job: every
     later call would fail identically, so none starts, and a queued call
     that a pool worker takes up after the error returns at once, unrun.
+    The pool's module is imported here, so a command that runs everything
+    on one thread never loads it.
     """
     if workers <= 1:
         yield from (_outcome(item, fn, item) for item in items)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     source = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
     fatal = threading.Event()

@@ -18,16 +18,11 @@ settings' cache to that table's scope.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import http.client
 import json
 import logging
 import math
 import os
-import select
-import sqlite3
-import ssl
 import threading
 import time
 import weakref
@@ -36,9 +31,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Protocol, TypeVar, runtime_checkable
-from urllib.parse import unquote, urlsplit
-from urllib.request import getproxies_environment, proxy_bypass_environment
+from typing import TYPE_CHECKING, Callable, Protocol, TypeVar, runtime_checkable
+from urllib.parse import urlsplit
 
 from .errors import (
     AuthError,
@@ -59,6 +53,12 @@ from .prompting import (
 from .prompting import build_summarizer_prompt  # not called; benchmark/spans.py wraps it
 from .table_core import Evidence, Table
 from .transforms import ROW_LINE_RE, TableRendering, render_table, subtable, unescape_cell
+
+# `sqlite3` loads with a cache's first connection (`ResponseCache._open`),
+# and the HTTP stack with an `HttpClient` (`_transport`), so a command that
+# uses neither imports neither.
+if TYPE_CHECKING:
+    import sqlite3
 
 __all__ = [
     "SamplingConfig",
@@ -154,90 +154,12 @@ def _close_all(connections: deque) -> None:
         connections.pop().close()
 
 
-class _Transport:
-    """Keep-alive connections to one endpoint over stdlib `http.client`.
+def _cache_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that make cache trouble a miss or a dropped write. An
+    `except` clause evaluates this only when its `try` raised."""
+    import sqlite3
 
-    `post(body, headers, timeout)` sends `body` to the endpoint the
-    transport was built for and returns `(status, reply body)`. Idle
-    connections wait in a deque (thread-safe appends and pops), closed when
-    the transport is collected; the caller's semaphore bounds how many are
-    out at once, so at most that many are ever open. A connection is
-    dropped after any error, when the reply says it will close, and before
-    reuse when `poll` (which, unlike `select`, has no FD_SETSIZE ceiling)
-    finds an event on its socket: a server that closed an idle connection
-    has sent EOF, and that connection would fail the request it carried.
-
-    The proxy for the endpoint (`*_PROXY`, `ALL_PROXY`, `NO_PROXY`, either
-    case) and the CA bundle (`REQUESTS_CA_BUNDLE` or `CURL_CA_BUNDLE`, else
-    the system store and `SSL_CERT_FILE`) are read once, here. HTTPS goes
-    through a proxy by a CONNECT tunnel, plain HTTP by an absolute request
-    target; proxy userinfo becomes `Proxy-Authorization: Basic`. Redirects
-    are not followed and `~/.netrc` is never read.
-    """
-
-    def __init__(self, endpoint: str) -> None:
-        parts = urlsplit(endpoint)
-        self._https = parts.scheme == "https"
-        self._address = (parts.hostname, parts.port or (443 if self._https else 80))
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        self._idle: deque[http.client.HTTPConnection] = deque()
-        weakref.finalize(self, _close_all, self._idle)
-        self._proxy: tuple[str, int] | None = None
-        self._proxy_headers: dict[str, str] = {}
-        if self._https:
-            bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-            self._context = ssl.create_default_context(cafile=bundle or None)
-        proxies = getproxies_environment()
-        proxy = proxies.get(parts.scheme) or proxies.get("all")
-        if not proxy or proxy_bypass_environment("%s:%d" % self._address, proxies):
-            return
-        proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        self._proxy = (proxy_parts.hostname, proxy_parts.port or 80)
-        if proxy_parts.username is not None:
-            userinfo = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
-            token = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
-            self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
-        if not self._https:
-            self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
-
-    def _connect(self, timeout: float) -> http.client.HTTPConnection:
-        host, port = self._proxy or self._address
-        if not self._https:
-            return http.client.HTTPConnection(host, port, timeout=timeout)
-        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._context)
-        if self._proxy:
-            conn.set_tunnel(*self._address, headers=self._proxy_headers)
-        return conn
-
-    def _take(self, timeout: float) -> http.client.HTTPConnection:
-        while True:
-            try:
-                conn = self._idle.pop()
-            except IndexError:
-                return self._connect(timeout)
-            poller = select.poll()
-            poller.register(conn.sock, select.POLLIN)
-            if not poller.poll(0):
-                conn.sock.settimeout(timeout)
-                return conn
-            conn.close()
-
-    def post(self, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
-        if self._proxy and not self._https:
-            headers = {**headers, **self._proxy_headers}
-        conn = self._take(timeout)
-        try:
-            conn.request("POST", self._target, body, headers)
-            response = conn.getresponse()
-            reply = response.status, response.read()
-        except BaseException:
-            conn.close()
-            raise
-        if response.will_close:
-            conn.close()
-        else:
-            self._idle.append(conn)
-        return reply
+    return (sqlite3.Error, OSError)
 
 
 class HttpClient:
@@ -261,9 +183,10 @@ class HttpClient:
     without a completion that encodes as UTF-8 raises
     `MalformedResponseError`. Unless a `transport` is passed in (an object
     whose `post(body, headers, timeout)` returns `(status, reply body)`),
-    the client talks through a `_Transport`, which reads its proxy and CA
-    settings from the environment once, here, and never reads `~/.netrc`:
-    the only credential sent is the API key.
+    the client talks through a `_transport.Transport`, which reads its proxy
+    and CA settings from the environment once, here, and never reads
+    `~/.netrc`: the only credential sent is the API key. Building a client
+    imports `_transport`, and with it `http.client` and `ssl`.
     """
 
     API_KEY_ENV = "HELM_API_KEY"
@@ -281,6 +204,8 @@ class HttpClient:
         transport=None,
         sleep=time.sleep,
     ) -> None:
+        from ._transport import TRANSIENT_ERRORS, Transport
+
         _check_endpoint(endpoint)
         self.endpoint = endpoint
         self.model_id = model_id
@@ -290,7 +215,8 @@ class HttpClient:
         self.max_attempts = max_attempts
         self.max_in_flight = max_in_flight
         self._backoff_base = backoff_base
-        self._transport = transport if transport is not None else _Transport(endpoint)
+        self._transport = transport if transport is not None else Transport(endpoint)
+        self._transient = TRANSIENT_ERRORS
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_in_flight)
         self._headers = {"Content-Type": "application/json"}
@@ -322,7 +248,8 @@ class HttpClient:
         return text
 
     def generate(self, prompt: str, cfg: SamplingConfig) -> str:
-        digest = _prompt_digest(prompt)
+        # Only the debug lines name the prompt.
+        digest = _prompt_digest(prompt) if logger.isEnabledFor(logging.DEBUG) else ""
         body = json.dumps(self._payload(prompt, cfg), allow_nan=False).encode("utf-8")
         last_transient = "no attempt made"
         rate_limited = False
@@ -332,7 +259,7 @@ class HttpClient:
             try:
                 with self._semaphore:
                     status, reply = self._transport.post(body, self._headers, self.timeout)
-            except (OSError, http.client.HTTPException) as exc:
+            except self._transient as exc:
                 last_transient = f"connection failure: {exc}"
                 rate_limited = False
                 logger.debug("prompt %s attempt %d: %s", digest, attempt, exc)
@@ -491,8 +418,10 @@ class ResponseCache:
     back as its stored bytes and type, decoded here. Cache trouble is never
     fatal: a `sqlite3.Error` or `OSError` makes a read a miss (a scope read,
     every entry of the scope), with one logged warning, and is a logged
-    warning on a write; an entry whose text is not stored as TEXT (a BLOB,
-    INTEGER or REAL) or is not UTF-8 is evicted and is a miss.
+    warning on a write (a scope whose read failed writes nothing); an entry
+    whose text is not stored as TEXT (a BLOB, INTEGER or REAL) or is not
+    UTF-8 is evicted and is a miss. `sqlite3` is imported with the first
+    connection.
     """
 
     FILENAME = "responses.sqlite3"
@@ -517,6 +446,8 @@ class ResponseCache:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _open(self) -> sqlite3.Connection:
+        import sqlite3
+
         if not self._set_up:
             self.directory.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
@@ -570,7 +501,7 @@ class ResponseCache:
         trouble."""
         try:
             return self._use(work)
-        except (sqlite3.Error, OSError) as exc:
+        except _cache_errors() as exc:
             logger.warning("cache read failed, generating instead: %s", exc)
             return missing
 
@@ -585,10 +516,11 @@ class ResponseCache:
 
         return self._read(lookup, None)
 
-    def _scan(self, prefix: str) -> dict[str, str]:
+    def _scan(self, prefix: str) -> dict[str, str] | None:
         """The text of every good entry whose key starts with `prefix`, a
         scope prefix of hex digits, by the rest of its key: one range read
-        on the primary key (every hex digit sorts before "g")."""
+        on the primary key (every hex digit sorts before "g"). None when
+        the read failed."""
 
         def scan(conn: sqlite3.Connection) -> dict[str, str]:
             rows = conn.execute(
@@ -603,7 +535,7 @@ class ResponseCache:
                     found[key[len(prefix) :]] = text
             return found
 
-        return self._read(scan, {})
+        return self._read(scan, None)
 
     def _store(self, key: str, text: str) -> None:
         try:
@@ -612,7 +544,7 @@ class ResponseCache:
                     "INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, text)
                 )
             )
-        except (sqlite3.Error, OSError) as exc:
+        except _cache_errors() as exc:
             logger.warning("cache write failed, continuing: %s", exc)
 
     def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
@@ -633,20 +565,26 @@ class CacheScope:
     `put` writes to both, so a prompt asked for again is not generated
     again. Threads may share a scope. The scope belongs to one search,
     merge or exhaustive search and is dropped with it: it sees what other
-    scopes or processes store only when made anew.
+    scopes or processes store only when made anew. A scope whose read
+    failed keeps what it stores to itself: the database it could not read
+    is not written, so the sample costs one logged warning, not one per
+    generated prompt.
     """
 
     def __init__(self, cache: ResponseCache, prefix: str) -> None:
         self._cache = cache
         self._prefix = prefix
-        self._texts = cache._scan(prefix)
+        texts = cache._scan(prefix)
+        self._writes = texts is not None
+        self._texts = texts if texts is not None else {}
 
     def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
         return self._texts.get(ResponseCache.key(model_id, prompt, cfg))
 
     def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
         key = ResponseCache.key(model_id, prompt, cfg)
-        self._cache._store(self._prefix + key, text)
+        if self._writes:
+            self._cache._store(self._prefix + key, text)
         self._texts[key] = text
 
 

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import re
+import sqlite3
 import threading
 import time
 from pathlib import Path
@@ -14,7 +15,6 @@ import pytest
 
 import support
 import tablehelm.cli as cli
-import tablehelm.feedback as feedback
 from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, EndpointNotFoundError, SchemaError, TransportError
@@ -1390,14 +1390,14 @@ class TestCacheDirectory:
         assert run_cli(merge[:2] + [tmp_path / "cold-merge.jsonl"] + merge[2:], capsys)[0] == 0
 
         statements: list[str] = []
-        connect = feedback.sqlite3.connect
+        connect = sqlite3.connect
 
         def tracing_connect(*args, **kwargs):
             conn = connect(*args, **kwargs)
             conn.set_trace_callback(statements.append)
             return conn
 
-        monkeypatch.setattr(feedback.sqlite3, "connect", tracing_connect)
+        monkeypatch.setattr(sqlite3, "connect", tracing_connect)
         samples = len(TOY.read_text("utf-8").splitlines())
         for argv, summary in (
             (["search-labels", TOY, tmp_path / "warm-search.jsonl", "--cache-dir", cache_dir],

@@ -393,6 +393,27 @@ class TestHttpClient:
         client.generate("p", SamplingConfig())
         assert transport.requests[0]["timeout"] == 7.5
 
+    def test_debug_lines_name_each_attempt_by_the_prompt_digest(self, caplog):
+        client, _, _ = make_http([reply(503), ConnectionError("refused"), ok("x")])
+        with caplog.at_level(logging.DEBUG, logger="tablehelm.feedback"):
+            assert client.generate("prompt \u00e9", SamplingConfig()) == "x"
+        digest = hashlib.sha256("prompt \u00e9".encode("utf-8")).hexdigest()[:12]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"prompt {digest} attempt 1: HTTP 503",
+            f"prompt {digest} attempt 2: refused",
+            f"prompt {digest} attempt 3: HTTP 200",
+        ]
+
+    def test_the_prompt_is_not_digested_unless_debug_is_on(self, caplog, monkeypatch):
+        def no_digest(prompt):
+            raise AssertionError("digested with debug logging off")
+
+        monkeypatch.setattr("tablehelm.feedback._prompt_digest", no_digest)
+        client, _, _ = make_http([reply(500), ok("x")])
+        with caplog.at_level(logging.INFO, logger="tablehelm.feedback"):
+            assert client.generate("p", SamplingConfig()) == "x"
+        assert caplog.records == []
+
 
 class TestHttpClientSession:
     """The client's own transport, against servers on 127.0.0.1."""
@@ -956,6 +977,9 @@ class TestResponseCache:
         reads = [r for r in caplog.records if "cache read failed" in r.getMessage()]
         # One for the search's scope read; every lookup is then served from it.
         assert len(reads) == 1
+        # The scope does not write to the database it could not read: the
+        # sample costs that one warning, not one more per generated prompt.
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == reads
 
     def test_a_scope_is_read_whole_in_one_statement(self, tmp_path):
         cache = ResponseCache(tmp_path)
