@@ -48,7 +48,6 @@ from .errors import (
 )
 # Bound here for `run_batch`, so that a tracer can wrap its loop, not a search's.
 from .evidence_lab import (
-    WINDOW_PER_WORKER,
     LabeledSample,
     SearchTrace,
     distill_one,

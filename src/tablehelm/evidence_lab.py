@@ -5,28 +5,29 @@ of label sources, and training-data export.
 The greedy search evaluates the n singleton rows first, reorders them by
 reward, then accumulates rows one at a time, keeping an addition only when
 it strictly improves the reward. That costs exactly 2n feedback evaluations
-instead of 2^n. The singletons do not depend on each other, so
-`map_ordered` (which runs the batch commands' samples too) runs them up to
-the feedbacker's `max_in_flight` at once, or in order on this thread when it
-has none, as the offline clients do; outcomes are tallied in row order, as
-in a serial search. The merge scores its distinct candidate sets alike.
+instead of 2^n.
 
-A search, a merge or an exhaustive search renders its table once
+A search, a merge or an exhaustive search scores its candidates through
+`_scorer`, built once per table: it renders the table once
 (`transforms.render_table`) and joins every candidate's prompt from that
 rendering. With a response cache, it first reads every answer cached for
 its table and query with one statement (`feedback.reward_settings`), and
-serves every lookup from that read: the singletons, each accumulation step
-and each merge candidate. Only the misses are generated, and they are
-stored in the cache and in the read, so a prompt asked for again is not
+serves every lookup from that read. Only the misses are generated, and they
+are stored in the cache and in the read, so a prompt asked for again is not
 generated again. Cache trouble during the read makes every prompt of the
-sample a miss, with one logged warning.
+sample a miss, with one logged warning. The singletons and the merge's
+candidate sets are scored as a batch: `map_ordered` (which runs the batch
+commands' samples too) runs them up to the feedbacker's `max_in_flight` at
+once, or in order on this thread when it has none, as the offline clients
+do; outcomes are tallied in input order, as in a serial search.
 
 Each candidate is evaluated once. Retrying transient backend failures is
 the HTTP client's job, within its `max_attempts`; a candidate whose call
 still fails, or whose prompt is over the token budget, is skipped with a
 "skipped:" note in the trace and never evaluated again. An auth failure, a
 404 or a redirect is not skipped: it ends the search, as it would every
-later call.
+later call. The exhaustive search, an oracle, skips nothing: it raises the
+first failure.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .prompting import (
     parse_evidence_output,
 )
 from .table_core import Dataset, Evidence, Sample, read_records
-from .transforms import TableRendering, render_table
+from .transforms import render_table
 
 __all__ = [
     "LabeledSample",
@@ -165,77 +166,70 @@ def map_ordered(
         pool.shutdown(cancel_futures=True)
 
 
-def _reward_or_error(
-    sample: Sample,
-    evidence: Evidence,
-    mode: str,
-    feedbacker: GeneratorClient,
-    settings: RoleSettings,
-    rendering: TableRendering,
-    prompt: str | None = None,
-) -> float | Exception:
-    """`feedback_reward` of `evidence`, or the skippable error that replaced
-    it. May run on pool threads, so it touches no shared state but the
-    settings' cache, which threads may share."""
-    try:
-        return feedback_reward(
-            sample.table, evidence, sample.query, sample.reference, mode,
-            feedbacker, settings, rendering=rendering, prompt=prompt,
-        )
-    except JOB_FATAL_ERRORS:
-        raise
-    except _SKIPPABLE_ERRORS as exc:
-        return exc
+def _scorer(
+    sample: Sample, mode: str, feedbacker: GeneratorClient, settings: RoleSettings
+) -> tuple[
+    Callable[..., float | Exception], Callable[[list[Evidence]], list[float | Exception]]
+]:
+    """The two scorers of `sample`'s candidate sets in `mode` with the
+    feedbacker's `settings`: of one set, and of a batch. Each outcome is
+    the set's `feedback_reward`, or the skippable error that replaced it.
 
-
-def _evaluate_all(
-    sample: Sample,
-    sets: list[Evidence],
-    mode: str,
-    feedbacker: GeneratorClient,
-    settings: RoleSettings,
-    rendering: TableRendering,
-) -> list[float | Exception]:
-    """`_reward_or_error` of each of `sets`, in order, up to the
-    feedbacker's `max_in_flight` at once.
-
-    Every prompt is joined from the table's `rendering` first
-    (`reward_prompt`; a skippable failure there is that set's outcome), and
-    each evaluation gets its prompt. With a cache (the caller's
-    `CacheScope`, already read), a prompt that repeats an earlier one waits
-    for a later round, looked up after the earlier one was stored, so it is
-    generated no more often than in a serial search; with none, it runs
-    beside the one it repeats.
+    The table is rendered, and with a cache its scope read
+    (`reward_settings`), once, here. The scorer of one set joins its prompt
+    unless given one; it may run on pool threads, touching no shared state
+    but the settings' cache. The scorer of a batch joins every prompt first
+    (a skippable failure there is that set's outcome), then scores the sets
+    in order, up to the feedbacker's `max_in_flight` at once. With a cache,
+    a prompt that repeats an earlier one waits for a later round, looked up
+    after the earlier one was stored, so it is generated no more often than
+    in a serial search; with none, it runs beside the one it repeats.
     """
+    table, query = sample.table, sample.query
+    rendering = render_table(table)
+    settings = reward_settings(settings, feedbacker, rendering, query, mode)
     width = getattr(feedbacker, "max_in_flight", 1)
-    outcomes: list[float | Exception] = [0.0] * len(sets)
-    prompts: dict[int, str] = {}
-    rounds: list[list[int]] = []
-    repeats: dict[str, int] = {}
-    for i, evidence in enumerate(sets):
+
+    def score(evidence: Evidence, prompt: str | None = None) -> float | Exception:
         try:
-            prompt = reward_prompt(rendering, evidence, sample.query, mode, settings)
+            if prompt is None:
+                prompt = reward_prompt(rendering, evidence, query, mode, settings)
+            return feedback_reward(
+                table, evidence, query, sample.reference, mode, feedbacker, settings,
+                prompt=prompt,
+            )
+        except JOB_FATAL_ERRORS:
+            raise
         except _SKIPPABLE_ERRORS as exc:
-            outcomes[i] = exc
-            continue
-        prompts[i] = prompt
-        seen = repeats.get(prompt, 0) if settings.cache is not None else 0
-        repeats[prompt] = seen + 1
-        if seen == len(rounds):
-            rounds.append([])
-        rounds[seen].append(i)
+            return exc
 
-    def evaluate(i: int) -> float | Exception:
-        return _reward_or_error(
-            sample, sets[i], mode, feedbacker, settings, rendering, prompts[i]
-        )
+    def score_all(sets: list[Evidence]) -> list[float | Exception]:
+        outcomes: list[float | Exception] = [0.0] * len(sets)
+        prompts: dict[int, str] = {}
+        rounds: list[list[int]] = []
+        repeats: dict[str, int] = {}
+        for i, evidence in enumerate(sets):
+            try:
+                prompt = reward_prompt(rendering, evidence, query, mode, settings)
+            except _SKIPPABLE_ERRORS as exc:
+                outcomes[i] = exc
+                continue
+            prompts[i] = prompt
+            seen = repeats.get(prompt, 0) if settings.cache is not None else 0
+            repeats[prompt] = seen + 1
+            if seen == len(rounds):
+                rounds.append([])
+            rounds[seen].append(i)
+        for batch in rounds:
+            for i, outcome, exc in map_ordered(
+                lambda i: score(sets[i], prompts[i]), batch, width
+            ):
+                if exc is not None:
+                    raise exc  # not skippable: `score` returns those
+                outcomes[i] = outcome
+        return outcomes
 
-    for batch in rounds:
-        for i, outcome, exc in map_ordered(evaluate, batch, width):
-            if exc is not None:
-                raise exc  # not skippable: `_reward_or_error` returns those
-            outcomes[i] = outcome
-    return outcomes
+    return score, score_all
 
 
 @dataclass(frozen=True)
@@ -254,8 +248,12 @@ class SearchTrace:
     """Everything the greedy search looked at, in evaluation order."""
 
     candidates: tuple[SearchCandidate, ...]
-    oracle_calls: int
     flags: tuple[str, ...] = ()
+
+    @property
+    def oracle_calls(self) -> int:
+        """Feedback evaluations made: the candidates that got a reward."""
+        return sum(c.reward is not None for c in self.candidates)
 
 
 @dataclass(frozen=True)
@@ -301,33 +299,29 @@ def greedy_search(
     one statement before the first evaluation (`reward_settings`), and all
     2n lookups are served from that read. Phase 1 scores each singleton
     sub-table, up to the feedbacker's `max_in_flight` at once, and tallies
-    the outcomes in row order. Phase 2
-    walks the singletons in descending-reward order (ties: ascending row
-    index) and grows the result set one evaluation at a time, accepting an
-    addition only on strict reward improvement. `step_cap` bounds the
-    number of accepted additions. If nothing is ever accepted and
-    `fallback` is set, the best singleton is returned and flagged. A
-    candidate whose evaluation fails is skipped; if no singleton scores at
-    all, the last such failure in row order is raised.
+    the outcomes in row order. Phase 2 walks the singletons in
+    descending-reward order (ties: ascending row index) and grows the result
+    set one evaluation at a time, accepting an addition only on strict
+    reward improvement. `step_cap` bounds the number of accepted additions.
+    If nothing is ever accepted and `fallback` is set, the best singleton is
+    returned and flagged. A candidate whose evaluation fails is skipped; if
+    no singleton scores at all, the last such failure in row order is raised.
     """
     n = sample.table.n_rows
     candidates: list[SearchCandidate] = []
     flags: list[str] = []
-    calls = 0
     last_error: Exception | None = None
 
     def tally(outcome: float | Exception) -> tuple[float | None, str]:
-        nonlocal calls, last_error
+        nonlocal last_error
         if isinstance(outcome, Exception):
             last_error = outcome
             return None, f"skipped: {outcome}"
-        calls += 1
         return outcome, ""
 
-    rendering = render_table(sample.table)
-    settings = reward_settings(settings, feedbacker, rendering, sample.query, "subtable")
+    score, score_all = _scorer(sample, "subtable", feedbacker, settings)
     singletons = [Evidence((i,)) for i in range(1, n + 1)]
-    outcomes = _evaluate_all(sample, singletons, "subtable", feedbacker, settings, rendering)
+    outcomes = score_all(singletons)
     singles: list[tuple[float, int]] = []
     for i, (evidence, outcome) in enumerate(zip(singletons, outcomes), start=1):
         reward, note = tally(outcome)
@@ -346,9 +340,7 @@ def greedy_search(
             flags.append("step_cap_reached")
             break
         evidence = Evidence(tuple(sorted(held + (row,))))
-        reward, note = tally(
-            _reward_or_error(sample, evidence, "subtable", feedbacker, settings, rendering)
-        )
+        reward, note = tally(score(evidence))
         accepted = reward is not None and reward > held_reward
         candidates.append(SearchCandidate(evidence, reward, "accumulate", accepted, note))
         if accepted:
@@ -366,8 +358,7 @@ def greedy_search(
         result, result_reward = Evidence(()), 0.0
         flags.append("no_usable_candidates")
 
-    trace = SearchTrace(tuple(candidates), calls, tuple(flags))
-    return result, result_reward, trace
+    return result, result_reward, SearchTrace(tuple(candidates), tuple(flags))
 
 
 def exhaustive_search(
@@ -382,7 +373,8 @@ def exhaustive_search(
 
     Returns the lexicographically smallest argmax. Cost is 2^n - 1
     evaluations, so tables beyond `n_max` rows are refused. With a cache,
-    every lookup is served from one read, as in `greedy_search`.
+    every lookup is served from one read, as in `greedy_search`. A failed
+    evaluation raises: the oracle skips no subset.
     """
     n = sample.table.n_rows
     if n > n_max:
@@ -392,16 +384,14 @@ def exhaustive_search(
             itertools.combinations(range(1, n + 1), size) for size in range(1, n + 1)
         )
     )
-    rendering = render_table(sample.table)
-    settings = reward_settings(settings, feedbacker, rendering, sample.query, "subtable")
+    score, _ = _scorer(sample, "subtable", feedbacker, settings)
     best_evidence: Evidence | None = None
     best_reward = -1.0
     for indices in subsets:
         evidence = Evidence(indices)
-        reward = feedback_reward(
-            sample.table, evidence, sample.query, sample.reference, "subtable",
-            feedbacker, settings, rendering=rendering,
-        )
+        reward = score(evidence)
+        if isinstance(reward, Exception):
+            raise reward  # the oracle scores every subset: none is skipped
         if reward > best_reward:
             best_evidence, best_reward = evidence, reward
     assert best_evidence is not None
@@ -467,9 +457,8 @@ def merge_labels(
         return replace(labeled, e_merge=evidence)
 
     sets = list(dict.fromkeys(candidates.values()))
-    rendering = render_table(sample.table)
-    settings = reward_settings(settings, feedbacker, rendering, sample.query, "highlight")
-    outcomes = _evaluate_all(sample, sets, "highlight", feedbacker, settings, rendering)
+    _, score_all = _scorer(sample, "highlight", feedbacker, settings)
+    outcomes = score_all(sets)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -718,19 +718,17 @@ def feedback_reward(
     feedbacker: GeneratorClient,
     settings: RoleSettings = SEARCH_SETTINGS,
     *,
-    rendering: TableRendering | None = None,
     prompt: str | None = None,
 ) -> float:
     """Score candidate evidence: summarize from it (`reward_prompt`) with
     the feedbacker's `settings`, compare to the reference.
 
-    A caller that scores many candidates of one table passes its
-    `rendering` (`render_table`), built once, and may pass this one's
-    `prompt`, as `reward_prompt` built it.
+    Called plainly, it renders `table` and joins the prompt itself. A caller
+    that has joined this candidate's `prompt` already, as `reward_prompt`
+    joins it, passes it: the searches and the merge of `evidence_lab` join
+    every candidate's prompt from one rendering of their table.
     """
     if prompt is None:
-        if rendering is None:
-            rendering = render_table(table)
-        prompt = reward_prompt(rendering, evidence, query, mode, settings)
+        prompt = reward_prompt(render_table(table), evidence, query, mode, settings)
     output = cached_generate(feedbacker, settings.cache, prompt, settings.cfg)
     return eval_reward(output, reference)

@@ -18,7 +18,7 @@ import tablehelm.cli as cli
 from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, EndpointNotFoundError, SchemaError, TransportError
-from tablehelm.evidence_lab import LabeledSample, load_labels
+from tablehelm.evidence_lab import WINDOW_PER_WORKER, LabeledSample, load_labels
 from tablehelm.feedback import EchoClient, FixedClient, HttpClient, ResponseCache, SamplingConfig
 from tablehelm.table_core import Evidence, serialize_sample
 
@@ -326,7 +326,7 @@ class TestMapOrdered:
 
         with pytest.raises(AuthError):
             list(cli.map_ordered(work, list(range(200)), workers=2))
-        assert 0 < len(started) <= cli.WINDOW_PER_WORKER * 2
+        assert 0 < len(started) <= WINDOW_PER_WORKER * 2
 
 
 class TestMapOrderedOnOneWorker:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import support
 from tablehelm import evidence_lab, feedback, transforms
 from tablehelm.errors import (
+    JOB_FATAL_ERRORS,
     AuthError,
     EndpointNotFoundError,
     MissingLabelError,
@@ -50,6 +51,7 @@ from tablehelm.feedback import (
 )
 from tablehelm.prompting import (
     OUTPUT_MARKER,
+    estimate_tokens,
     load_example_blocks,
     summarizer_prompt_from_text,
 )
@@ -498,6 +500,30 @@ class TestExhaustiveSearch:
         with pytest.raises(TableTooLargeError):
             exhaustive_search(champions_sample, EchoClient(), n_max=2)
 
+    def test_a_warm_cache_serves_every_subset(self, tmp_path):
+        sample, planted = support.planted_sample("ex-5", 4, 2, (1, 3))
+        role = RoleSettings(cache=ResponseCache(tmp_path))
+        cold = CountingClient(EchoClient())
+        cold_best = exhaustive_search(sample, cold, settings=role)
+        warm = CountingClient(EchoClient())
+        assert exhaustive_search(sample, warm, settings=role) == cold_best
+        assert cold_best == (planted, 1.0)
+        assert cold.calls == 2**4 - 1
+        assert warm.calls == 0
+
+    def test_a_subset_over_the_token_budget_raises(self):
+        # The budget fits the first subset, {1}, but not the next, {1, 2}:
+        # the oracle raises there instead of skipping it, as a search would.
+        sample, _ = support.planted_sample("ex-6", 3, 2, (2,))
+        prompt = feedback.reward_prompt(
+            render_table(sample.table), Evidence((1,)), sample.query, "subtable"
+        )
+        budget = estimate_tokens(prompt)
+        client = CountingClient(EchoClient())
+        with pytest.raises(PromptTooLongError):
+            exhaustive_search(sample, client, settings=RoleSettings(token_budget=budget))
+        assert client.calls == 1
+
 
 class TestLabeledSample:
     def test_requires_a_sample_id(self):
@@ -824,18 +850,29 @@ def test_greedy_search_recovers_random_planted_subsets(rng_seed):
 # ---------------------------------------------------- batched cache lookups
 # Phase 1 and the merge build their prompts first and evaluate them in
 # rounds, up to the feedbacker's `max_in_flight` at once. The reference below
-# is the path they took before: one plain `feedback_reward` call per set, in
-# order on one thread, each rendering the table. Everything else in the
-# search is shared, the sample's cache scope too.
+# stands in for the whole scorer of a table: one plain `feedback_reward` call
+# per set, in order on one thread, each rendering the table, over the cache
+# scope of `feedback.reward_settings`, with a skippable error returned in
+# place of its reward. Everything else in the search is shared.
 
 
-def one_by_one(sample, sets, mode, feedbacker, role, rendering):
-    return [
-        evidence_lab._reward_or_error(
-            sample, evidence, mode, feedbacker, role, render_table(sample.table)
-        )
-        for evidence in sets
-    ]
+def one_by_one(sample, mode, feedbacker, role):
+    role = feedback.reward_settings(
+        role, feedbacker, render_table(sample.table), sample.query, mode
+    )
+
+    def score(evidence):
+        try:
+            return feedback.feedback_reward(
+                sample.table, evidence, sample.query, sample.reference, mode,
+                feedbacker, role,
+            )
+        except JOB_FATAL_ERRORS:
+            raise
+        except evidence_lab._SKIPPABLE_ERRORS as exc:
+            return exc
+
+    return score, lambda sets: [score(evidence) for evidence in sets]
 
 
 class WideEcho(EchoClient):
@@ -898,7 +935,7 @@ def _differential(run, mode, width, damaged):
         for side in ("batched", "reference"):
 
             def warm_up(cache):
-                with mock.patch.object(evidence_lab, "_evaluate_all", one_by_one):
+                with mock.patch.object(evidence_lab, "_scorer", one_by_one):
                     run(EchoClient(), RoleSettings(cache=cache))
 
             cache = _prepare(mode, Path(tmp, side), warm_up, damaged)
@@ -907,7 +944,7 @@ def _differential(run, mode, width, damaged):
             if side == "batched":
                 result = run(client, role)
             else:
-                with mock.patch.object(evidence_lab, "_evaluate_all", one_by_one):
+                with mock.patch.object(evidence_lab, "_scorer", one_by_one):
                     result = run(client, role)
             rows = None
             if cache is not None:
@@ -1018,7 +1055,9 @@ def test_no_cache_computes_no_scope(monkeypatch):
 def test_a_repeated_singleton_prompt_is_generated_once_per_cold_search(tmp_path):
     table = Table(header=("h1", "h2"), rows=(("a", "b"),) * 4 + (("c", "d"),))
     sample = Sample(id="dup", table=table, query="q?", reference="c d")
-    client = CountingClient(WideEcho(4))
+    # Each call takes 20 ms, so a repeat that ran beside the call it repeats
+    # would miss the cache and be generated too.
+    client = JitteryClient(4, sample, delay_s=(0.02, 0.02))
     evidence, reward, trace = greedy_search(
         sample, client, settings=RoleSettings(cache=ResponseCache(tmp_path))
     )
