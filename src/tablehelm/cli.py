@@ -15,6 +15,17 @@ is there or calls a generator, and exits 2 naming the file if another job
 holds it. Where `fcntl` does not exist (not POSIX), outputs are written
 unlocked.
 
+Each command imports only the package layers it runs, when it starts
+(`_bind`): `--help` imports none, `ingest` `table_core`, `evaluate`
+`table_core` and `metrics`. `highlight` needs the label records of
+`evidence_lab`, and the label loop (`search-labels`, `distill-labels`,
+`merge-labels`, `export-train`, `pipeline`) runs every layer, so those
+commands import them all. The names used from a layer are bound here once,
+at the first command that runs it, and then stay. Patch them here
+(`tablehelm.cli.greedy_search`), where a command calls them as set: a
+patch made in the layer itself (`tablehelm.feedback.HttpClient`) before any
+command runs would be bound here and outlive its undoing.
+
 Exit codes: 0 success, 2 validation problem, 3 backend/transport failure,
 4 finished but with a success rate below the configured threshold.
 """
@@ -28,15 +39,16 @@ import os
 import sys
 from contextlib import closing, nullcontext
 from dataclasses import fields, replace
+from importlib import import_module
 from pathlib import Path
-from typing import Callable, ContextManager, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, ContextManager, TextIO, TypeVar
 
 try:
     import fcntl
 except ImportError:  # not POSIX: outputs are written unlocked
     fcntl = None
 
-from .config import RunConfig, build_config
+from .config import RunConfig, SamplingConfig, build_config
 from .errors import (
     BACKEND_ERRORS,
     EmptyEvidenceError,
@@ -46,41 +58,70 @@ from .errors import (
     TableHelmError,
     UnmatchedIdError,
 )
-# Bound here for `run_batch`, so that a tracer can wrap its loop, not a search's.
-from .evidence_lab import (
-    LabeledSample,
-    SearchTrace,
-    distill_one,
-    export_highlighter_training,
-    export_summarizer_training,
-    greedy_search,
-    labeled_to_record,
-    load_labels,
-    map_ordered,
-    merge_labels,
-)
-from .feedback import (
-    CountingClient,
-    EchoClient,
-    FixedClient,
-    GeneratorClient,
-    HttpClient,
-    ResponseCache,
-    RoleSettings,
-    SamplingConfig,
-    cached_generate,
-    shown_rows,
-)
-from .metrics import corpus_evaluate
-from .prompting import (
-    build_highlighter_prompt,
-    build_summarizer_prompt,
-    load_example_blocks,
-    load_template,
-    parse_evidence_output,
-)
-from .table_core import Dataset, Evidence, Sample, load_dataset, read_records, save_dataset
-from .transforms import highlight, linearize, subtable
+
+if TYPE_CHECKING:
+    from .evidence_lab import SearchTrace
+    from .feedback import GeneratorClient
+    from .table_core import Dataset, Sample
+
+# The names this module calls in each layer, bound as module globals by
+# `_bind` or `__getattr__`. The commands look them up here, not in their
+# layer, so a tracer that wraps one here wraps this module's calls and not,
+# say, a search's own.
+_LAYERS = {
+    "table_core": ("Evidence", "load_dataset", "read_records", "save_dataset"),
+    "transforms": ("highlight", "linearize", "subtable"),
+    "metrics": ("corpus_evaluate",),
+    "prompting": (
+        "build_highlighter_prompt",
+        "build_summarizer_prompt",
+        "load_example_blocks",
+        "load_template",
+        "parse_evidence_output",
+    ),
+    "feedback": (
+        "CountingClient",
+        "EchoClient",
+        "FixedClient",
+        "HttpClient",
+        "ResponseCache",
+        "RoleSettings",
+        "cached_generate",
+        "shown_rows",
+    ),
+    "evidence_lab": (
+        "LabeledSample",
+        "distill_one",
+        "export_highlighter_training",
+        "export_summarizer_training",
+        "greedy_search",
+        "labeled_to_record",
+        "load_labels",
+        "map_ordered",
+        "merge_labels",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def _bind(*layers: str) -> None:
+    """Import `layers` and set the names this module uses from them as
+    globals. A name already set (a tracer's wrapper, a test's stand-in, an
+    earlier binding) is kept, so the commands call it."""
+    namespace = globals()
+    for layer in layers:
+        module = import_module(f".{layer}", __package__)
+        for name in _LAYERS[layer]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str) -> object:
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(layer)
+    return globals()[name]
+
 
 __all__ = ["main"]
 
@@ -98,6 +139,7 @@ def make_client(endpoint: str, model_id: str, run: RunConfig) -> GeneratorClient
     "echo" is the offline table-reading oracle, "fixed:<text>" always
     returns <text>, and http(s) URLs get the chat-completions client.
     """
+    _bind("feedback")
     if endpoint == "echo":
         return EchoClient()
     if endpoint.startswith("fixed:"):
@@ -267,6 +309,7 @@ def _parse_flag_evidence(raw: str) -> Evidence:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    _bind("table_core")
     dataset, report = load_dataset(args.input, format=args.format, strict=args.strict)
     for failure in report.failures:
         print(f"line {failure.line}: {failure.message}", file=sys.stderr)
@@ -280,6 +323,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_search_labels(args: argparse.Namespace) -> int:
+    _bind("table_core", "prompting", "feedback", "evidence_lab")
     run = _run_config(args)
     if args.trace and _same_file(args.trace, args.output):
         raise SchemaError("trace", f"--trace names the output file {args.output}")
@@ -364,6 +408,7 @@ def _trace_record(sample_id: str, trace: SearchTrace) -> dict[str, object]:
 
 
 def cmd_distill_labels(args: argparse.Namespace) -> int:
+    _bind("table_core", "prompting", "feedback", "evidence_lab")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     endpoint = run.distill_endpoint or run.feedbacker_endpoint
@@ -398,6 +443,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
 
 
 def cmd_merge_labels(args: argparse.Namespace) -> int:
+    _bind("table_core", "prompting", "feedback", "evidence_lab")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     sources = [load_labels(path) for path in args.labels]
@@ -432,6 +478,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
+    _bind("table_core", "transforms", "evidence_lab")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     labels = load_labels(args.labels) if args.labels else {}
@@ -477,6 +524,7 @@ def _resolve_evidence(
 
 
 def cmd_export_train(args: argparse.Namespace) -> int:
+    _bind("table_core", "prompting", "feedback", "evidence_lab")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     labels = load_labels(args.labels)
@@ -495,6 +543,7 @@ def cmd_export_train(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    _bind("table_core", "prompting", "feedback", "evidence_lab")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     highlighter = CountingClient(
@@ -558,6 +607,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _bind("table_core", "metrics")
     run = _run_config(args)
     dataset = _load_input(args.dataset, run)
 

@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import SchemaError
-from .feedback import SamplingConfig
 
-__all__ = ["RunConfig", "build_config", "ENV_PREFIX"]
+__all__ = ["RunConfig", "SamplingConfig", "build_config", "ENV_PREFIX"]
 
 ENV_PREFIX = "HELM_"
 
@@ -38,6 +37,23 @@ _SAMPLING_FIELDS = {
         for field in ("temperature", "nucleus_p")
     },
 }
+
+
+@dataclass(frozen=True)
+class SamplingConfig:
+    """Decoding parameters sent to a generator."""
+
+    nucleus_p: float = 0.9
+    temperature: float = 0.1
+    max_new_tokens: int = 256
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.nucleus_p <= 1.0:
+            raise ValueError(f"nucleus_p must be in (0, 1], got {self.nucleus_p}")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if self.max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
 
 def _invalid(key: str, problem: str) -> SchemaError:

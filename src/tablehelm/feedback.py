@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import threading
 import time
@@ -34,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, TypeVar, runtime_checkable
 from urllib.parse import urlsplit
 
+from .config import SamplingConfig  # re-exported: it lives with the run settings
 from .errors import (
     AuthError,
     EndpointNotFoundError,
@@ -95,23 +95,6 @@ _CACHE_PAGES = 64
 # Hex digits of a scope prefix (`_scope_prefix`); the key of a scoped entry
 # is the prefix followed by the 64 of its request key.
 _SCOPE_DIGITS = 16
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Decoding parameters sent to a generator."""
-
-    nucleus_p: float = 0.9
-    temperature: float = 0.1
-    max_new_tokens: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.nucleus_p <= 1.0:
-            raise ValueError(f"nucleus_p must be in (0, 1], got {self.nucleus_p}")
-        if not 0.0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
 
 # Greedy decoding for label search: reward comparisons are meaningless under
