@@ -9,12 +9,18 @@ once by the interpreter that runs this script:
   roles, pipeline and evaluate, every role on the offline oracles;
 - evaluate over 3,000 seeded random (prediction, reference) pairs;
 - search-labels with --trace over 300 planted 20x4 tables (the shape of the
-  benchmark's echo-loop workload).
+  benchmark's echo-loop workload);
+- the toy search-labels again, against a chat-completions server on
+  127.0.0.1 (a stdlib ThreadingHTTPServer with benchmark/loopback.py's
+  handler) that answers each feedbacker prompt with echo_oracle_generate,
+  so that every interpreter runs the package's HTTP client: its labels
+  must be the echo search's, byte for byte.
 
 It prints one SHA-256 digest per output, and exits 1 when an output's
 digests differ between interpreters (each interpreter's digest is printed
-then) and 2 when an interpreter fails to run the chain or a warm rerun
-calls a generator. The interpreters need only the standard library.
+then) and 2 when an interpreter fails to run the chain, a warm rerun calls
+a generator, or the HTTP search's labels differ from the echo search's. The
+interpreters need only the standard library.
 
 Usage: python scripts/check_interpreters.py [--work DIR] [INTERPRETER ...]
 (default: the interpreter running the script), for example
@@ -33,6 +39,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +51,9 @@ SEED = 8
 # Outputs of a rerun on a warm response cache: their commands must report
 # "generator calls 0".
 WARM_RUNS = ("toy-search-warm.jsonl",)
+
+# The toy search over HTTP, and the echo search whose labels it must equal.
+HTTP_RUN, ECHO_RUN = "toy-search-http.jsonl", "toy-search.jsonl"
 
 # The evaluate inputs draw from a small vocabulary, so that hypotheses and
 # references share and repeat words and every score column is non-trivial.
@@ -80,13 +91,12 @@ def write_inputs(work: Path) -> None:
     write_jsonl(work / "tables.jsonl", make_samples(shape, SEED, "interpreters"))
 
 
-def chain(work: Path) -> dict[str, list[str]]:
-    """Output name -> the command that writes it, the toy chain first."""
+def chain(work: Path, endpoint: str) -> dict[str, list[str]]:
+    """Output name -> the command that writes it, the toy chain first;
+    `endpoint` is the feedbacker of the HTTP search."""
     toy = str(ROOT / "data" / "toy.jsonl")
-    offline = [
-        "--feedbacker-endpoint", "echo", "--highlighter-endpoint", "echo",
-        "--summarizer-endpoint", "echo", "--distill-endpoint", "fixed:{1}",
-    ]
+    roles = ["--highlighter-endpoint", "echo", "--summarizer-endpoint", "echo",
+             "--distill-endpoint", "fixed:{1}"]
 
     def path(name: str) -> str:
         return str(work / name)
@@ -116,7 +126,32 @@ def chain(work: Path) -> dict[str, list[str]]:
                                 path("tables-search.jsonl"),
                                 "--trace", path("tables-trace.jsonl")],
     }
-    return {name: argv + offline for name, argv in commands.items()}
+    runs = {name: argv + ["--feedbacker-endpoint", "echo"] + roles
+            for name, argv in commands.items()}
+    runs[HTTP_RUN] = ["search-labels", toy, path(HTTP_RUN),
+                      "--feedbacker-endpoint", endpoint] + roles
+    return runs
+
+
+@contextlib.contextmanager
+def echo_server():
+    """The benchmark's loopback chat-completions server, on 127.0.0.1 with
+    no delay: it answers each feedbacker prompt with `echo_oracle_generate`.
+    Yields its endpoint."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    from loopback import Counters, make_handler
+    from tablehelm.feedback import echo_oracle_generate
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0),
+                                 make_handler(Counters(), 0.0, echo_oracle_generate))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 # What `write_inputs` writes; each run copies them, and every other file it
@@ -132,16 +167,20 @@ def run_child(inputs: Path, out: Path) -> int:
 
     for name in INPUTS:
         (out / name).write_bytes((inputs / name).read_bytes())
-    for name, argv in chain(out).items():
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            code = cli.main(argv)
-        if code != 0:
-            print(f"{name}: exit {code}", file=sys.stderr)
-            return 2
-        if name in WARM_RUNS and "generator calls 0" not in printed.getvalue():
-            print(f"{name}: the warm rerun said {printed.getvalue()!r}", file=sys.stderr)
-            return 2
+    with echo_server() as endpoint:
+        for name, argv in chain(out, endpoint).items():
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli.main(argv)
+            if code != 0:
+                print(f"{name}: exit {code}", file=sys.stderr)
+                return 2
+            if name in WARM_RUNS and "generator calls 0" not in printed.getvalue():
+                print(f"{name}: the warm rerun said {printed.getvalue()!r}", file=sys.stderr)
+                return 2
+    if (out / HTTP_RUN).read_bytes() != (out / ECHO_RUN).read_bytes():
+        print(f"{HTTP_RUN}: its labels differ from {ECHO_RUN}", file=sys.stderr)
+        return 2
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())

@@ -1,10 +1,7 @@
-"""The wire under `feedback.HttpClient`: keep-alive connections over stdlib
-`http.client`.
-
-This module is imported by `HttpClient.__init__`, not by the package, so
-`http.client`, `ssl` and `urllib.request`'s proxy helpers load only in a
-process that builds an HTTP client. `TRANSIENT_ERRORS` are the exceptions a
-`post` can raise that the client retries.
+"""The wire under `feedback.HttpClient`: keep-alive HTTP/1.1 over sockets that
+stdlib `http.client` opens. `HttpClient.__init__` imports it, so `http.client`,
+`ssl` and `urllib.request`'s proxy helpers load only in a process that builds
+an HTTP client. `TRANSIENT_ERRORS` are what a `post` raises that is retried.
 """
 
 from __future__ import annotations
@@ -24,39 +21,112 @@ __all__ = ["TRANSIENT_ERRORS", "Transport"]
 # Connection failures: refused, reset, timed out, or a reply that is not HTTP.
 TRANSIENT_ERRORS = (OSError, http.client.HTTPException)
 
+_MAX_LINE, _MAX_HEADERS = 65536, 100  # http.client's: bytes a line, fields a section
+
 
 def _close_all(connections: deque) -> None:
     while connections:
-        connections.pop().close()
+        connections.pop().sock.close()
+
+
+class _Connection:
+    """One open socket, and the reply bytes read from it but not yet used."""
+
+    def __init__(self, sock) -> None:
+        self.sock, self._buffer, self._pos = sock, b"", 0
+
+    def _fill(self) -> None:
+        if not (data := self.sock.recv(_MAX_LINE)):
+            raise http.client.IncompleteRead(self._buffer[self._pos:])
+        self._buffer, self._pos = self._buffer[self._pos:] + data, 0
+
+    def _line(self) -> bytes:
+        while (end := self._buffer.find(b"\n", self._pos, self._pos + _MAX_LINE)) < 0:
+            if len(self._buffer) - self._pos >= _MAX_LINE:
+                raise http.client.LineTooLong("a reply line")
+            self._fill()
+        line, self._pos = self._buffer[self._pos:end + 1], end + 1
+        return line
+
+    def _exactly(self, size: int) -> bytes:
+        while len(self._buffer) - self._pos < size:
+            self._fill()
+        self._pos += size
+        return self._buffer[self._pos - size:self._pos]
+
+    def _fields(self) -> dict[bytes, bytes]:
+        fields: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            if (line := self._line()) in (b"\r\n", b"\n"):
+                return fields
+            name, _, value = line.partition(b":")
+            if (name := name.lower()) in (b"content-length", b"transfer-encoding", b"connection"):
+                fields[name] = b",".join(filter(None, (fields.get(name), value.strip())))
+        raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+    def read_reply(self) -> tuple[int, bytes, bool]:
+        """One reply as `(status, body, reusable)`, framed by RFC 9112 §6.3:
+        1xx replies are skipped, 204 and 304 have no body, chunked coding wins
+        over `Content-Length`, and with neither the body runs to EOF."""
+        status = 100  # read status lines until one is not interim
+        while 100 <= status < 200:
+            words = (line := self._line()).split(None, 2)
+            if (len(words) < 2 or not words[0].startswith(b"HTTP/")
+                    or not words[1].isdigit() or not 100 <= int(words[1]) <= 999):
+                raise http.client.BadStatusLine(str(line, "latin-1"))
+            status, fields = int(words[1]), self._fields()
+        keep = words[0] == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+        coding, length = fields.get(b"transfer-encoding"), fields.get(b"content-length")
+        if status in (204, 304):
+            body = b""
+        elif coding is not None and coding.lower().rsplit(b",", 1)[-1].strip() == b"chunked":
+            body = b""
+            try:
+                while size := int(self._line().split(b";", 1)[0], 16):
+                    body += self._exactly(size + 2)[:-2]
+            except ValueError:
+                raise http.client.IncompleteRead(body) from None
+            self._fields()  # the trailer section
+        elif coding is None and length is not None:
+            if not length.isdigit():
+                raise http.client.HTTPException(f"bad Content-Length {length!r}")
+            body = self._exactly(int(length))
+        else:
+            rest = iter(lambda: self.sock.recv(_MAX_LINE), b"")
+            body, keep = b"".join([self._buffer[self._pos:], *rest]), False
+        return status, body, keep and self._pos == len(self._buffer)
 
 
 class Transport:
-    """Keep-alive connections to one endpoint over stdlib `http.client`.
+    """Keep-alive connections to one endpoint, one HTTP/1.1 exchange at a time.
 
-    `post(body, headers, timeout)` sends `body` to the endpoint the
-    transport was built for and returns `(status, reply body)`. Idle
-    connections wait in a deque (thread-safe appends and pops), closed when
-    the transport is collected; the caller's semaphore bounds how many are
-    out at once, so at most that many are ever open. A connection is
-    dropped after any error, when the reply says it will close, and before
-    reuse when `poll` (which, unlike `select`, has no FD_SETSIZE ceiling)
-    finds an event on its socket: a server that closed an idle connection
-    has sent EOF, and that connection would fail the request it carried.
+    `post(body, headers, timeout)` sends `Host` (as `http.client` writes
+    it), `Accept-Encoding: identity`, `Content-Length`, `headers` and `body`
+    in one write and returns `(status, reply body)`. `http.client` only
+    opens connections (TCP, TLS, proxy tunnels). Idle connections wait in a
+    deque, closed when the transport is collected; the caller's semaphore
+    bounds how many are open. One is reused only when its last reply left
+    it reusable and `poll` (unlike `select`, free of FD_SETSIZE) sees no
+    event on it: a server that closed an idle connection has sent EOF.
 
-    The proxy for the endpoint (`*_PROXY`, `ALL_PROXY`, `NO_PROXY`, either
-    case) and the CA bundle (`REQUESTS_CA_BUNDLE` or `CURL_CA_BUNDLE`, else
-    the system store and `SSL_CERT_FILE`) are read once, here. HTTPS goes
-    through a proxy by a CONNECT tunnel, plain HTTP by an absolute request
-    target; proxy userinfo becomes `Proxy-Authorization: Basic`. Redirects
-    are not followed and `~/.netrc` is never read.
+    Proxy settings (`*_PROXY`, `ALL_PROXY`, `NO_PROXY`, either case) and the
+    CA bundle (`REQUESTS_CA_BUNDLE`, `CURL_CA_BUNDLE`, else the system store
+    and `SSL_CERT_FILE`) are read once, here. HTTPS goes through a proxy by
+    CONNECT, plain HTTP by an absolute target with proxy userinfo as
+    `Proxy-Authorization: Basic`. No redirect is followed; `~/.netrc` is
+    never read.
     """
 
     def __init__(self, endpoint: str) -> None:
         parts = urlsplit(endpoint)
         self._https = parts.scheme == "https"
-        self._address = (parts.hostname, parts.port or (443 if self._https else 80))
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        self._idle: deque[http.client.HTTPConnection] = deque()
+        default_port = 443 if self._https else 80
+        self._address = (parts.hostname, parts.port or default_port)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        host = parts.hostname.encode("ascii" if parts.hostname.isascii() else "idna").decode()
+        host = f"[{host.partition('%')[0]}]" if ":" in host else host
+        host = f"{host}:{parts.port}" if parts.port not in (None, default_port) else host
+        self._idle: deque[_Connection] = deque()
         weakref.finalize(self, _close_all, self._idle)
         self._proxy: tuple[str, int] | None = None
         self._proxy_headers: dict[str, str] = {}
@@ -65,27 +135,34 @@ class Transport:
             self._context = ssl.create_default_context(cafile=bundle or None)
         proxies = getproxies_environment()
         proxy = proxies.get(parts.scheme) or proxies.get("all")
-        if not proxy or proxy_bypass_environment("%s:%d" % self._address, proxies):
-            return
-        proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        self._proxy = (proxy_parts.hostname, proxy_parts.port or 80)
-        if proxy_parts.username is not None:
-            userinfo = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
-            token = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
-            self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
-        if not self._https:
-            self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
+        if proxy and not proxy_bypass_environment("%s:%d" % self._address, proxies):
+            proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            self._proxy = (proxy_parts.hostname, proxy_parts.port or 80)
+            if proxy_parts.username is not None:
+                userinfo = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
+                token = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
+                self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if not self._https:
+                host = parts.netloc.rpartition("@")[2]
+                target = f"http://{host}{target}"
+        self._start = f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
 
-    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+    def _connect(self, timeout: float) -> _Connection:
         host, port = self._proxy or self._address
         if not self._https:
-            return http.client.HTTPConnection(host, port, timeout=timeout)
-        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._context)
-        if self._proxy:
-            conn.set_tunnel(*self._address, headers=self._proxy_headers)
-        return conn
+            conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        else:
+            conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._context)
+            if self._proxy:
+                conn.set_tunnel(*self._address, headers=self._proxy_headers)
+        try:
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        return _Connection(conn.sock)
 
-    def _take(self, timeout: float) -> http.client.HTTPConnection:
+    def _take(self, timeout: float) -> _Connection:
         while True:
             try:
                 conn = self._idle.pop()
@@ -96,21 +173,24 @@ class Transport:
             if not poller.poll(0):
                 conn.sock.settimeout(timeout)
                 return conn
-            conn.close()
+            conn.sock.close()
 
     def post(self, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
         if self._proxy and not self._https:
             headers = {**headers, **self._proxy_headers}
+        fields = "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
+        if fields.count("\n") != len(headers) or fields.count("\r") != len(headers):
+            raise ValueError("a header name or value holds a line break")
+        head = f"{self._start}Content-Length: {len(body)}\r\n{fields}\r\n".encode("latin-1")
         conn = self._take(timeout)
         try:
-            conn.request("POST", self._target, body, headers)
-            response = conn.getresponse()
-            reply = response.status, response.read()
+            conn.sock.sendall(head + body)
+            status, reply, reusable = conn.read_reply()
         except BaseException:
-            conn.close()
+            conn.sock.close()
             raise
-        if response.will_close:
-            conn.close()
-        else:
+        if reusable:
             self._idle.append(conn)
-        return reply
+        else:
+            conn.sock.close()
+        return status, reply

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
 import resource
+import socket
+import socketserver
 import sqlite3
 import sys
 import threading
@@ -624,6 +627,247 @@ class TestHttpClientSession:
         assert proxy.seen == [("POST", "http://api.test/v1/chat?v=2", "Bearer KEY")]
         assert proxy.headers[0]["Proxy-Authorization"] == "Basic dUB4OnA="
         assert proxy.headers[0]["Host"] == "api.test"
+
+
+OK_BODY = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode("utf-8")
+
+
+def framed(body: bytes, head: bytes = b"HTTP/1.1 200 OK\r\n") -> bytes:
+    """`body` after `head` and its Content-Length."""
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+class RawServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    block_on_close = False
+
+
+class RawReplyHandler(socketserver.StreamRequestHandler):
+    """Reads each request on its connection and answers it with the server's
+    `reply`, byte for byte, in one write; closes the connection after the
+    reply when the server's `close` is set, and otherwise waits for the
+    next request. Records each connection's peer and each request's head."""
+
+    def handle(self) -> None:
+        self.server.peers.append(self.client_address)
+        while True:
+            head = b""
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                head += line
+            if not line:
+                return
+            self.rfile.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+            self.server.requests.append(head)
+            try:
+                self.wfile.write(self.server.reply)
+            except OSError:  # the client stopped reading and closed
+                return
+            if self.server.close:
+                return
+
+
+@contextmanager
+def raw_serving(reply: bytes, close: bool = False):
+    """A `RawReplyHandler` server on 127.0.0.1; yields (server, endpoint)."""
+    server = RawServer(("127.0.0.1", 0), RawReplyHandler)
+    server.reply, server.close, server.peers, server.requests = reply, close, [], []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestReplyReader:
+    """Replies written byte for byte by a raw server on 127.0.0.1."""
+
+    @staticmethod
+    def client(endpoint: str, sleeps: list[float]) -> HttpClient:
+        return HttpClient(endpoint, "m", max_attempts=3, timeout=10, sleep=sleeps.append)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n"
+            + b"a;name=value\r\n" + OK_BODY[:10] + b"\r\n"
+            + b"%x\r\n" % (len(OK_BODY) - 10) + OK_BODY[10:] + b"\r\n"
+            + b"0\r\nX-Trailer: t\r\n\r\n",
+            b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" + framed(OK_BODY),
+            framed(OK_BODY, b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n"),
+        ],
+        ids=["chunked-with-extension-and-trailer", "100-continue-then-200", "content-length"],
+    )
+    def test_a_framed_reply_is_read_and_its_connection_reused(self, plain_environment, reply):
+        sleeps: list[float] = []
+        with raw_serving(reply) as (server, endpoint):
+            client = self.client(endpoint, sleeps)
+            assert [client.generate("p", SEARCH_SAMPLING) for _ in range(3)] == ["ok"] * 3
+        assert len(server.requests) == 3
+        assert len(server.peers) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "reply, close",
+        [
+            (b"HTTP/1.1 200 OK\r\n\r\n" + OK_BODY, True),
+            (framed(OK_BODY, b"HTTP/1.1 200 OK\r\nConnection: close\r\n"), False),
+            (framed(OK_BODY, b"HTTP/1.0 200 OK\r\n"), False),
+            (framed(OK_BODY) + b"stray", False),
+        ],
+        ids=["no-length-read-to-eof", "connection-close", "http-1.0", "stray-bytes-after"],
+    )
+    def test_a_connection_its_reply_spoils_is_replaced_without_a_retry(
+        self, plain_environment, reply, close
+    ):
+        # The server holds the connection open unless `close`: the client
+        # must not send a second request on it.
+        sleeps: list[float] = []
+        with raw_serving(reply, close) as (server, endpoint):
+            client = self.client(endpoint, sleeps)
+            assert [client.generate("p", SEARCH_SAMPLING) for _ in range(3)] == ["ok"] * 3
+        assert len(server.requests) == 3
+        assert len(server.peers) == 3
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "reply, close, failure",
+        [
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n" + OK_BODY, True, "IncompleteRead"),
+            (b"garbage\r\n\r\n", False, "garbage"),
+            (b"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n", False, "2000"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\n", False, "bad Content-Length"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", False,
+             "IncompleteRead"),
+            # Lines and header fields past http.client's bounds; the server
+            # then holds the connection open, so a reader without the bounds
+            # would wait for more instead of failing.
+            (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 200_000, False,
+             "got more than 65536 bytes"),
+            (b"HTTP/1.1 200 OK\r\n" + b"X-Field: v\r\n" * 100 + framed(OK_BODY, b""), False,
+             "got more than 100 headers"),
+            (b"HTTP/1.1 200 OK\r\n" + b"X-Field: v\r\n" * 5000, False,
+             "got more than 100 headers"),
+        ],
+        ids=["truncated-body", "garbage-status-line", "four-digit-status", "signed-length",
+             "bad-chunk-size", "over-long-line", "101-header-fields", "endless-header-fields"],
+    )
+    def test_a_broken_reply_is_retried_then_raises(self, plain_environment, reply, close, failure):
+        sleeps: list[float] = []
+        with raw_serving(reply, close) as (server, endpoint):
+            client = self.client(endpoint, sleeps)
+            with pytest.raises(TransportError, match="gave up after 3 attempts") as excinfo:
+                client.generate("p", SEARCH_SAMPLING)
+        assert failure in str(excinfo.value)
+        assert len(server.requests) == 3
+        assert len(server.peers) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_a_reply_of_100_header_fields_is_read(self, plain_environment):
+        reply = b"HTTP/1.1 200 OK\r\n" + b"X-Field: v\r\n" * 99 + framed(OK_BODY, b"")
+        with raw_serving(reply) as (server, endpoint):
+            assert self.client(endpoint, []).generate("p", SEARCH_SAMPLING) == "ok"
+
+    @pytest.mark.parametrize(
+        "status, error",
+        [(204, MalformedResponseError), (304, EndpointNotFoundError)],
+    )
+    def test_204_and_304_have_no_body(self, plain_environment, status, error):
+        # Neither reply has a length, and the server holds the connection
+        # open: a reader that read a body to EOF would wait for the timeout.
+        with raw_serving(b"HTTP/1.1 %d X\r\n\r\n" % status) as (server, endpoint):
+            client = self.client(endpoint, [])
+            for _ in range(2):
+                with pytest.raises(error):
+                    client.generate("p", SEARCH_SAMPLING)
+        assert len(server.requests) == 2
+        assert len(server.peers) == 1
+
+
+class CountingSocket:
+    """A socket that records the bytes of each `sendall` call."""
+
+    def __init__(self, sock: socket.socket, writes: list[bytes]) -> None:
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, data: bytes) -> None:
+        self._writes.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name: str):
+        return getattr(self._sock, name)
+
+
+class TestRequestBytes:
+    def test_each_request_is_one_write_of_the_pinned_bytes(self, plain_environment, monkeypatch):
+        writes: list[bytes] = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(conn) -> None:
+            connect(conn)
+            conn.sock = CountingSocket(conn.sock, writes)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+        with serving() as (server, base):
+            client = HttpClient(f"{base}/v1/chat", "m", api_key="KEY")
+            for _ in range(3):
+                assert client.generate("p é", SEARCH_SAMPLING) == "ok"
+        body = (
+            b'{"model": "m", "messages": [{"role": "user", "content": "p \\u00e9"}],'
+            b' "temperature": 0.0, "top_p": 1.0, "max_tokens": 256}'
+        )
+        head = (
+            f"POST /v1/chat HTTP/1.1\r\nHost: {base.removeprefix('http://')}\r\n"
+            f"Accept-Encoding: identity\r\nContent-Length: {len(body)}\r\n"
+            "Content-Type: application/json\r\nAuthorization: Bearer KEY\r\n\r\n"
+        ).encode("ascii")
+        assert writes == [head + body] * 3
+        assert server.bodies == [body] * 3
+        assert len(server.peers) == 1
+
+    def test_a_header_with_a_line_break_is_refused_before_sending(self, plain_environment):
+        with serving() as (server, base):
+            client = HttpClient(f"{base}/v1/chat", "m", api_key="KEY\r\nX-Injected: 1")
+            with pytest.raises(ValueError, match="header"):
+                client.generate("p", SEARCH_SAMPLING)
+        assert server.seen == []
+
+    @pytest.mark.parametrize(
+        "endpoint, host, address",
+        [
+            ("http://api.test/v1", "api.test", ("api.test", 80)),
+            ("http://API.test:80/v1", "api.test", ("api.test", 80)),
+            ("http://api.test:8080/v1", "api.test:8080", ("api.test", 8080)),
+            ("http://[::1]:8080/v1", "[::1]:8080", ("::1", 8080)),
+            ("http://[::1]/v1", "[::1]", ("::1", 80)),
+            ("http://bücher.example/v1", "xn--bcher-kva.example", ("bücher.example", 80)),
+        ],
+    )
+    def test_the_host_header_is_written_as_http_client_writes_it(
+        self, plain_environment, monkeypatch, endpoint, host, address
+    ):
+        # The connection is one end of a socket pair, so no network is used.
+        peers: list[socket.socket] = []
+        addresses: list[tuple[str, int]] = []
+
+        def paired_connect(conn) -> None:
+            addresses.append((conn.host, conn.port))
+            conn.sock, peer = socket.socketpair()
+            peer.sendall(framed(OK_BODY))
+            peers.append(peer)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", paired_connect)
+        client = HttpClient(endpoint, "m")
+        assert client.generate("p", SEARCH_SAMPLING) == "ok"
+        with peers[0]:
+            sent = peers[0].recv(65536)
+        assert sent.startswith(
+            f"POST /v1 HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n".encode()
+        )
+        assert addresses == [address]
 
 
 class TestEchoOracle:

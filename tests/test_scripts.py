@@ -75,13 +75,14 @@ def test_check_interpreters_gives_one_digest_per_output(tmp_path):
         "toy-distill.jsonl", "toy-merged.jsonl",
         "toy-train-highlighter.jsonl", "toy-train-summarizer.jsonl",
         "toy-predictions.jsonl", "toy-scores.json", "pairs-scores.json",
-        "tables-search.jsonl", "tables-trace.jsonl",
+        "tables-search.jsonl", "tables-trace.jsonl", "toy-search-http.jsonl",
     }
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
     # The toy chain it runs is the one the goldens pin.
     for output, golden in (
         ("toy-search.jsonl", "toy_search.jsonl"),
         ("toy-search-warm.jsonl", "toy_search.jsonl"),
+        ("toy-search-http.jsonl", "toy_search.jsonl"),
         ("toy-trace.jsonl", "toy_search_trace.jsonl"),
         ("toy-merged.jsonl", "toy_merge.jsonl"),
         ("toy-scores.json", "toy_scores.json"),
