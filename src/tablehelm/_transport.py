@@ -1,14 +1,14 @@
 """The wire under `feedback.HttpClient`: keep-alive HTTP/1.1 over sockets that
 stdlib `http.client` opens. `HttpClient.__init__` imports it, so `http.client`,
 `ssl` and `urllib.request`'s proxy helpers load only in a process that builds
-an HTTP client. `TRANSIENT_ERRORS` are what a `post` raises that is retried.
-"""
+an HTTP client. `TRANSIENT_ERRORS` are what a `post` raises that is retried."""
 
 from __future__ import annotations
 
 import base64
 import http.client
 import os
+import re
 import select
 import ssl
 import weakref
@@ -22,6 +22,7 @@ __all__ = ["TRANSIENT_ERRORS", "Transport"]
 TRANSIENT_ERRORS = (OSError, http.client.HTTPException)
 
 _MAX_LINE, _MAX_HEADERS = 65536, 100  # http.client's: bytes a line, fields a section
+_CHUNK_SIZE = re.compile(rb"([0-9a-fA-F]+)[ \t]*(?:;.*)?\r?\n")  # 1*HEXDIG, then extensions
 
 
 def _close_all(connections: deque) -> None:
@@ -33,26 +34,26 @@ class _Connection:
     """One open socket, and the reply bytes read from it but not yet used."""
 
     def __init__(self, sock) -> None:
-        self.sock, self._buffer, self._pos = sock, b"", 0
+        self.sock, self._buffer = sock, bytearray()
 
     def _fill(self) -> None:
         if not (data := self.sock.recv(_MAX_LINE)):
-            raise http.client.IncompleteRead(self._buffer[self._pos:])
-        self._buffer, self._pos = self._buffer[self._pos:] + data, 0
+            raise http.client.IncompleteRead(bytes(self._buffer))
+        self._buffer += data
+
+    def _take(self, size: int) -> bytes:
+        while len(self._buffer) < size:
+            self._fill()
+        data, self._buffer[:size] = bytes(self._buffer[:size]), b""  # a front cut copies nothing
+        return data
 
     def _line(self) -> bytes:
-        while (end := self._buffer.find(b"\n", self._pos, self._pos + _MAX_LINE)) < 0:
-            if len(self._buffer) - self._pos >= _MAX_LINE:
+        start = 0  # the bytes before `start` were searched already
+        while (end := self._buffer.find(b"\n", start, _MAX_LINE)) < 0:
+            if (start := len(self._buffer)) >= _MAX_LINE:
                 raise http.client.LineTooLong("a reply line")
             self._fill()
-        line, self._pos = self._buffer[self._pos:end + 1], end + 1
-        return line
-
-    def _exactly(self, size: int) -> bytes:
-        while len(self._buffer) - self._pos < size:
-            self._fill()
-        self._pos += size
-        return self._buffer[self._pos - size:self._pos]
+        return self._take(end + 1)
 
     def _fields(self) -> dict[bytes, bytes]:
         fields: dict[bytes, bytes] = {}
@@ -80,21 +81,21 @@ class _Connection:
         if status in (204, 304):
             body = b""
         elif coding is not None and coding.lower().rsplit(b",", 1)[-1].strip() == b"chunked":
-            body = b""
-            try:
-                while size := int(self._line().split(b";", 1)[0], 16):
-                    body += self._exactly(size + 2)[:-2]
-            except ValueError:
-                raise http.client.IncompleteRead(body) from None
+            chunks = []  # `int` alone would also take a sign, `0x` or `_`
+            while (match := _CHUNK_SIZE.fullmatch(self._line())) and (size := int(match[1], 16)):
+                chunks.append(self._take(size + 2)[:-2])
+            if not match:
+                raise http.client.IncompleteRead(b"".join(chunks))
+            body = b"".join(chunks)
             self._fields()  # the trailer section
         elif coding is None and length is not None:
             if not length.isdigit():
                 raise http.client.HTTPException(f"bad Content-Length {length!r}")
-            body = self._exactly(int(length))
+            body = self._take(int(length))
         else:
             rest = iter(lambda: self.sock.recv(_MAX_LINE), b"")
-            body, keep = b"".join([self._buffer[self._pos:], *rest]), False
-        return status, body, keep and self._pos == len(self._buffer)
+            body, keep = b"".join([self._take(len(self._buffer)), *rest]), False
+        return status, body, keep and not self._buffer
 
 
 class Transport:
@@ -113,8 +114,7 @@ class Transport:
     CA bundle (`REQUESTS_CA_BUNDLE`, `CURL_CA_BUNDLE`, else the system store
     and `SSL_CERT_FILE`) are read once, here. HTTPS goes through a proxy by
     CONNECT, plain HTTP by an absolute target with proxy userinfo as
-    `Proxy-Authorization: Basic`. No redirect is followed; `~/.netrc` is
-    never read.
+    `Proxy-Authorization: Basic`. No redirect is followed, nor `~/.netrc` read.
     """
 
     def __init__(self, endpoint: str) -> None:

@@ -697,8 +697,15 @@ class TestReplyReader:
             + b"0\r\nX-Trailer: t\r\n\r\n",
             b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" + framed(OK_BODY),
             framed(OK_BODY, b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n"),
+            # One byte a chunk, a space before an extension, and a last chunk
+            # of several zeros.
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"".join(b"1 ;x\r\n%c\r\n" % byte for byte in OK_BODY) + b"000\r\n\r\n",
+            # A body several socket reads long.
+            framed(OK_BODY + b" " * 300_000),
         ],
-        ids=["chunked-with-extension-and-trailer", "100-continue-then-200", "content-length"],
+        ids=["chunked-with-extension-and-trailer", "100-continue-then-200", "content-length",
+             "one-byte-chunks", "body-of-many-reads"],
     )
     def test_a_framed_reply_is_read_and_its_connection_reused(self, plain_environment, reply):
         sleeps: list[float] = []
@@ -741,6 +748,15 @@ class TestReplyReader:
             (b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\n", False, "bad Content-Length"),
             (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", False,
              "IncompleteRead"),
+            # `int(_, 16)` takes each of these; the server then holds the
+            # connection open, so a reader that took a negative size could
+            # step back and read the same line without end.
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-6\r\n", False,
+             "IncompleteRead"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x2\r\nok\r\n0\r\n\r\n",
+             False, "IncompleteRead"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\r\n", False,
+             "IncompleteRead"),
             # Lines and header fields past http.client's bounds; the server
             # then holds the connection open, so a reader without the bounds
             # would wait for more instead of failing.
@@ -752,7 +768,8 @@ class TestReplyReader:
              "got more than 100 headers"),
         ],
         ids=["truncated-body", "garbage-status-line", "four-digit-status", "signed-length",
-             "bad-chunk-size", "over-long-line", "101-header-fields", "endless-header-fields"],
+             "bad-chunk-size", "negative-chunk-size", "0x-chunk-size", "empty-chunk-size",
+             "over-long-line", "101-header-fields", "endless-header-fields"],
     )
     def test_a_broken_reply_is_retried_then_raises(self, plain_environment, reply, close, failure):
         sleeps: list[float] = []
