@@ -1,19 +1,19 @@
 """Operator commands: ingest, search-labels, distill-labels, merge-labels,
 highlight, export-train, pipeline, evaluate.
 
-Batch commands share one runner, `run_batch`: samples fan out over
-`map_ordered`'s thread pool (with one worker, they run in order on the main
-thread), while results are written from the main thread in dataset order,
-one full line at a time, to id-keyed JSONL files. Reruns skip ids already
-present in the output, so an interrupted job resumes where it stopped (with
-a warm response cache, finished work costs nothing to skip past); a last
-line that the interruption cut short is dropped, and its sample redone.
+Batch commands share one runner, `run_batch`, the only code that writes
+their id-keyed JSONL outputs (search's `--trace` file is one too): samples
+fan out over `map_ordered`'s thread pool (with one worker, they run in order
+on the main thread), while their records are written from the main thread
+in dataset order, one full line at a time. Reruns skip a sample only when
+every output holds its id, so an interrupted job resumes where it stopped
+(with a warm response cache, finished work costs nothing to skip past); a
+last line that the interruption cut short is dropped, and its sample redone.
 
-One job writes an output at a time: a batch command takes an exclusive
-`flock` on its output (and on search's `--trace` file) before it reads what
-is there or calls a generator, and exits 2 naming the file if another job
-holds it. Where `fcntl` does not exist (not POSIX), outputs are written
-unlocked.
+One job writes an output at a time: `run_batch` takes an exclusive `flock`
+on each output before it reads what is there or calls a generator, and
+exits 2 naming the file if another job holds it. Where `fcntl` does not
+exist (not POSIX), outputs are written unlocked.
 
 Each command imports only the package layers it runs, when it starts
 (`_bind`): `--help` imports none, `ingest` `table_core`, `evaluate`
@@ -37,7 +37,7 @@ import functools
 import json
 import os
 import sys
-from contextlib import closing, nullcontext
+from contextlib import ExitStack, closing, nullcontext
 from dataclasses import fields, replace
 from importlib import import_module
 from pathlib import Path
@@ -204,13 +204,11 @@ def open_locked(path: str | Path) -> TextIO:
 def existing_ids(path: str | Path) -> set[str]:
     """Ids already present in an output file (resume support). A last line
     without its newline is a record cut short by an interrupted job: it is
-    cut off, so that its sample is redone and appends start on a fresh line."""
-    target = Path(path)
-    if not target.exists():
-        return set()
+    cut off, so that its sample is redone and appends start on a fresh line.
+    The caller holds the file's lock (`open_locked`), so the file exists."""
     ids: set[str] = set()
     complete = 0
-    with open(target, "r+b") as handle:
+    with open(path, "r+b") as handle:
         for line in handle:
             if not line.endswith(b"\n"):
                 handle.truncate(complete)
@@ -232,33 +230,31 @@ def existing_ids(path: str | Path) -> set[str]:
 
 def run_batch(
     dataset: Dataset,
-    output: str,
+    outputs: list[str],
     run: RunConfig,
-    work: Callable[[Sample], R],
-    encode: Callable[[R], dict],
+    work: Callable[[Sample], tuple[list[dict[str, object]], R]],
     summary: Callable[[int, int, int], str],
     after_write: Callable[[R], bool] | None = None,
-    side_ids: set[str] | None = None,
 ) -> int:
-    """The resumable loop of the batch commands: skip ids already in
-    `output`, run `work` over the other samples on `run.workers` threads, and
-    append each result in dataset order as the JSON line `encode` makes,
-    flushed. `after_write` then sees the result; a false return keeps it out
-    of the success count. Prints `summary(succeeded, attempted, skipped)` and
-    returns the exit code.
+    """The resumable loop of the batch commands: lock each of `outputs` and
+    read its ids, run `work` on `run.workers` threads over the samples whose
+    id is not in all of them, and append, in dataset order, each of the
+    `records` that `work(sample)` returns as `(records, extra)` to its output
+    as one flushed JSON line. `after_write(extra)` then runs; a false return
+    keeps the sample out of the success count. Prints `summary(succeeded,
+    attempted, skipped)` and returns the exit code.
 
-    `side_ids` are the ids already in a side file that `after_write` appends
-    to (search's `--trace`): a sample is then skipped only when its id is in
-    both files, so an interrupted side write is redone too. The redone
-    sample's second output record supersedes its first (the last record of
-    an id wins when labels are read).
-
-    The output is locked (`open_locked`) before its ids are read, so a
-    second job on the same output exits before it runs anything."""
-    with open_locked(output) as out:
-        done = existing_ids(output)
-        if side_ids is not None:
-            done &= side_ids
+    A redone sample's second record supersedes its first in an output that
+    held it (the last record of an id wins when labels are read). Outputs
+    are opened last first, so a side file that cannot be opened leaves no
+    main output behind, and all are locked before any generator call."""
+    with ExitStack() as stack:
+        handles: list[TextIO] = []
+        seen: list[set[str]] = []
+        for path in reversed(outputs):
+            handles.insert(0, stack.enter_context(open_locked(path)))
+            seen.append(existing_ids(path))
+        done = set.intersection(*seen)
         todo = [s for s in dataset if s.id not in done]
         succeeded = 0
         failures: list[tuple[str, Exception]] = []
@@ -266,9 +262,11 @@ def run_batch(
             if exc is not None:
                 failures.append((sample.id, exc))
                 continue
-            out.write(json.dumps(encode(result), ensure_ascii=False) + "\n")
-            out.flush()
-            if after_write is None or after_write(result):
+            records, extra = result
+            for handle, record in zip(handles, records, strict=True):
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                handle.flush()
+            if after_write is None or after_write(extra):
                 succeeded += 1
     print(summary(succeeded, len(todo), len(done)))
     return _job_exit(succeeded, len(todo), failures, run)
@@ -349,16 +347,14 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
             merge_rewards=(("search", reward),),
             flags=trace.flags,
         )
-        return labeled, trace
+        records = [labeled_to_record(labeled)]
+        if args.trace:
+            records.append(_trace_record(sample.id, trace))
+        return records, trace.oracle_calls
 
-    def after_write(result: tuple[LabeledSample, SearchTrace]) -> bool:
+    def after_write(oracle_calls: int) -> bool:
         nonlocal oracle_total
-        labeled, trace = result
-        oracle_total += trace.oracle_calls
-        if trace_out is not None:
-            record = _trace_record(labeled.sample_id, trace)
-            trace_out.write(json.dumps(record, ensure_ascii=False) + "\n")
-            trace_out.flush()
+        oracle_total += oracle_calls
         return True
 
     def summary(searched: int, total: int, skipped: int) -> str:
@@ -367,15 +363,9 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
             f" oracle evaluations {oracle_total}, generator calls {feedbacker.calls}"
         )
 
-    with closing_cache(settings.cache), (
-        open_locked(args.trace) if args.trace else nullcontext()
-    ) as trace_out:
-        # Read once the trace is locked: this also cuts a torn last line.
-        traced_ids = existing_ids(args.trace) if args.trace else None
-        return run_batch(
-            dataset, args.output, run, work, _first_record, summary, after_write,
-            side_ids=traced_ids,
-        )
+    outputs = [args.output, args.trace] if args.trace else [args.output]
+    with closing_cache(settings.cache):
+        return run_batch(dataset, outputs, run, work, summary, after_write)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -383,10 +373,6 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.samefile(a, b)
     except OSError:  # one of them does not exist (yet)
         return Path(a).resolve() == Path(b).resolve()
-
-
-def _first_record(result: tuple[LabeledSample, object]) -> dict[str, object]:
-    return labeled_to_record(result[0])
 
 
 def _trace_record(sample_id: str, trace: SearchTrace) -> dict[str, object]:
@@ -418,16 +404,17 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
     written = 0
 
     def work(sample: Sample):
-        return distill_one(sample, client, examples, settings=settings)
+        labeled, notes = distill_one(sample, client, examples, settings=settings)
+        return [labeled_to_record(labeled)], (labeled.e_distill is not None, notes)
 
-    def after_write(result: tuple[LabeledSample, list[str]]) -> bool:
+    def after_write(result: tuple[bool, list[str]]) -> bool:
         nonlocal written
         written += 1
-        labeled, notes = result
+        parsed, notes = result
         for note in notes:
             print(note, file=sys.stderr)
         # Unparseable outputs count against the threshold like failures do.
-        return labeled.e_distill is not None
+        return parsed
 
     def summary(parsed: int, total: int, skipped: int) -> str:
         return (
@@ -437,9 +424,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
         )
 
     with closing_cache(settings.cache):
-        return run_batch(
-            dataset, args.output, run, work, _first_record, summary, after_write
-        )
+        return run_batch(dataset, [args.output], run, work, summary, after_write)
 
 
 def cmd_merge_labels(args: argparse.Namespace) -> int:
@@ -452,7 +437,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
     )
     settings = settings_for(run, "feedbacker", "summarizer", cache_for(run))
 
-    def work(sample: Sample) -> LabeledSample:
+    def work(sample: Sample) -> tuple[list[dict[str, object]], None]:
         merged = LabeledSample(sample_id=sample.id, e_manual=sample.manual_evidence)
         for source in sources:
             record = source.get(sample.id)
@@ -465,7 +450,8 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
                 e_manual=merged.e_manual if record.e_manual is None else record.e_manual,
                 flags=tuple(dict.fromkeys(merged.flags + record.flags)),
             )
-        return merge_labels(merged, sample, feedbacker, settings=settings)
+        labeled = merge_labels(merged, sample, feedbacker, settings=settings)
+        return [labeled_to_record(labeled)], None
 
     def summary(merged: int, total: int, skipped: int) -> str:
         return (
@@ -474,7 +460,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
         )
 
     with closing_cache(settings.cache):
-        return run_batch(dataset, args.output, run, work, labeled_to_record, summary)
+        return run_batch(dataset, [args.output], run, work, summary)
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
@@ -556,7 +542,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     h_settings = settings_for(run, "highlighter", "highlighter", cache)
     s_settings = settings_for(run, "summarizer", "summarizer", cache)
 
-    def work(sample: Sample) -> dict[str, object]:
+    def work(sample: Sample) -> tuple[list[dict[str, object]], None]:
         flags: list[str] = []
         evidence = Evidence(())
         if run.ablation != "no_highlight":
@@ -589,12 +575,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             sample_id=sample.id,
             token_budget=s_settings.token_budget,
         )
-        return {
+        record = {
             "id": sample.id,
             "evidence": list(evidence.indices),
             "prediction": cached_generate(summarizer, cache, s_prompt.text, s_settings.cfg),
             "flags": flags,
         }
+        return [record], None
 
     def summary(predicted: int, total: int, skipped: int) -> str:
         return (
@@ -603,7 +590,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
 
     with closing_cache(cache):
-        return run_batch(dataset, args.output, run, work, lambda record: record, summary)
+        return run_batch(dataset, [args.output], run, work, summary)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

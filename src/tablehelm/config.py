@@ -20,7 +20,14 @@ from typing import Mapping
 
 from .errors import SchemaError
 
-__all__ = ["RunConfig", "SamplingConfig", "build_config", "ENV_PREFIX"]
+__all__ = [
+    "DEFAULT_TOKEN_BUDGET",
+    "ENV_PREFIX",
+    "RunConfig",
+    "SEARCH_SAMPLING",
+    "SamplingConfig",
+    "build_config",
+]
 
 ENV_PREFIX = "HELM_"
 
@@ -41,7 +48,8 @@ _SAMPLING_FIELDS = {
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Decoding parameters sent to a generator."""
+    """Decoding parameters sent to a generator. The defaults are those of
+    final highlights and summaries."""
 
     nucleus_p: float = 0.9
     temperature: float = 0.1
@@ -54,6 +62,14 @@ class SamplingConfig:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+
+
+# Greedy decoding for label search: reward comparisons are meaningless under
+# sampling noise.
+SEARCH_SAMPLING = SamplingConfig(nucleus_p=1.0, temperature=0.0)
+
+# Tokens a rendered prompt may use (estimated; see `prompting.estimate_tokens`).
+DEFAULT_TOKEN_BUDGET = 2048
 
 
 def _invalid(key: str, problem: str) -> SchemaError:
@@ -83,18 +99,18 @@ class RunConfig:
     distill_template: str = ""
     distill_examples: str = ""
 
-    # Sampling. The feedbacker defaults to greedy decoding: label search
-    # compares rewards, which sampling noise would scramble.
-    highlighter_temperature: float = 0.1
-    highlighter_nucleus_p: float = 0.9
-    summarizer_temperature: float = 0.1
-    summarizer_nucleus_p: float = 0.9
-    feedbacker_temperature: float = 0.0
-    feedbacker_nucleus_p: float = 1.0
-    max_new_tokens: int = 256
+    # Sampling. The feedbacker defaults to label search's greedy decoding.
+    highlighter_temperature: float = SamplingConfig.temperature
+    highlighter_nucleus_p: float = SamplingConfig.nucleus_p
+    summarizer_temperature: float = SamplingConfig.temperature
+    summarizer_nucleus_p: float = SamplingConfig.nucleus_p
+    feedbacker_temperature: float = SEARCH_SAMPLING.temperature
+    feedbacker_nucleus_p: float = SEARCH_SAMPLING.nucleus_p
+    max_new_tokens: int = SamplingConfig.max_new_tokens
 
     cache_dir: str = ""  # empty: no response cache
     workers: int = 4
+    # Also the defaults of `HttpClient`.
     timeout: float = 60.0
     max_attempts: int = 5
     max_in_flight: int = 4
@@ -103,7 +119,7 @@ class RunConfig:
     step_cap: int = 0  # accepted-additions cap; 0 = unbounded
 
     ablation: str = "full"
-    token_budget: int = 2048
+    token_budget: int = DEFAULT_TOKEN_BUDGET
     success_threshold: float = 0.95
 
     def __post_init__(self) -> None:

@@ -33,7 +33,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, TypeVar, runtime_checkable
 from urllib.parse import urlsplit
 
-from .config import SamplingConfig  # re-exported: it lives with the run settings
+# SamplingConfig and SEARCH_SAMPLING are re-exported: they live with the run settings.
+from .config import DEFAULT_TOKEN_BUDGET, SEARCH_SAMPLING, RunConfig, SamplingConfig
 from .errors import (
     AuthError,
     EndpointNotFoundError,
@@ -44,12 +45,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import eval_reward
-from .prompting import (
-    DEFAULT_TOKEN_BUDGET,
-    PromptTemplate,
-    load_template,
-    summarizer_prompt_from_text,
-)
+from .prompting import PromptTemplate, load_template, summarizer_prompt_from_text
 from .prompting import build_summarizer_prompt  # not called; benchmark/spans.py wraps it
 from .table_core import Evidence, Table
 from .transforms import ROW_LINE_RE, TableRendering, render_table, subtable, unescape_cell
@@ -95,11 +91,6 @@ _CACHE_PAGES = 64
 # Hex digits of a scope prefix (`_scope_prefix`); the key of a scoped entry
 # is the prefix followed by the 64 of its request key.
 _SCOPE_DIGITS = 16
-
-
-# Greedy decoding for label search: reward comparisons are meaningless under
-# sampling noise. The (0.9, 0.1) pair is the default for final summaries.
-SEARCH_SAMPLING = SamplingConfig(nucleus_p=1.0, temperature=0.0)
 
 
 @runtime_checkable
@@ -180,9 +171,9 @@ class HttpClient:
         model_id: str,
         *,
         api_key: str | None = None,
-        timeout: float = 60.0,
-        max_attempts: int = 5,
-        max_in_flight: int = 4,
+        timeout: float = RunConfig.timeout,
+        max_attempts: int = RunConfig.max_attempts,
+        max_in_flight: int = RunConfig.max_in_flight,
         backoff_base: float = 0.5,
         transport=None,
         sleep=time.sleep,

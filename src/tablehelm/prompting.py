@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .config import DEFAULT_TOKEN_BUDGET  # re-exported: it lives with the run settings
 from .errors import NoIndicesError, PromptTooLongError, TemplateError
 from .table_core import Evidence, Table
 from .transforms import cap_hash_runs, highlight, linearize
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 OUTPUT_MARKER = "###Output"
-DEFAULT_TOKEN_BUDGET = 2048
 EXAMPLE_SEPARATOR = "---"
 
 ROLES = ("highlighter", "summarizer", "distill")

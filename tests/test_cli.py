@@ -704,6 +704,19 @@ class TestOneWriterPerOutput:
         if spelling.endswith("link"):
             assert out.read_bytes() == b""
 
+    def test_a_trace_in_a_missing_directory_exits_2_and_leaves_no_output(
+        self, two_planted, tmp_path, capsys, calls
+    ):
+        data, _, _ = two_planted
+        out, trace = tmp_path / "out.jsonl", tmp_path / "missing" / "trace.jsonl"
+        code, stdout, stderr = run_cli(["search-labels", data, out, "--trace", trace], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: FileNotFoundError: ")
+        assert str(trace) in stderr
+        assert stdout == ""
+        assert calls == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.jsonl"]
+
     def test_the_lock_ends_with_the_command(self, two_planted, tmp_path, capsys, calls):
         data, _, _ = two_planted
         out = tmp_path / "out.jsonl"
@@ -902,6 +915,56 @@ class TestSearchLabels:
         assert code == EXIT_VALIDATION
         assert stderr.startswith("error: SchemaError: bad endpoint 'http://'")
         assert not out.exists()
+
+
+class TestResume:
+    """Every batch command resumes from its output like search-labels does."""
+
+    @pytest.fixture
+    def argv_of(self, tmp_path, capsys):
+        search = tmp_path / "search.jsonl"
+        assert run_cli(["search-labels", TOY, search], capsys)[0] == EXIT_OK
+        extra = {
+            "distill-labels": ["--distill-endpoint", "fixed:{1}"],
+            "merge-labels": ["--labels", search],
+            "pipeline": [],
+        }
+        return lambda command, out: [command, TOY, out] + extra[command]
+
+    @pytest.mark.parametrize(
+        "command, summary",
+        [
+            ("distill-labels", "distilled 1/1 samples parsed (1 records written, 9 skipped);"),
+            ("merge-labels", "merged 1/1 samples (9 skipped);"),
+            ("pipeline", "predicted 1/1 samples (9 skipped);"),
+        ],
+        ids=["distill-labels", "merge-labels", "pipeline"],
+    )
+    def test_rerun_after_a_torn_last_record_redoes_only_it(
+        self, command, summary, argv_of, tmp_path, capsys
+    ):
+        whole, out = tmp_path / "whole.jsonl", tmp_path / "out.jsonl"
+        assert run_cli(argv_of(command, whole), capsys)[0] == EXIT_OK
+        lines = whole.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 10
+        out.write_bytes(b"".join(lines[:-1]) + lines[-1][:20])
+        code, stdout, stderr = run_cli(argv_of(command, out), capsys)
+        assert code == EXIT_OK
+        assert stderr == f"{out}: dropped 20 bytes of an unfinished last line\n"
+        assert stdout.startswith(summary)
+        assert out.read_bytes() == whole.read_bytes()
+
+    def test_lines_without_a_string_id_are_kept_and_appended_after(self, tmp_path, capsys):
+        whole, out = tmp_path / "whole.jsonl", tmp_path / "out.jsonl"
+        assert run_cli(["pipeline", TOY, whole], capsys)[0] == EXIT_OK
+        lines = whole.read_bytes().splitlines(keepends=True)
+        kept = lines[0] + b"  \n" + b"not json\n" + b'{"id": 5}\n' + b'["toy-03"]\n' + lines[1]
+        out.write_bytes(kept)
+        code, stdout, stderr = run_cli(["pipeline", TOY, out], capsys)
+        assert code == EXIT_OK
+        assert stderr == ""
+        assert stdout.startswith("predicted 8/8 samples (2 skipped);")
+        assert out.read_bytes() == kept + b"".join(lines[2:])
 
 
 class TestDistillLabels:
@@ -1136,6 +1199,13 @@ class TestHighlight:
         lines = stdout.splitlines()
         assert any(l.startswith("row 1 : *") for l in lines)
         assert not any(l.startswith("row 3 : *") for l in lines)
+
+    def test_a_bad_evidence_flag_exits_2_naming_evidence(self, two_planted, capsys):
+        data, _, _ = two_planted
+        code, stdout, stderr = run_cli(["highlight", data, "--evidence", "1,x"], capsys)
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr.startswith("error: SchemaError: bad evidence spec '1,x': ")
 
     def test_unknown_id_exits_2(self, two_planted, capsys):
         data, _, _ = two_planted
