@@ -14,12 +14,18 @@ once by the interpreter that runs this script:
   127.0.0.1 (a stdlib ThreadingHTTPServer with benchmark/loopback.py's
   handler) that answers each feedbacker prompt with echo_oracle_generate,
   so that every interpreter runs the package's HTTP client: its labels
-  must be the echo search's, byte for byte.
+  must be the echo search's, byte for byte;
+- the toy pipeline at --workers 2 with the highlighter and the summarizer
+  on that server, which answers the highlighter with "{1}" and the
+  summarizer as the echo oracle does: HTTP clients can wait on calls side
+  by side, so its samples run on the thread pool, and its predictions must
+  be those of an offline pipeline with a fixed:{1} highlighter, byte for
+  byte. These two are compared with each other, not digested.
 
 It prints one SHA-256 digest per output, and exits 1 when an output's
 digests differ between interpreters (each interpreter's digest is printed
 then) and 2 when an interpreter fails to run the chain, a warm rerun calls
-a generator, or the HTTP search's labels differ from the echo search's. The
+a generator, or an HTTP run's output differs from its offline twin's. The
 interpreters need only the standard library.
 
 Usage: python scripts/check_interpreters.py [--work DIR] [INTERPRETER ...]
@@ -52,8 +58,14 @@ SEED = 8
 # "generator calls 0".
 WARM_RUNS = ("toy-search-warm.jsonl",)
 
-# The toy search over HTTP, and the echo search whose labels it must equal.
-HTTP_RUN, ECHO_RUN = "toy-search-http.jsonl", "toy-search.jsonl"
+# Each run over HTTP, and the offline run whose output it must equal.
+HTTP_TWINS = {
+    "toy-search-http.jsonl": "toy-search.jsonl",
+    "toy-pipeline-http.jsonl": "toy-pipeline-fixed.jsonl",
+}
+
+# Outputs checked only against their twin.
+UNDIGESTED = ("toy-pipeline-http.jsonl", "toy-pipeline-fixed.jsonl")
 
 # The evaluate inputs draw from a small vocabulary, so that hypotheses and
 # references share and repeat words and every score column is non-trivial.
@@ -93,7 +105,7 @@ def write_inputs(work: Path) -> None:
 
 def chain(work: Path, endpoint: str) -> dict[str, list[str]]:
     """Output name -> the command that writes it, the toy chain first;
-    `endpoint` is the feedbacker of the HTTP search."""
+    `endpoint` is the server of the HTTP runs."""
     toy = str(ROOT / "data" / "toy.jsonl")
     roles = ["--highlighter-endpoint", "echo", "--summarizer-endpoint", "echo",
              "--distill-endpoint", "fixed:{1}"]
@@ -128,16 +140,21 @@ def chain(work: Path, endpoint: str) -> dict[str, list[str]]:
     }
     runs = {name: argv + ["--feedbacker-endpoint", "echo"] + roles
             for name, argv in commands.items()}
-    runs[HTTP_RUN] = ["search-labels", toy, path(HTTP_RUN),
-                      "--feedbacker-endpoint", endpoint] + roles
+    runs["toy-search-http.jsonl"] = ["search-labels", toy, path("toy-search-http.jsonl"),
+                                     "--feedbacker-endpoint", endpoint] + roles
+    runs["toy-pipeline-http.jsonl"] = ["pipeline", toy, path("toy-pipeline-http.jsonl"),
+                                       "--workers", "2", "--highlighter-endpoint", endpoint,
+                                       "--summarizer-endpoint", endpoint]
+    runs["toy-pipeline-fixed.jsonl"] = ["pipeline", toy, path("toy-pipeline-fixed.jsonl"),
+                                        "--highlighter-endpoint", "fixed:{1}"]
     return runs
 
 
 @contextlib.contextmanager
 def echo_server():
     """The benchmark's loopback chat-completions server, on 127.0.0.1 with
-    no delay: it answers each feedbacker prompt with `echo_oracle_generate`.
-    Yields its endpoint."""
+    no delay: it answers each highlighter (and distill) prompt with "{1}" and
+    every other one with `echo_oracle_generate`. Yields its endpoint."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     from loopback import Counters, make_handler
     from tablehelm.feedback import echo_oracle_generate
@@ -178,13 +195,14 @@ def run_child(inputs: Path, out: Path) -> int:
             if name in WARM_RUNS and "generator calls 0" not in printed.getvalue():
                 print(f"{name}: the warm rerun said {printed.getvalue()!r}", file=sys.stderr)
                 return 2
-    if (out / HTTP_RUN).read_bytes() != (out / ECHO_RUN).read_bytes():
-        print(f"{HTTP_RUN}: its labels differ from {ECHO_RUN}", file=sys.stderr)
-        return 2
+    for http_run, twin in HTTP_TWINS.items():
+        if (out / http_run).read_bytes() != (out / twin).read_bytes():
+            print(f"{http_run}: its output differs from {twin}", file=sys.stderr)
+            return 2
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
-        if path.is_file() and path.name not in INPUTS
+        if path.is_file() and path.name not in INPUTS + UNDIGESTED
     }
     print(json.dumps(digests))
     return 0

@@ -3,12 +3,13 @@ highlight, export-train, pipeline, evaluate.
 
 Batch commands share one runner, `run_batch`, the only code that writes
 their id-keyed JSONL outputs (search's `--trace` file is one too): samples
-fan out over `map_ordered`'s thread pool (with one worker, they run in order
-on the main thread), while their records are written from the main thread
-in dataset order, one full line at a time. Reruns skip a sample only when
-every output holds its id, so an interrupted job resumes where it stopped
-(with a warm response cache, finished work costs nothing to skip past); a
-last line that the interruption cut short is dropped, and its sample redone.
+fan out over `map_ordered` only as far as their clients can wait (with
+offline clients, in order on the main thread), while their records are
+written from the main thread in dataset order, one full line at a time.
+Reruns skip a sample only when every output holds its id, so an interrupted
+job resumes where it stopped (with a warm response cache, finished work
+costs nothing to skip past); a last line that the interruption cut short is
+dropped, and its sample redone.
 
 One job writes an output at a time: `run_batch` takes an exclusive `flock`
 on each output before it reads what is there or calls a generator, and
@@ -61,7 +62,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .evidence_lab import SearchTrace
-    from .feedback import GeneratorClient
+    from .feedback import CountingClient, GeneratorClient
     from .table_core import Dataset, Sample
 
 # The names this module calls in each layer, bound as module globals by
@@ -232,16 +233,19 @@ def run_batch(
     dataset: Dataset,
     outputs: list[str],
     run: RunConfig,
+    clients: list[CountingClient],
     work: Callable[[Sample], tuple[list[dict[str, object]], R]],
     summary: Callable[[int, int, int], str],
     after_write: Callable[[R], bool] | None = None,
 ) -> int:
     """The resumable loop of the batch commands: lock each of `outputs` and
-    read its ids, run `work` on `run.workers` threads over the samples whose
-    id is not in all of them, and append, in dataset order, each of the
-    `records` that `work(sample)` returns as `(records, extra)` to its output
-    as one flushed JSON line. `after_write(extra)` then runs; a false return
-    keeps the sample out of the success count. Prints `summary(succeeded,
+    read its ids, run `work` over the samples whose id is not in all of
+    them, at most `run.workers` and the widest `max_in_flight` of the
+    `clients` it calls at once (so with offline clients one by one on this
+    thread), and append, in dataset order, each of the `records` that
+    `work(sample)` returns as `(records, extra)` to its output as one
+    flushed JSON line. `after_write(extra)` then runs; a false return keeps
+    the sample out of the success count. Prints `summary(succeeded,
     attempted, skipped)` and returns the exit code.
 
     A redone sample's second record supersedes its first in an output that
@@ -258,7 +262,8 @@ def run_batch(
         todo = [s for s in dataset if s.id not in done]
         succeeded = 0
         failures: list[tuple[str, Exception]] = []
-        for sample, result, exc in map_ordered(work, todo, run.workers):
+        width = min(run.workers, max(client.max_in_flight for client in clients))
+        for sample, result, exc in map_ordered(work, todo, width):
             if exc is not None:
                 failures.append((sample.id, exc))
                 continue
@@ -365,7 +370,7 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
 
     outputs = [args.output, args.trace] if args.trace else [args.output]
     with closing_cache(settings.cache):
-        return run_batch(dataset, outputs, run, work, summary, after_write)
+        return run_batch(dataset, outputs, run, [feedbacker], work, summary, after_write)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -424,7 +429,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
         )
 
     with closing_cache(settings.cache):
-        return run_batch(dataset, [args.output], run, work, summary, after_write)
+        return run_batch(dataset, [args.output], run, [client], work, summary, after_write)
 
 
 def cmd_merge_labels(args: argparse.Namespace) -> int:
@@ -460,7 +465,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
         )
 
     with closing_cache(settings.cache):
-        return run_batch(dataset, [args.output], run, work, summary)
+        return run_batch(dataset, [args.output], run, [feedbacker], work, summary)
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
@@ -590,7 +595,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
 
     with closing_cache(cache):
-        return run_batch(dataset, [args.output], run, work, summary)
+        return run_batch(dataset, [args.output], run, [highlighter, summarizer], work, summary)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -123,17 +123,17 @@ def map_ordered(
 ) -> Iterator[tuple[T, R | None, Exception | None]]:
     """Run fn over items, yielding (item, result, exception) in input order.
 
-    With `workers` <= 1 each call runs on the calling thread as its result
-    is asked for. Otherwise at most WINDOW_PER_WORKER * workers calls are
-    queued or running in a pool at once; one more is submitted as each
-    result is taken. Per-item exceptions are yielded, not raised, except
-    JOB_FATAL_ERRORS (auth, 404, 3xx), which abort the whole job: every
-    later call would fail identically, so none starts, and a queued call
-    that a pool worker takes up after the error returns at once, unrun.
-    The pool's module is imported here, so a command that runs everything
-    on one thread never loads it.
+    With `workers` <= 1 or at most one item, each call runs on the calling
+    thread as its result is asked for. Otherwise at most WINDOW_PER_WORKER *
+    workers calls are queued or running in a pool at once; one more is
+    submitted as each result is taken. Per-item exceptions are yielded, not
+    raised, except JOB_FATAL_ERRORS (auth, 404, 3xx), which abort the whole
+    job: every later call would fail identically, so none starts, and a
+    queued call that a pool worker takes up after the error returns at once,
+    unrun. The pool's module is imported here, so a command that runs
+    everything on one thread never loads it.
     """
-    if workers <= 1:
+    if (workers := min(workers, len(items))) <= 1:
         yield from (_outcome(item, fn, item) for item in items)
         return
     from concurrent.futures import ThreadPoolExecutor

@@ -377,6 +377,7 @@ class TestMapOrderedOnOneWorker:
         self, two_planted, tmp_path, capsys, monkeypatch
     ):
         data, _, _ = two_planted
+        monkeypatch.setattr(cli, "make_client", lambda *args: WaitingEcho())
         threads = []
         search = cli.greedy_search
 
@@ -395,6 +396,101 @@ class TestMapOrderedOnOneWorker:
         assert threads[:2] == [main, main]
         assert main not in threads[2:]
         assert written[1] == written[2]
+
+
+class WaitingEcho(EchoClient):
+    """The echo oracle as a client that can wait on calls side by side, as
+    an HTTP one does: `max_in_flight` 2."""
+
+    max_in_flight = 2
+
+
+class TestSampleFanOut:
+    """A batch command runs at most `workers` samples and the widest
+    `max_in_flight` of its clients at once: samples whose clients make one
+    call at a time (the offline ones) run in order on the main thread."""
+
+    COMMANDS = ("search-labels", "distill-labels", "merge-labels", "pipeline")
+
+    @pytest.fixture
+    def argv_of(self, tmp_path, capsys):
+        search, distill = tmp_path / "search.jsonl", tmp_path / "distill.jsonl"
+        assert run_cli(["search-labels", TOY, search, "--workers", "1"], capsys)[0] == EXIT_OK
+        assert run_cli(["distill-labels", TOY, distill, "--workers", "1",
+                        "--distill-endpoint", "fixed:{1, 2}"], capsys)[0] == EXIT_OK
+        extra = {
+            "search-labels": lambda out: ["--trace", f"{out}.trace"],
+            "distill-labels": lambda out: ["--distill-endpoint", "fixed:{1}"],
+            "merge-labels": lambda out: ["--labels", search, "--labels", distill],
+            "pipeline": lambda out: [],
+        }
+        return lambda command, out: [command, TOY, out, *extra[command](out)]
+
+    @pytest.fixture
+    def samples_at_work(self, monkeypatch):
+        """Notes the thread of every sample's `work` in `threads`, and the
+        most that ran at once in `peak`. With `hold`, the first two calls
+        wait for each other, then up to 0.25 s for a third to join them, so
+        that a fan-out wider than 2 shows in `peak` however fast each sample
+        is."""
+        state = {"threads": [], "in_flight": 0, "peak": 0, "hold": False}
+        changed = threading.Condition()
+        fan_out = cli.map_ordered
+
+        def noting(work):
+            def noted(sample):
+                with changed:
+                    state["threads"].append(threading.get_ident())
+                    state["in_flight"] += 1
+                    state["peak"] = max(state["peak"], state["in_flight"])
+                    changed.notify_all()
+                    if state["hold"]:
+                        changed.wait_for(lambda: state["in_flight"] >= 2, timeout=5)
+                        changed.wait_for(lambda: state["in_flight"] > 2, timeout=0.25)
+                        state["hold"] = False
+                try:
+                    return work(sample)
+                finally:
+                    with changed:
+                        state["in_flight"] -= 1
+
+            return noted
+
+        monkeypatch.setattr(
+            cli, "map_ordered", lambda work, items, workers: fan_out(noting(work), items, workers)
+        )
+        return state
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_offline_clients_work_every_sample_on_the_main_thread(
+        self, command, argv_of, samples_at_work, tmp_path, capsys
+    ):
+        written = {}
+        for workers in ("4", "1"):
+            out = tmp_path / f"out-{workers}.jsonl"
+            assert run_cli([*argv_of(command, out), "--workers", workers], capsys)[0] == EXIT_OK
+            written[workers] = out.read_bytes()
+        main = threading.main_thread().ident
+        assert samples_at_work["threads"] == [main] * 20
+        assert written["4"] == written["1"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_clients_that_can_wait_bound_the_samples_in_flight(
+        self, command, argv_of, samples_at_work, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "make_client", lambda *args: WaitingEcho())
+        written = {}
+        for workers in ("1", "2", "8"):
+            samples_at_work.update(threads=[], peak=0)
+            samples_at_work["hold"] = workers == "8"
+            out = tmp_path / f"out-{workers}.jsonl"
+            assert run_cli([*argv_of(command, out), "--workers", workers], capsys)[0] == EXIT_OK
+            written[workers] = out.read_bytes()
+            if workers == "2":
+                assert threading.main_thread().ident not in samples_at_work["threads"]
+        assert len(samples_at_work["threads"]) == 10
+        assert samples_at_work["peak"] == 2
+        assert written["2"] == written["8"] == written["1"]
 
 
 def positional(command, data, out):

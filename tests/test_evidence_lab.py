@@ -441,7 +441,7 @@ class ThreadNotingClient:
 
 
 class TestWidthOne:
-    """A feedbacker of width 1 is called on the caller's thread."""
+    """A fan-out of width 1 calls the feedbacker on the caller's thread."""
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_a_search_makes_every_call_on_the_callers_thread(self, tmp_path, cached):
@@ -465,6 +465,17 @@ class TestWidthOne:
         merged = merge_labels(labeled, sample, client)
         assert merged.e_merge == planted
         assert client.threads == [threading.get_ident()] * 3
+
+    def test_a_merge_whose_sources_agree_scores_on_the_callers_thread(self):
+        # One distinct set is a fan-out of one item: it builds no pool,
+        # however many calls the feedbacker could wait on at once.
+        sample, planted = support.planted_sample("one-3", 5, 2, (3,), salt="q")
+        labeled = LabeledSample(sample_id="one-3", e_manual=planted, e_search=planted)
+        client = ThreadNotingClient()
+        client.max_in_flight = 4
+        merged = merge_labels(labeled, sample, client)
+        assert merged.e_merge == planted
+        assert client.threads == [threading.get_ident()]
 
 
 class TestExhaustiveSearch:

@@ -116,6 +116,14 @@ def modules_after_command(*argv: str) -> list[str]:
     return modules_after(run, *argv)
 
 
+@pytest.mark.parametrize("command", ["search-labels", "pipeline"])
+def test_an_offline_batch_command_loads_no_thread_pool(tmp_path, command):
+    # Offline clients make one call at a time, so however many workers the
+    # run allows, its samples run in order on the main thread.
+    argv = (command, str(TOY), str(tmp_path / "out.jsonl"), "--workers", "4")
+    assert "concurrent.futures" not in modules_after_command(*argv)
+
+
 def test_importing_the_cli_loads_no_layer():
     assert package_modules(modules_after("import tablehelm.cli")) == CLI_MODULES
 
