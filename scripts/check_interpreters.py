@@ -22,11 +22,17 @@ once by the interpreter that runs this script:
   be those of an offline pipeline with a fixed:{1} highlighter, byte for
   byte. These two are compared with each other, not digested.
 
+Each interpreter runs in development mode (-X dev) with ResourceWarning
+made an error, so a file, socket or database connection left unclosed fails
+the run.
+
 It prints one SHA-256 digest per output, and exits 1 when an output's
 digests differ between interpreters (each interpreter's digest is printed
 then) and 2 when an interpreter fails to run the chain, a warm rerun calls
-a generator, or an HTTP run's output differs from its offline twin's. The
-interpreters need only the standard library.
+a generator, an HTTP run's output differs from its offline twin's, or an
+exception is raised where no caller can catch it (a finalizer's, or the
+ResourceWarning of an unclosed resource). The interpreters need only the
+standard library.
 
 Usage: python scripts/check_interpreters.py [--work DIR] [INTERPRETER ...]
 (default: the interpreter running the script), for example
@@ -40,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -176,9 +183,19 @@ def echo_server():
 INPUTS = ("pairs.jsonl", "pairs-predictions.jsonl", "tables.jsonl")
 
 
+def exit_on_unraisable(unraisable) -> None:
+    """Report an exception that no caller can catch, such as the
+    ResourceWarning of a resource collected unclosed, and exit 2 at once,
+    also when it comes at shutdown."""
+    sys.__unraisablehook__(unraisable)
+    sys.stderr.flush()
+    os._exit(2)
+
+
 def run_child(inputs: Path, out: Path) -> int:
     """Run the chain with this interpreter into `out`; print a JSON object
     of output name -> digest."""
+    sys.unraisablehook = exit_on_unraisable
     sys.path.insert(0, str(ROOT / "src"))
     from tablehelm import cli
 
@@ -228,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
             shutil.rmtree(out, ignore_errors=True)
             out.mkdir()
             result = subprocess.run(
-                [interpreter, str(Path(__file__).resolve()), "--child", str(work), str(out)],
+                [interpreter, "-X", "dev", "-W", "error::ResourceWarning",
+                 str(Path(__file__).resolve()), "--child", str(work), str(out)],
                 capture_output=True, text=True,
             )
             if result.returncode != 0:

@@ -22,7 +22,13 @@ __all__ = ["TRANSIENT_ERRORS", "Transport"]
 TRANSIENT_ERRORS = (OSError, http.client.HTTPException)
 
 _MAX_LINE, _MAX_HEADERS = 65536, 100  # http.client's: bytes a line, fields a section
+_MAX_BODY = 16 << 20  # bytes a reply body, far above any completion
 _CHUNK_SIZE = re.compile(rb"([0-9a-fA-F]+)[ \t]*(?:;.*)?\r?\n")  # 1*HEXDIG, then extensions
+
+
+def _check_body(size: int) -> None:
+    if size > _MAX_BODY:
+        raise http.client.HTTPException(f"a reply body of more than {_MAX_BODY} bytes")
 
 
 def _close_all(connections: deque) -> None:
@@ -66,9 +72,9 @@ class _Connection:
         raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
     def read_reply(self) -> tuple[int, bytes, bool]:
-        """One reply as `(status, body, reusable)`, framed by RFC 9112 §6.3:
-        1xx replies are skipped, 204 and 304 have no body, chunked coding wins
-        over `Content-Length`, and with neither the body runs to EOF."""
+        """One reply as `(status, body, reusable)`, framed by RFC 9112 §6.3
+        (1xx replies skipped, no body for 204 and 304, chunked coding over
+        `Content-Length`, else to EOF), its body at most `_MAX_BODY` bytes."""
         status = 100  # read status lines until one is not interim
         while 100 <= status < 200:
             words = (line := self._line()).split(None, 2)
@@ -81,20 +87,26 @@ class _Connection:
         if status in (204, 304):
             body = b""
         elif coding is not None and coding.lower().rsplit(b",", 1)[-1].strip() == b"chunked":
-            chunks = []  # `int` alone would also take a sign, `0x` or `_`
+            chunks = bytearray()  # `int` alone would also take a sign, `0x` or `_`
             while (match := _CHUNK_SIZE.fullmatch(self._line())) and (size := int(match[1], 16)):
-                chunks.append(self._take(size + 2)[:-2])
+                _check_body(len(chunks) + size)
+                chunks += self._take(size + 2)[:-2]
             if not match:
-                raise http.client.IncompleteRead(b"".join(chunks))
-            body = b"".join(chunks)
+                raise http.client.IncompleteRead(bytes(chunks))
+            body = bytes(chunks)
             self._fields()  # the trailer section
         elif coding is None and length is not None:
             if not length.isdigit():
                 raise http.client.HTTPException(f"bad Content-Length {length!r}")
+            _check_body(int(length))
             body = self._take(int(length))
         else:
-            rest = iter(lambda: self.sock.recv(_MAX_LINE), b"")
-            body, keep = b"".join([self._take(len(self._buffer)), *rest]), False
+            while True:
+                _check_body(len(self._buffer))
+                if not (data := self.sock.recv(_MAX_LINE)):
+                    break
+                self._buffer += data
+            body, keep = self._take(len(self._buffer)), False
         return status, body, keep and not self._buffer
 
 

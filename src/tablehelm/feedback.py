@@ -5,10 +5,11 @@ chat-completions client for real model servers, a deterministic offline
 oracle that reads the table straight out of the prompt (used to exercise
 the label-search machinery without a model; it reads the row lines back in
 one pass and builds its answer as it goes), and a fixed-output stub.
-A content-addressed cache in one SQLite file can wrap any of them, and
-`CacheScope` serves one sample's reward prompts from it after reading them
-all with one statement. `RoleSettings` bundles what one model role
-generates with: cache, decoding settings, template and token budget.
+A content-addressed cache in one SQLite file (one connection per cache)
+can wrap any of them, and `CacheScope` serves one sample's reward prompts
+from it after reading them all with one statement. `RoleSettings` bundles
+what one model role generates with: cache, decoding settings, template and
+token budget.
 `feedback_reward` composes prompt construction, generation, and scoring into
 the scalar signal the evidence search consumes; `reward_prompt` joins each
 candidate's prompt from the table's rendering (`transforms.render_table`),
@@ -25,7 +26,6 @@ import os
 import threading
 import time
 import weakref
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring
@@ -82,11 +82,12 @@ T = TypeVar("T")
 
 REWARD_MODES = ("subtable", "highlight")
 
-# SQLite page-cache size of each pooled cache connection, in pages (4 KiB
-# each by default; SQLite's own default is about 2 MB). Lookups are point
-# reads or short range reads by key, so a small cache costs no speed and
-# keeps memory flat as the pool grows with the number of threads.
+# SQLite page-cache size of a cache's connection, in pages (4 KiB each by
+# default; SQLite's own default is about 2 MB). Lookups are point reads or
+# short range reads by key, so a small cache costs no speed.
 _CACHE_PAGES = 64
+
+_BACKOFF_BASE = 0.5  # seconds before `HttpClient`'s first retry
 
 # Hex digits of a scope prefix (`_scope_prefix`); the key of a scoped entry
 # is the prefix followed by the 64 of its request key.
@@ -123,7 +124,7 @@ def _check_endpoint(endpoint: str) -> None:
         )
 
 
-def _close_all(connections: deque) -> None:
+def _close_all(connections: list[sqlite3.Connection]) -> None:
     while connections:
         connections.pop().close()
 
@@ -174,7 +175,6 @@ class HttpClient:
         timeout: float = RunConfig.timeout,
         max_attempts: int = RunConfig.max_attempts,
         max_in_flight: int = RunConfig.max_in_flight,
-        backoff_base: float = 0.5,
         transport=None,
         sleep=time.sleep,
     ) -> None:
@@ -188,7 +188,6 @@ class HttpClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.max_in_flight = max_in_flight
-        self._backoff_base = backoff_base
         self._transport = transport if transport is not None else Transport(endpoint)
         self._transient = TRANSIENT_ERRORS
         self._sleep = sleep
@@ -229,7 +228,7 @@ class HttpClient:
         rate_limited = False
         for attempt in range(1, self.max_attempts + 1):
             if attempt > 1:
-                self._sleep(self._backoff_base * 2 ** (attempt - 2))
+                self._sleep(_BACKOFF_BASE * 2 ** (attempt - 2))
             try:
                 with self._semaphore:
                     status, reply = self._transport.post(body, self._headers, self.timeout)
@@ -376,14 +375,13 @@ class ResponseCache:
     and the full prompt bytes, so any change misses. Entries live in the
     `entries` table of `<directory>/responses.sqlite3`, in WAL mode with
     `synchronous=NORMAL`; each write is its own transaction, so readers never
-    see a torn entry, and SQLite's locking makes the file safe to share
-    between threads, instances and processes. The directory, schema and WAL
-    mode are set up once per instance, on first use. Connections are pooled:
-    idle ones wait in a deque (thread-safe appends and pops) and any thread
-    takes one; a connection that raised is closed, not put back. `close()`
-    closes the idle ones; once the last connection to the file closes,
-    SQLite checkpoints the WAL and removes the `-wal` and `-shm` files.
-    Per-entry JSON files of older versions are not read: they are misses.
+    see a torn entry, and instances and processes may share the file. An
+    instance's threads take turns on its one connection, under one lock. It is
+    opened (and the directory, WAL mode and table set up) on first use and
+    after a statement raised, which closes it, as do `close()` and collecting
+    the cache; once the last connection to the file closes, SQLite checkpoints
+    the WAL and removes the `-wal` and `-shm` files. Old per-entry JSON files
+    are not read: they are misses.
 
     `get` and `put` read and write one entry under its request key (`key`),
     `get` with one `WHERE key = ?` statement. A `CacheScope` keeps its
@@ -403,10 +401,9 @@ class ResponseCache:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.path = self.directory / self.FILENAME
-        self._idle: deque[sqlite3.Connection] = deque()
-        weakref.finalize(self, _close_all, self._idle)
-        self._setup_lock = threading.Lock()
-        self._set_up = False
+        self._conn: list[sqlite3.Connection] = []  # at most one; a finalizer can close it
+        weakref.finalize(self, _close_all, self._conn)
+        self._lock = threading.Lock()
 
     @staticmethod
     def key(model_id: str, prompt: str, cfg: SamplingConfig) -> str:
@@ -419,43 +416,37 @@ class ResponseCache:
         payload = head + encode_basestring(prompt) + tail
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _open(self) -> sqlite3.Connection:
+    def _open(self) -> None:
+        """Open the connection and set up the directory, WAL mode and table. The
+        connection is held before its set-up, so `_use` closes it if that raises."""
         import sqlite3
 
-        if not self._set_up:
-            self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
+        self._conn.append(conn)
+        conn.execute("PRAGMA synchronous = NORMAL")
+        conn.execute(f"PRAGMA cache_size = {_CACHE_PAGES}")
         try:
-            conn.execute("PRAGMA synchronous = NORMAL")
-            conn.execute(f"PRAGMA cache_size = {_CACHE_PAGES}")
-            if not self._set_up:
-                with self._setup_lock:
-                    if not self._set_up:
-                        conn.execute("PRAGMA journal_mode = WAL")
-                        conn.execute(
-                            "CREATE TABLE IF NOT EXISTS entries"
-                            " (key TEXT PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"
-                        )
-                        self._set_up = True
-        except BaseException:
-            conn.close()
-            raise
-        return conn
+            conn.execute("PRAGMA journal_mode = WAL")
+        except sqlite3.OperationalError:
+            # Another connection was turning the new file to WAL: SQLite fails
+            # one that would wait inside a read, and a second try waits for it.
+            conn.execute("PRAGMA journal_mode = WAL")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS entries"
+            " (key TEXT PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"
+        )
 
     def _use(self, work: Callable[[sqlite3.Connection], T]) -> T:
-        """`work(connection)` on an idle connection, or a new one. The
-        connection goes back to the pool unless `work` raised."""
-        try:
-            conn = self._idle.pop()
-        except IndexError:
-            conn = self._open()
-        try:
-            result = work(conn)
-        except BaseException:
-            conn.close()
-            raise
-        self._idle.append(conn)
-        return result
+        """`work(connection)` under the lock; a connection that raised is closed."""
+        with self._lock:
+            try:
+                if not self._conn:
+                    self._open()
+                return work(self._conn[0])
+            except BaseException:
+                _close_all(self._conn)
+                raise
 
     @staticmethod
     def _decode(conn: sqlite3.Connection, key: str, raw: bytes, kind: str) -> str | None:
@@ -525,9 +516,9 @@ class ResponseCache:
         self._store(self.key(model_id, prompt, cfg), text)
 
     def close(self) -> None:
-        """Close the idle connections. The cache stays usable: the next
-        `get` or `put` opens a new one."""
-        _close_all(self._idle)
+        """Close the connection; the next `get` or `put` opens a new one."""
+        with self._lock:
+            _close_all(self._conn)
 
 
 class CacheScope:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import http.client
 import json
@@ -15,6 +16,7 @@ import sqlite3
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -383,13 +385,6 @@ class TestHttpClient:
         client, _, _ = make_http([reply(200, body)])
         with pytest.raises(MalformedResponseError):
             client.generate("p", SamplingConfig())
-
-    def test_backoff_base_is_configurable(self):
-        client, _, sleeps = make_http(
-            [reply(500), ok("x")], backoff_base=0.125
-        )
-        client.generate("p", SamplingConfig())
-        assert sleeps == [0.125]
 
     def test_timeout_is_forwarded(self):
         client, transport, _ = make_http([ok("x")], timeout=7.5)
@@ -781,6 +776,59 @@ class TestReplyReader:
         assert len(server.requests) == 3
         assert len(server.peers) == 3
         assert sleeps == [0.5, 1.0]
+
+    # Each reply passes a cap of 1,000 bytes, and the server then holds the
+    # connection open: a reader that read on past the cap would wait for the
+    # rest (a declared length it never gets, a next chunk, EOF) and fail by
+    # its timeout instead.
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1001\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"100\r\n" + b"a" * 256 + b"\r\n" + b"300\r\n" + b"b" * 768 + b"\r\n",
+            b"HTTP/1.1 200 OK\r\n\r\n" + b"a" * 1001,
+        ],
+        ids=["content-length", "chunked", "read-to-eof"],
+    )
+    def test_a_body_past_the_cap_is_retried_then_raises(
+        self, plain_environment, monkeypatch, reply
+    ):
+        monkeypatch.setattr("tablehelm._transport._MAX_BODY", 1000)
+        sleeps: list[float] = []
+        with raw_serving(reply) as (server, endpoint):
+            client = self.client(endpoint, sleeps)
+            with pytest.raises(TransportError, match="gave up after 3 attempts") as excinfo:
+                client.generate("p", SEARCH_SAMPLING)
+        assert "a reply body of more than 1000 bytes" in str(excinfo.value)
+        assert len(server.requests) == 3
+        assert len(server.peers) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_a_body_at_the_cap_is_read(self, plain_environment, monkeypatch):
+        monkeypatch.setattr("tablehelm._transport._MAX_BODY", len(OK_BODY))
+        with raw_serving(framed(OK_BODY)) as (_, endpoint):
+            assert self.client(endpoint, []).generate("p", SEARCH_SAMPLING) == "ok"
+
+    def test_an_endless_chunked_reply_fails_with_memory_near_the_cap(
+        self, plain_environment, monkeypatch
+    ):
+        cap = 1 << 20
+        monkeypatch.setattr("tablehelm._transport._MAX_BODY", cap)
+        # Eight times the cap, in 16 KiB chunks with no last chunk: the
+        # client stops reading at the cap and closes the connection.
+        chunk = b"4000\r\n" + b"a" * 0x4000 + b"\r\n"
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunk * 512
+        with raw_serving(reply) as (server, endpoint):
+            client = HttpClient(endpoint, "m", max_attempts=1, timeout=10)
+            tracemalloc.start()
+            try:
+                with pytest.raises(TransportError, match=f"more than {cap} bytes"):
+                    client.generate("p", SEARCH_SAMPLING)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * cap
 
     def test_a_reply_of_100_header_fields_is_read(self, plain_environment):
         reply = b"HTTP/1.1 200 OK\r\n" + b"X-Field: v\r\n" * 99 + framed(OK_BODY, b"")
@@ -1311,8 +1359,7 @@ class TestResponseCache:
         settings = RoleSettings(cache=cache)
         cold = greedy_search(sample, EchoClient(), settings=settings)
         statements: list[str] = []
-        for conn in cache._idle:
-            conn.set_trace_callback(statements.append)
+        cache._use(lambda conn: conn.set_trace_callback(statements.append))
         client = CountingClient(EchoClient())
         warm = greedy_search(sample, client, settings=settings)
         assert warm == cold and warm[0] == planted
@@ -1334,8 +1381,7 @@ class TestResponseCache:
         settings = RoleSettings(cache=cache)
         cold = merge_labels(labeled, sample, EchoClient(), settings=settings)
         statements: list[str] = []
-        for conn in cache._idle:
-            conn.set_trace_callback(statements.append)
+        cache._use(lambda conn: conn.set_trace_callback(statements.append))
         client = CountingClient(EchoClient())
         warm = merge_labels(labeled, sample, client, settings=settings)
         assert warm == cold and warm.e_merge == planted
@@ -1443,6 +1489,116 @@ class TestResponseCache:
         assert [fresh.get("m", f"prompt {n}", cfg) for n in range(16)] == [
             text_of(n) for n in range(16)
         ]
+
+    @staticmethod
+    def opened_connections(monkeypatch) -> list[sqlite3.Connection]:
+        """Every connection that `sqlite3.connect` opens from now on."""
+        opened: list[sqlite3.Connection] = []
+        connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        return opened
+
+    def test_threads_sharing_one_cache_share_one_connection(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        opened = self.opened_connections(monkeypatch)
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        start = threading.Barrier(8)
+        mismatches: list[tuple] = []
+        done: list[int] = []
+
+        def work(worker: int) -> None:
+            start.wait(timeout=30)
+            prefix = f"{worker:016x}"
+            for step in range(40):
+                n = (5 * worker + step) % 12
+                cache.put("m", f"prompt {n}", cfg, f"text {n}")
+                if cache.get("m", f"prompt {n}", cfg) != f"text {n}":
+                    mismatches.append((worker, step, "get"))
+                CacheScope(cache, prefix).put("m", f"prompt {n}", cfg, f"scoped {n}")
+                if CacheScope(cache, prefix).get("m", f"prompt {n}", cfg) != f"scoped {n}":
+                    mismatches.append((worker, step, "scope"))
+            done.append(worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == list(range(8))
+        assert mismatches == []
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert len(opened) == 1
+        cache.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            opened[0].execute("SELECT 1")
+        assert list(tmp_path.iterdir()) == [cache.path]
+
+    def test_a_statement_that_raised_closes_the_connection_and_the_next_use_opens_one(
+        self, tmp_path, monkeypatch
+    ):
+        opened = self.opened_connections(monkeypatch)
+        cache = ResponseCache(tmp_path)
+        cfg = SamplingConfig()
+        cache.put("m", "p", cfg, "text")
+        with pytest.raises(sqlite3.OperationalError):
+            cache._use(lambda conn: conn.execute("SELECT text FROM no_such_table"))
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError):
+            opened[0].execute("SELECT 1")
+        assert cache.get("m", "p", cfg) == "text"
+        assert len(opened) == 2
+
+    def test_a_set_up_refused_while_another_connection_turns_the_file_to_wal_tries_again(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # SQLite refuses at once a connection that would have to wait for a
+        # lock from inside a read, as when two connections turn one new file
+        # to WAL at the same time. This connection is refused once.
+        refused: list[str] = []
+
+        class RefusedOnce(sqlite3.Connection):
+            def execute(self, sql, *args):
+                if sql == "PRAGMA journal_mode = WAL" and not refused:
+                    refused.append(sql)
+                    raise sqlite3.OperationalError("database is locked")
+                return super().execute(sql, *args)
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *args, **kwargs: connect(*args, factory=RefusedOnce, **kwargs)
+        )
+        cache = ResponseCache(tmp_path)
+        cache.put("m", "p", SamplingConfig(), "text")
+        assert cache.get("m", "p", SamplingConfig()) == "text"
+        assert refused == ["PRAGMA journal_mode = WAL"]
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        monkeypatch.undo()
+        with closing(sqlite3.connect(cache.path)) as conn:
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        cache.close()
+
+    def test_a_cache_dropped_without_close_closes_its_connection(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put("m", "p", SamplingConfig(), "text")
+        conn = cache._use(lambda conn: conn)
+        del cache
+        gc.collect()
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+        assert list(tmp_path.iterdir()) == [tmp_path / ResponseCache.FILENAME]
 
 
 class TestCachedGenerate:
