@@ -50,7 +50,9 @@ class _Connection:
     def _take(self, size: int) -> bytes:
         while len(self._buffer) < size:
             self._fill()
-        data, self._buffer[:size] = bytes(self._buffer[:size]), b""  # a front cut copies nothing
+        with memoryview(self._buffer) as view:  # one copy: a view slice copies nothing
+            data = bytes(view[:size])
+        del self._buffer[:size]  # nor does a front cut
         return data
 
     def _line(self) -> bytes:
@@ -90,7 +92,8 @@ class _Connection:
             chunks = bytearray()  # `int` alone would also take a sign, `0x` or `_`
             while (match := _CHUNK_SIZE.fullmatch(self._line())) and (size := int(match[1], 16)):
                 _check_body(len(chunks) + size)
-                chunks += self._take(size + 2)[:-2]
+                chunks += self._take(size)
+                self._take(2)  # the chunk's line end
             if not match:
                 raise http.client.IncompleteRead(bytes(chunks))
             body = bytes(chunks)

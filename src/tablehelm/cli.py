@@ -4,8 +4,9 @@ highlight, export-train, pipeline, evaluate.
 Batch commands share one runner, `run_batch`, the only code that writes
 their id-keyed JSONL outputs (search's `--trace` file is one too): samples
 fan out over `map_ordered` only as far as their clients can wait (with
-offline clients, in order on the main thread), while their records are
-written from the main thread in dataset order, one full line at a time.
+offline clients, in order on the main thread), while what each returns
+(records, notes, success) is taken on the main thread in dataset order:
+records written one full line at a time, then notes printed to stderr.
 Reruns skip a sample only when every output holds its id, so an interrupted
 job resumes where it stopped (with a warm response cache, finished work
 costs nothing to skip past); a last line that the interruption cut short is
@@ -42,7 +43,7 @@ from contextlib import ExitStack, closing, nullcontext
 from dataclasses import fields, replace
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, ContextManager, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, ContextManager, TextIO
 
 try:
     import fcntl
@@ -130,8 +131,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BACKEND = 3
 EXIT_PARTIAL = 4
-
-R = TypeVar("R")
 
 
 def make_client(endpoint: str, model_id: str, run: RunConfig) -> GeneratorClient:
@@ -234,19 +233,19 @@ def run_batch(
     outputs: list[str],
     run: RunConfig,
     clients: list[CountingClient],
-    work: Callable[[Sample], tuple[list[dict[str, object]], R]],
-    summary: Callable[[int, int, int], str],
-    after_write: Callable[[R], bool] | None = None,
+    work: Callable[[Sample], tuple[list[dict[str, object]], list[str], bool]],
+    summary: Callable[[int, int, int, int], str],
 ) -> int:
     """The resumable loop of the batch commands: lock each of `outputs` and
     read its ids, run `work` over the samples whose id is not in all of
     them, at most `run.workers` and the widest `max_in_flight` of the
     `clients` it calls at once (so with offline clients one by one on this
-    thread), and append, in dataset order, each of the `records` that
-    `work(sample)` returns as `(records, extra)` to its output as one
-    flushed JSON line. `after_write(extra)` then runs; a false return keeps
-    the sample out of the success count. Prints `summary(succeeded,
-    attempted, skipped)` and returns the exit code.
+    thread), and, in dataset order on this thread, take what
+    `work(sample)` returns as `(records, notes, ok)`: append each record to
+    its output as one flushed JSON line, print each note to stderr, and
+    count the sample a success if `ok`. Prints `summary(succeeded,
+    attempted, skipped, written)`, `written` being the samples whose
+    records were written (attempted less failed), and returns the exit code.
 
     A redone sample's second record supersedes its first in an output that
     held it (the last record of an id wins when labels are read). Outputs
@@ -267,13 +266,14 @@ def run_batch(
             if exc is not None:
                 failures.append((sample.id, exc))
                 continue
-            records, extra = result
+            records, notes, ok = result
             for handle, record in zip(handles, records, strict=True):
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 handle.flush()
-            if after_write is None or after_write(extra):
-                succeeded += 1
-    print(summary(succeeded, len(todo), len(done)))
+            for note in notes:
+                print(note, file=sys.stderr)
+            succeeded += ok
+    print(summary(succeeded, len(todo), len(done), len(todo) - len(failures)))
     return _job_exit(succeeded, len(todo), failures, run)
 
 
@@ -335,9 +335,9 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
         make_client(run.feedbacker_endpoint, run.feedbacker_model, run)
     )
     settings = settings_for(run, "feedbacker", "summarizer", cache_for(run))
-    oracle_total = 0
+    oracle_calls: list[int] = []  # one per sample; `append` is atomic
 
-    def work(sample: Sample):
+    def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
         evidence, reward, trace = greedy_search(
             sample,
             feedbacker,
@@ -355,22 +355,18 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
         records = [labeled_to_record(labeled)]
         if args.trace:
             records.append(_trace_record(sample.id, trace))
-        return records, trace.oracle_calls
+        oracle_calls.append(trace.oracle_calls)
+        return records, [], True
 
-    def after_write(oracle_calls: int) -> bool:
-        nonlocal oracle_total
-        oracle_total += oracle_calls
-        return True
-
-    def summary(searched: int, total: int, skipped: int) -> str:
+    def summary(searched: int, total: int, skipped: int, written: int) -> str:
         return (
             f"searched {searched}/{total} samples (skipped {skipped} already labeled);"
-            f" oracle evaluations {oracle_total}, generator calls {feedbacker.calls}"
+            f" oracle evaluations {sum(oracle_calls)}, generator calls {feedbacker.calls}"
         )
 
     outputs = [args.output, args.trace] if args.trace else [args.output]
     with closing_cache(settings.cache):
-        return run_batch(dataset, outputs, run, [feedbacker], work, summary, after_write)
+        return run_batch(dataset, outputs, run, [feedbacker], work, summary)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -406,22 +402,13 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
     client = CountingClient(make_client(endpoint, run.distill_model, run))
     settings = settings_for(run, "feedbacker", "distill", cache_for(run))
     examples = load_example_blocks(run.distill_examples or None)
-    written = 0
 
-    def work(sample: Sample):
+    def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
         labeled, notes = distill_one(sample, client, examples, settings=settings)
-        return [labeled_to_record(labeled)], (labeled.e_distill is not None, notes)
-
-    def after_write(result: tuple[bool, list[str]]) -> bool:
-        nonlocal written
-        written += 1
-        parsed, notes = result
-        for note in notes:
-            print(note, file=sys.stderr)
         # Unparseable outputs count against the threshold like failures do.
-        return parsed
+        return [labeled_to_record(labeled)], notes, labeled.e_distill is not None
 
-    def summary(parsed: int, total: int, skipped: int) -> str:
+    def summary(parsed: int, total: int, skipped: int, written: int) -> str:
         return (
             f"distilled {parsed}/{total} samples parsed"
             f" ({written} records written, {skipped} skipped);"
@@ -429,7 +416,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
         )
 
     with closing_cache(settings.cache):
-        return run_batch(dataset, [args.output], run, [client], work, summary, after_write)
+        return run_batch(dataset, [args.output], run, [client], work, summary)
 
 
 def cmd_merge_labels(args: argparse.Namespace) -> int:
@@ -442,7 +429,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
     )
     settings = settings_for(run, "feedbacker", "summarizer", cache_for(run))
 
-    def work(sample: Sample) -> tuple[list[dict[str, object]], None]:
+    def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
         merged = LabeledSample(sample_id=sample.id, e_manual=sample.manual_evidence)
         for source in sources:
             record = source.get(sample.id)
@@ -456,9 +443,9 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
                 flags=tuple(dict.fromkeys(merged.flags + record.flags)),
             )
         labeled = merge_labels(merged, sample, feedbacker, settings=settings)
-        return [labeled_to_record(labeled)], None
+        return [labeled_to_record(labeled)], [], True
 
-    def summary(merged: int, total: int, skipped: int) -> str:
+    def summary(merged: int, total: int, skipped: int, written: int) -> str:
         return (
             f"merged {merged}/{total} samples ({skipped} skipped);"
             f" generator calls {feedbacker.calls}"
@@ -547,7 +534,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     h_settings = settings_for(run, "highlighter", "highlighter", cache)
     s_settings = settings_for(run, "summarizer", "summarizer", cache)
 
-    def work(sample: Sample) -> tuple[list[dict[str, object]], None]:
+    def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
         flags: list[str] = []
         evidence = Evidence(())
         if run.ablation != "no_highlight":
@@ -586,9 +573,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "prediction": cached_generate(summarizer, cache, s_prompt.text, s_settings.cfg),
             "flags": flags,
         }
-        return [record], None
+        return [record], [], True
 
-    def summary(predicted: int, total: int, skipped: int) -> str:
+    def summary(predicted: int, total: int, skipped: int, written: int) -> str:
         return (
             f"predicted {predicted}/{total} samples ({skipped} skipped);"
             f" highlighter calls {highlighter.calls}, summarizer calls {summarizer.calls}"

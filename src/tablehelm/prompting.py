@@ -220,6 +220,8 @@ def _assemble(
     sample_id: str,
     token_budget: int,
 ) -> RenderedPrompt:
+    if template.name != role:
+        raise TemplateError(f"a {template.name} template cannot build a {role} prompt")
     template_pieces, seams = _template_pieces(template.text)
     pieces = list(template_pieces)
     for i in range(1, len(pieces), 2):

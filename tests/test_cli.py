@@ -405,6 +405,12 @@ class WaitingEcho(EchoClient):
     max_in_flight = 2
 
 
+class WaitingFixed(FixedClient):
+    """A fixed answer from a client that can wait on calls side by side."""
+
+    max_in_flight = 2
+
+
 class TestSampleFanOut:
     """A batch command runs at most `workers` samples and the widest
     `max_in_flight` of its clients at once: samples whose clients make one
@@ -478,19 +484,26 @@ class TestSampleFanOut:
     def test_clients_that_can_wait_bound_the_samples_in_flight(
         self, command, argv_of, samples_at_work, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(cli, "make_client", lambda *args: WaitingEcho())
-        written = {}
+        # Row 99 is past every table, so each distilled sample gets a note:
+        # the notes, like the summary, must come out the same at any width.
+        client = (lambda: WaitingFixed("{1, 99}")) if command == "distill-labels" else WaitingEcho
+        monkeypatch.setattr(cli, "make_client", lambda *args: client())
+        written, printed = {}, {}
         for workers in ("1", "2", "8"):
             samples_at_work.update(threads=[], peak=0)
             samples_at_work["hold"] = workers == "8"
             out = tmp_path / f"out-{workers}.jsonl"
-            assert run_cli([*argv_of(command, out), "--workers", workers], capsys)[0] == EXIT_OK
+            code, *printed[workers] = run_cli([*argv_of(command, out), "--workers", workers], capsys)
+            assert code == EXIT_OK
             written[workers] = out.read_bytes()
             if workers == "2":
                 assert threading.main_thread().ident not in samples_at_work["threads"]
         assert len(samples_at_work["threads"]) == 10
         assert samples_at_work["peak"] == 2
         assert written["2"] == written["8"] == written["1"]
+        assert printed["2"] == printed["8"] == printed["1"]
+        if command == "distill-labels":
+            assert len(printed["1"][1].splitlines()) == 10
 
 
 def positional(command, data, out):

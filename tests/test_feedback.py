@@ -51,6 +51,7 @@ from tablehelm.feedback import (
     echo_oracle_generate,
     feedback_reward,
 )
+from tablehelm._transport import _Connection
 from tablehelm.evidence_lab import LabeledSample, greedy_search, merge_labels
 from tablehelm.table_core import Evidence, Table
 from tablehelm.transforms import subtable
@@ -830,6 +831,28 @@ class TestReplyReader:
                 tracemalloc.stop()
         assert peak < 2 * cap
 
+    @pytest.mark.parametrize("framing", ["content-length", "chunked", "read-to-eof"])
+    def test_a_body_is_copied_once_while_it_is_read(self, framing):
+        # The reply buffer and one copy of the body: 2x the body and a few
+        # socket reads. Copying it twice over would peak near 3x.
+        size = 4 << 20
+        body = b"a" * size
+        reply = {
+            "content-length": framed(body),
+            "chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % size + body + b"\r\n0\r\n\r\n",
+            "read-to-eof": b"HTTP/1.1 200 OK\r\n\r\n" + body,
+        }[framing]
+        conn = _Connection(ScriptedSocket(reply))
+        tracemalloc.start()
+        try:
+            status, read, _ = conn.read_reply()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 200 and read == body
+        assert peak <= 2.2 * size
+
     def test_a_reply_of_100_header_fields_is_read(self, plain_environment):
         reply = b"HTTP/1.1 200 OK\r\n" + b"X-Field: v\r\n" * 99 + framed(OK_BODY, b"")
         with raw_serving(reply) as (server, endpoint):
@@ -849,6 +872,18 @@ class TestReplyReader:
                     client.generate("p", SEARCH_SAMPLING)
         assert len(server.requests) == 2
         assert len(server.peers) == 1
+
+
+class ScriptedSocket:
+    """A socket whose `recv` hands out `data` in order, then EOF."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data, self._at = memoryview(data), 0
+
+    def recv(self, size: int) -> bytes:
+        chunk = bytes(self._data[self._at : self._at + size])
+        self._at += len(chunk)
+        return chunk
 
 
 class CountingSocket:

@@ -142,6 +142,15 @@ class TestLoadTemplate:
         with pytest.raises(OSError):
             load_template("highlighter", str(tmp_path / "absent.txt"))
 
+    def test_a_template_of_another_role_is_rejected(self, champions_sample):
+        table, query = champions_sample.table, champions_sample.query
+        # The distill template's {{EXAMPLES}} slot has no highlighter value.
+        with pytest.raises(TemplateError, match="distill template cannot build a highlighter"):
+            build_highlighter_prompt(table, query, template=load_template("distill"))
+        # A highlighter template has the summarizer's slots, so it would render.
+        with pytest.raises(TemplateError, match="highlighter template cannot build a summarizer"):
+            build_summarizer_prompt(table, None, query, template=load_template("highlighter"))
+
 
 class TestLoadExampleBlocks:
     def test_packaged_blocks(self):
