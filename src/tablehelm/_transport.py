@@ -93,7 +93,8 @@ class _Connection:
             while (match := _CHUNK_SIZE.fullmatch(self._line())) and (size := int(match[1], 16)):
                 _check_body(len(chunks) + size)
                 chunks += self._take(size)
-                self._take(2)  # the chunk's line end
+                if self._take(2) != b"\r\n":  # the chunk's line end (RFC 9112 §7.1)
+                    raise http.client.IncompleteRead(bytes(chunks))
             if not match:
                 raise http.client.IncompleteRead(bytes(chunks))
             body = bytes(chunks)

@@ -68,7 +68,7 @@ from .prompting import (
     format_evidence,
     parse_evidence_output,
 )
-from .table_core import Dataset, Evidence, Sample, read_records
+from .table_core import Dataset, Evidence, Sample, evidence_field, read_records
 from .transforms import render_table
 
 __all__ = [
@@ -284,6 +284,15 @@ class LabeledSample:
         return {name: ev for name, ev in present.items() if ev is not None}
 
 
+def _candidate(
+    evidence: Evidence, outcome: float | Exception, phase: str, accepted: bool
+) -> SearchCandidate:
+    """The trace entry of `evidence`: its reward, or the failure that skipped it."""
+    if isinstance(outcome, Exception):
+        return SearchCandidate(evidence, None, phase, False, f"skipped: {outcome}")
+    return SearchCandidate(evidence, outcome, phase, accepted)
+
+
 def greedy_search(
     sample: Sample,
     feedbacker: GeneratorClient,
@@ -307,58 +316,39 @@ def greedy_search(
     returned and flagged. A candidate whose evaluation fails is skipped; if
     no singleton scores at all, the last such failure in row order is raised.
     """
-    n = sample.table.n_rows
-    candidates: list[SearchCandidate] = []
     flags: list[str] = []
-    last_error: Exception | None = None
-
-    def tally(outcome: float | Exception) -> tuple[float | None, str]:
-        nonlocal last_error
-        if isinstance(outcome, Exception):
-            last_error = outcome
-            return None, f"skipped: {outcome}"
-        return outcome, ""
-
     score, score_all = _scorer(sample, "subtable", feedbacker, settings)
-    singletons = [Evidence((i,)) for i in range(1, n + 1)]
+    singletons = [Evidence((i,)) for i in range(1, sample.table.n_rows + 1)]
     outcomes = score_all(singletons)
-    singles: list[tuple[float, int]] = []
-    for i, (evidence, outcome) in enumerate(zip(singletons, outcomes), start=1):
-        reward, note = tally(outcome)
-        candidates.append(SearchCandidate(evidence, reward, "singleton", False, note))
-        if reward is not None:
-            singles.append((reward, i))
-    if not singles and last_error is not None:
-        raise last_error
-    singles.sort(key=lambda pair: (-pair[0], pair[1]))
+    candidates = [_candidate(ev, out, "singleton", False) for ev, out in zip(singletons, outcomes)]
+    singles = sorted(
+        ((reward, i) for i, reward in enumerate(outcomes, start=1)
+         if not isinstance(reward, Exception)),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    if not singles:
+        raise outcomes[-1]  # a table has a row, so every outcome is a failure
 
     held: tuple[int, ...] = ()
     held_reward = 0.0
-    accepted_count = 0
     for _, row in singles:
-        if step_cap is not None and accepted_count >= step_cap:
+        if step_cap is not None and len(held) >= step_cap:  # one row per acceptance
             flags.append("step_cap_reached")
             break
         evidence = Evidence(tuple(sorted(held + (row,))))
-        reward, note = tally(score(evidence))
-        accepted = reward is not None and reward > held_reward
-        candidates.append(SearchCandidate(evidence, reward, "accumulate", accepted, note))
+        outcome = score(evidence)
+        accepted = not isinstance(outcome, Exception) and outcome > held_reward
+        candidates.append(_candidate(evidence, outcome, "accumulate", accepted))
         if accepted:
-            held = evidence.indices
-            held_reward = reward
-            accepted_count += 1
+            held, held_reward = evidence.indices, outcome
 
-    if held:
-        result, result_reward = Evidence(held), held_reward
-    elif fallback and singles:
-        top_reward, top_row = singles[0]
-        result, result_reward = Evidence((top_row,)), top_reward
+    if not held and fallback:  # nothing accepted: the best singleton stands in
+        held_reward, top_row = singles[0]
+        held = (top_row,)
         flags.append("fallback_top_singleton")
-    else:
-        result, result_reward = Evidence(()), 0.0
+    elif not held:
         flags.append("no_usable_candidates")
-
-    return result, result_reward, SearchTrace(tuple(candidates), tuple(flags))
+    return Evidence(held), held_reward, SearchTrace(tuple(candidates), tuple(flags))
 
 
 def exhaustive_search(
@@ -385,17 +375,14 @@ def exhaustive_search(
         )
     )
     score, _ = _scorer(sample, "subtable", feedbacker, settings)
-    best_evidence: Evidence | None = None
-    best_reward = -1.0
-    for indices in subsets:
-        evidence = Evidence(indices)
-        reward = score(evidence)
-        if isinstance(reward, Exception):
-            raise reward  # the oracle scores every subset: none is skipped
-        if reward > best_reward:
-            best_evidence, best_reward = evidence, reward
-    assert best_evidence is not None
-    return best_evidence, best_reward
+
+    def scored() -> Iterator[tuple[Evidence, float]]:
+        for evidence in map(Evidence, subsets):
+            if isinstance(reward := score(evidence), Exception):
+                raise reward  # the oracle scores every subset: none is skipped
+            yield evidence, reward
+
+    return max(scored(), key=lambda pair: pair[1])  # first of equals: the smallest
 
 
 def distill_one(
@@ -489,17 +476,6 @@ def labeled_from_record(record: dict[str, object]) -> LabeledSample:
     raw_id = record.get("id")
     if not isinstance(raw_id, str) or not raw_id:
         raise SchemaError("id", "label record needs a non-empty string id")
-
-    def dec(key: str) -> Evidence | None:
-        raw = record.get(key)
-        if raw is None:
-            return None
-        if not isinstance(raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw
-        ):
-            raise SchemaError(key, f"{key} must be null or a list of integers")
-        return Evidence.from_any(raw)
-
     raw_rewards = record.get("rewards", {})
     if not isinstance(raw_rewards, dict):
         raise SchemaError("rewards", "rewards must be an object")
@@ -515,10 +491,10 @@ def labeled_from_record(record: dict[str, object]) -> LabeledSample:
         raise SchemaError("flags", "flags must be a list of strings")
     return LabeledSample(
         sample_id=raw_id,
-        e_search=dec("e_search"),
-        e_distill=dec("e_distill"),
-        e_manual=dec("e_manual"),
-        e_merge=dec("e_merge"),
+        e_search=evidence_field(record, "e_search"),
+        e_distill=evidence_field(record, "e_distill"),
+        e_manual=evidence_field(record, "e_manual"),
+        e_merge=evidence_field(record, "e_merge"),
         merge_rewards=tuple(rewards),
         flags=tuple(raw_flags),
     )

@@ -43,6 +43,7 @@ __all__ = [
     "Dataset",
     "ParseFailure",
     "ParseReport",
+    "evidence_field",
     "normalize_cell",
     "parse_sample",
     "serialize_sample",
@@ -244,19 +245,24 @@ def _as_cell(value: Any, key: str) -> str:
     raise SchemaError(key, f"field {key!r} holds a non-text cell: {value!r}")
 
 
-def _parse_evidence(raw: Any, n_rows: int) -> Evidence | None:
-    if raw is None:
+def evidence_field(record: Mapping[str, Any], key: str,
+                   n_rows: int | None = None) -> Evidence | None:
+    """The row set `record[key]` (a dataset's `evidence`, a label's `e_*`), or
+    None if absent or null. Anything but a list of ints is a `SchemaError`
+    naming `key`, as is an index below 1 without `n_rows`; with it, an index
+    outside [1, n_rows] is an `EvidenceRangeError`."""
+    if (raw := record.get(key)) is None:
         return None
     if not isinstance(raw, list):
-        raise SchemaError("evidence", "field 'evidence' must be a list of ints or null")
-    indices = []
+        raise SchemaError(key, f"field {key!r} must be a list of ints or null")
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError("evidence", f"field 'evidence' holds a non-integer index: {v!r}")
-        if v < 1 or v > n_rows:
+            raise SchemaError(key, f"field {key!r} holds a non-integer index: {v!r}")
+        if n_rows is not None and not 1 <= v <= n_rows:
             raise EvidenceRangeError(v, n_rows)
-        indices.append(v)
-    return Evidence.from_any(indices)
+        if v < 1:
+            raise SchemaError(key, f"field {key!r} holds index {v}, which is not 1-based")
+    return Evidence.from_any(raw)
 
 
 def parse_sample(record: Mapping[str, Any]) -> Sample:
@@ -288,7 +294,7 @@ def parse_sample(record: Mapping[str, Any]) -> Sample:
     except ValueError as exc:
         raise SchemaError("rows", str(exc)) from exc
 
-    evidence = _parse_evidence(record.get("evidence"), table.n_rows)
+    evidence = evidence_field(record, "evidence", table.n_rows)
     meta = record.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError("meta", "field 'meta' must be an object")

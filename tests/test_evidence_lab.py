@@ -725,6 +725,8 @@ class TestLabelRecords:
             ({"id": 7}, "id"),
             ({"e_search": "1,3"}, "e_search"),
             ({"e_merge": [True]}, "e_merge"),
+            ({"e_search": [0]}, "e_search"),
+            ({"e_distill": [-2]}, "e_distill"),
             ({"rewards": [0.5]}, "rewards"),
             ({"rewards": {"search": True}}, "rewards"),
             ({"flags": "oops"}, "flags"),

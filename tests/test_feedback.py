@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import http.client
+import io
 import json
 import logging
 import os
@@ -13,15 +14,17 @@ import resource
 import socket
 import socketserver
 import sqlite3
+import string
 import sys
 import threading
 import time
 import tracemalloc
+from collections.abc import Iterable
 from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
@@ -677,8 +680,78 @@ def raw_serving(reply: bytes, close: bool = False):
         thread.join(timeout=10)
 
 
+# Up to three extension header fields, which neither reader interprets.
+_EXTRA_FIELDS = st.lists(
+    st.tuples(st.text(string.ascii_letters, min_size=1, max_size=6),
+              st.text(string.ascii_letters + string.digits + " ;=/", max_size=8)),
+    max_size=3,
+).map(lambda pairs: b"".join(b"X-%s: %s\r\n" % (n.encode(), v.encode()) for n, v in pairs))
+
+
+@st.composite
+def well_formed_replies(draw) -> tuple[bytes, int, bytes, bool]:
+    """A well-formed reply as `(bytes, status, body, reusable)`: a final
+    status line, after a `100 Continue` or not, and a body framed by
+    `Content-Length`, by chunked coding (chunk extensions, a last chunk of
+    one or more zeros, trailer fields) or by EOF; 204 and 304 have none.
+    `http.client` skips only 100, so no other 1xx reply is drawn."""
+    interim = b""
+    if draw(st.booleans()):
+        interim = b"HTTP/1.1 100 Continue\r\n" + draw(_EXTRA_FIELDS) + b"\r\n"
+    version = draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"]))
+    status = draw(st.sampled_from([200, 201, 204, 304, 404, 500]))
+    reason = draw(st.sampled_from([b" OK", b" Not Found", b" ", b""]))
+    connection = draw(st.sampled_from(
+        [b"", b"Connection: close\r\n", b"Connection: Close\r\n", b"Connection: keep-alive\r\n"]
+    ))
+    framings = ["none"] if status in (204, 304) else ["length", "chunked", "eof"]
+    framing = draw(st.sampled_from(framings))
+    body = b"" if framing == "none" else draw(st.binary(max_size=64))
+    fields, payload = b"", body
+    if framing == "length":
+        fields = b"Content-Length: %d\r\n" % len(body)
+    elif framing == "chunked":
+        fields = b"Transfer-Encoding: %s\r\n" % draw(st.sampled_from([b"chunked", b"Chunked"]))
+        fields += draw(st.sampled_from([b"", b"Content-Length: 3\r\n"]))  # chunked wins
+        ends = sorted(draw(st.sets(st.integers(1, len(body)))) | {len(body)}) if body else []
+        extensions = st.sampled_from([b"", b";ext", b";name=value", b' ;q="v"'])
+        payload = b""
+        for start, end in zip([0, *ends], ends):
+            size = draw(st.sampled_from([b"%x", b"%X", b"0%x"])) % (end - start)
+            payload += size + draw(extensions) + b"\r\n" + body[start:end] + b"\r\n"
+        payload += b"0" * draw(st.integers(1, 3)) + draw(extensions) + b"\r\n"
+        payload += draw(_EXTRA_FIELDS) + b"\r\n"
+    head = b"".join(draw(st.permutations([connection, fields, draw(_EXTRA_FIELDS)])))
+    reply = interim + version + b" %d" % status + reason + b"\r\n" + head + b"\r\n" + payload
+    reusable = version == b"HTTP/1.1" and b"close" not in connection.lower() and framing != "eof"
+    return reply, status, body, reusable
+
+
+class ReplyFile:
+    """A socket `http.client.HTTPResponse` reads `data` from, then EOF."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+
+    def makefile(self, mode: str) -> io.BytesIO:
+        return io.BytesIO(self._data)
+
+
 class TestReplyReader:
     """Replies written byte for byte by a raw server on 127.0.0.1."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(reply=well_formed_replies(), data=st.data())
+    def test_a_well_formed_reply_reads_as_http_client_reads_it(self, reply, data):
+        # Over a scripted socket, unsplit and split at drawn points, with the
+        # same `reusable` flag each way.
+        raw, status, body, reusable = reply
+        response = http.client.HTTPResponse(ReplyFile(raw))
+        response.begin()
+        assert (response.status, response.read()) == (status, body)
+        cuts = data.draw(st.sets(st.integers(1, len(raw) - 1), max_size=8), label="recv cuts")
+        assert _Connection(ScriptedSocket(raw, cuts)).read_reply() == (status, body, reusable)
+        assert _Connection(ScriptedSocket(raw)).read_reply() == (status, body, reusable)
 
     @staticmethod
     def client(endpoint: str, sleeps: list[float]) -> HttpClient:
@@ -753,6 +826,10 @@ class TestReplyReader:
              False, "IncompleteRead"),
             (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\r\n", False,
              "IncompleteRead"),
+            # Chunk data must end in CRLF: `http.client` drops any 2 bytes
+            # there, and would read this as b"abc".
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabcXY0\r\n\r\n",
+             False, "IncompleteRead"),
             # Lines and header fields past http.client's bounds; the server
             # then holds the connection open, so a reader without the bounds
             # would wait for more instead of failing.
@@ -765,7 +842,7 @@ class TestReplyReader:
         ],
         ids=["truncated-body", "garbage-status-line", "four-digit-status", "signed-length",
              "bad-chunk-size", "negative-chunk-size", "0x-chunk-size", "empty-chunk-size",
-             "over-long-line", "101-header-fields", "endless-header-fields"],
+             "bad-chunk-line-end", "over-long-line", "101-header-fields", "endless-header-fields"],
     )
     def test_a_broken_reply_is_retried_then_raises(self, plain_environment, reply, close, failure):
         sleeps: list[float] = []
@@ -875,13 +952,15 @@ class TestReplyReader:
 
 
 class ScriptedSocket:
-    """A socket whose `recv` hands out `data` in order, then EOF."""
+    """A socket whose `recv` hands out `data` in order, then EOF; no `recv`
+    reads across a position in `cuts`."""
 
-    def __init__(self, data: bytes) -> None:
-        self._data, self._at = memoryview(data), 0
+    def __init__(self, data: bytes, cuts: Iterable[int] = ()) -> None:
+        self._data, self._at, self._cuts = memoryview(data), 0, sorted(cuts)
 
     def recv(self, size: int) -> bytes:
-        chunk = bytes(self._data[self._at : self._at + size])
+        end = min([self._at + size, *(cut for cut in self._cuts if cut > self._at)])
+        chunk = bytes(self._data[self._at : end])
         self._at += len(chunk)
         return chunk
 
