@@ -8,9 +8,10 @@ it strictly improves the reward. That costs exactly 2n feedback evaluations
 instead of 2^n.
 
 A search, a merge or an exhaustive search scores its candidates through
-`_scorer`, built once per table: it renders the table once
-(`transforms.render_table`) and joins every candidate's prompt from that
-rendering. With a response cache, it first reads every answer cached for
+`_scorer`, built once per table: it renders the table
+(`transforms.render_table`) and frames its prompts
+(`prompting.summarizer_frame`) once, and joins every candidate's prompt
+from both. With a response cache, it first reads every answer cached for
 its table and query with one statement (`feedback.reward_settings`), and
 serves every lookup from that read. Only the misses are generated, and they
 are stored in the cache and in the read, so a prompt asked for again is not
@@ -67,6 +68,7 @@ from .prompting import (
     build_summarizer_prompt,
     format_evidence,
     parse_evidence_output,
+    summarizer_frame,
 )
 from .table_core import Dataset, Evidence, Sample, evidence_field, read_records
 from .transforms import render_table
@@ -175,25 +177,29 @@ def _scorer(
     feedbacker's `settings`: of one set, and of a batch. Each outcome is
     the set's `feedback_reward`, or the skippable error that replaced it.
 
-    The table is rendered, and with a cache its scope read
-    (`reward_settings`), once, here. The scorer of one set joins its prompt
-    unless given one; it may run on pool threads, touching no shared state
-    but the settings' cache. The scorer of a batch joins every prompt first
-    (a skippable failure there is that set's outcome), then scores the sets
-    in order, up to the feedbacker's `max_in_flight` at once. With a cache,
-    a prompt that repeats an earlier one waits for a later round, looked up
-    after the earlier one was stored, so it is generated no more often than
-    in a serial search; with none, it runs beside the one it repeats.
+    The table is rendered, its prompts framed (`summarizer_frame`) and with
+    a cache its scope read (`reward_settings`), once, here. The scorer of
+    one set joins its prompt from the frame unless given one; it may run on
+    pool threads, touching no shared state but the settings' cache. The
+    scorer of a batch joins every prompt first (a skippable failure there
+    is that set's outcome), then scores the sets in order, up to the
+    feedbacker's `max_in_flight` at once. With a cache, a prompt that
+    repeats an earlier one waits for a later round, looked up after the
+    earlier one was stored, so it is generated no more often than in a
+    serial search; with none, it runs beside the one it repeats.
     """
     table, query = sample.table, sample.query
     rendering = render_table(table)
     settings = reward_settings(settings, feedbacker, rendering, query, mode)
+    frame = summarizer_frame(
+        query, template=settings.template, token_budget=settings.token_budget
+    )
     width = getattr(feedbacker, "max_in_flight", 1)
 
     def score(evidence: Evidence, prompt: str | None = None) -> float | Exception:
         try:
             if prompt is None:
-                prompt = reward_prompt(rendering, evidence, query, mode, settings)
+                prompt = reward_prompt(rendering, evidence, query, mode, settings, frame=frame)
             return feedback_reward(
                 table, evidence, query, sample.reference, mode, feedbacker, settings,
                 prompt=prompt,
@@ -210,7 +216,7 @@ def _scorer(
         repeats: dict[str, int] = {}
         for i, evidence in enumerate(sets):
             try:
-                prompt = reward_prompt(rendering, evidence, query, mode, settings)
+                prompt = reward_prompt(rendering, evidence, query, mode, settings, frame=frame)
             except _SKIPPABLE_ERRORS as exc:
                 outcomes[i] = exc
                 continue

@@ -13,8 +13,8 @@ token budget.
 `feedback_reward` composes prompt construction, generation, and scoring into
 the scalar signal the evidence search consumes; `reward_prompt` joins each
 candidate's prompt from the table's rendering (`transforms.render_table`),
-which a search or a merge builds once, and `reward_settings` narrows the
-settings' cache to that table's scope.
+which a search or a merge builds once, as it does the prompt's frame, and
+`reward_settings` narrows the settings' cache to that table's scope.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import eval_reward
-from .prompting import PromptTemplate, load_template, summarizer_prompt_from_text
+from .prompting import PromptFrame, PromptTemplate, load_template, summarizer_frame
 from .prompting import build_summarizer_prompt  # not called; benchmark/spans.py wraps it
 from .table_core import Evidence, Table
 from .transforms import ROW_LINE_RE, TableRendering, render_table, subtable, unescape_cell
@@ -368,6 +368,16 @@ def _key_frame(model_id: str, cfg: SamplingConfig, reprs: tuple[str, ...]) -> tu
     return head + '"prompt": ', tail
 
 
+def _key_frame_of(model_id: str, cfg: SamplingConfig) -> tuple[str, str]:
+    reprs = (repr(cfg.nucleus_p), repr(cfg.temperature), repr(cfg.max_new_tokens))
+    return _key_frame(model_id, cfg, reprs)
+
+
+def _request_key(frame: tuple[str, str], prompt: str) -> str:
+    payload = frame[0] + encode_basestring(prompt) + frame[1]
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 class ResponseCache:
     """Content-addressed completion store: one SQLite database per directory.
 
@@ -410,11 +420,8 @@ class ResponseCache:
         """SHA-256 of `json.dumps` of the model id, sampling fields and prompt
         (sorted keys, `ensure_ascii=False`). The text around the prompt is
         built once per backend and config (`_key_frame`), and the prompt is
-        escaped as that `json.dumps` escapes it."""
-        reprs = (repr(cfg.nucleus_p), repr(cfg.temperature), repr(cfg.max_new_tokens))
-        head, tail = _key_frame(model_id, cfg, reprs)
-        payload = head + encode_basestring(prompt) + tail
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        escaped as that `json.dumps` escapes it (`_request_key`)."""
+        return _request_key(_key_frame_of(model_id, cfg), prompt)
 
     def _open(self) -> None:
         """Open the connection and set up the directory, WAL mode and table. The
@@ -533,7 +540,8 @@ class CacheScope:
     scopes or processes store only when made anew. A scope whose read
     failed keeps what it stores to itself: the database it could not read
     is not written, so the sample costs one logged warning, not one per
-    generated prompt.
+    generated prompt. Its keys are `ResponseCache.key`'s; their text around
+    the prompt is built again only for another model id or config object.
     """
 
     def __init__(self, cache: ResponseCache, prefix: str) -> None:
@@ -542,12 +550,19 @@ class CacheScope:
         texts = cache._scan(prefix)
         self._writes = texts is not None
         self._texts = texts if texts is not None else {}
+        self._last_frame: tuple = (None, None, None)  # model id, config, their `_key_frame_of`
+
+    def _key(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str:
+        last = self._last_frame  # replaced whole, so threads never see a torn one
+        if last[0] != model_id or last[1] is not cfg:
+            last = self._last_frame = (model_id, cfg, _key_frame_of(model_id, cfg))
+        return _request_key(last[2], prompt)
 
     def get(self, model_id: str, prompt: str, cfg: SamplingConfig) -> str | None:
-        return self._texts.get(ResponseCache.key(model_id, prompt, cfg))
+        return self._texts.get(self._key(model_id, prompt, cfg))
 
     def put(self, model_id: str, prompt: str, cfg: SamplingConfig, text: str) -> None:
-        key = ResponseCache.key(model_id, prompt, cfg)
+        key = self._key(model_id, prompt, cfg)
         if self._writes:
             self._cache._store(self._prefix + key, text)
         self._texts[key] = text
@@ -611,26 +626,26 @@ def shown_rows(table: Table, evidence: Evidence, mode: str) -> tuple[Table, Evid
 
 
 def reward_prompt(
-    rendering: TableRendering,
-    evidence: Evidence,
-    query: str,
-    mode: str,
-    settings: RoleSettings = SEARCH_SETTINGS,
+    rendering: TableRendering, evidence: Evidence, query: str, mode: str,
+    settings: RoleSettings = SEARCH_SETTINGS, *, frame: PromptFrame | None = None,
 ) -> str:
     """The summarizer prompt that `feedback_reward` scores `evidence` by, in
     `mode` ("subtable" or "highlight", see `shown_rows`), joined from the
     table's `rendering` with the template and token budget of `settings`:
-    `build_summarizer_prompt` of the shown table, with the same errors."""
+    `build_summarizer_prompt` of the shown table, with the same errors. It
+    renders through their `summarizer_frame`: `frame`, which a caller that
+    joins many builds once (`evidence_lab._scorer`), or one built here."""
     if mode == "subtable":
         text = rendering.subtable_text(evidence)
     elif mode == "highlight":
         text = rendering.highlight_text(evidence)
     else:
         raise ValueError(f"mode must be one of {REWARD_MODES}, got {mode!r}")
-    prompt = summarizer_prompt_from_text(
-        text, query, template=settings.template, token_budget=settings.token_budget
-    )
-    return prompt.text
+    if frame is None:
+        frame = summarizer_frame(
+            query, template=settings.template, token_budget=settings.token_budget
+        )
+    return frame.render(text)
 
 
 def _scope_prefix(
@@ -646,9 +661,7 @@ def _scope_prefix(
     text, the query and the table's rendering, joined by NUL characters.
     Two tables whose parts join alike would share one scope, which costs
     only a larger read: each entry's request key covers its whole prompt."""
-    cfg = settings.cfg
-    reprs = (repr(cfg.nucleus_p), repr(cfg.temperature), repr(cfg.max_new_tokens))
-    head, tail = _key_frame(_cache_identity(feedbacker), cfg, reprs)
+    head, tail = _key_frame_of(_cache_identity(feedbacker), settings.cfg)
     template = settings.template or load_template("summarizer")
     payload = "\0".join(
         (head, tail, mode, template.text, query, rendering.head, *rendering.bodies)

@@ -11,13 +11,15 @@ or last '#' forms with the '#' of the piece beside it (the template's own
 '#' are kept), which keeps "###Output" unique per prompt.
 
 Each template text is split around its slots once, and the split is
-memoised for a fixed number of recent texts. A prompt is then one join of
-the literal pieces, each slot's capped value and the capped completion.
-Values are never scanned for slots, so a query that itself contains
-"{{QUERY}}" stays as it is. A label search joins its table text from a
-per-table rendering (`transforms.render_table`) and passes it to
-`summarizer_prompt_from_text`, the assembly `build_summarizer_prompt` ends
-in, so the token estimate and the budget check stay per prompt.
+memoised for a fixed number of recent texts. Every builder then assembles
+in two steps: a `PromptFrame` checks the role and caps every slot's value
+but the table's, once; its `render` joins one table's capped text with the
+literal pieces, those values and the capped completion, then checks that
+prompt's token budget and its one "###Output". Values are never scanned for
+slots, so a query that itself contains "{{QUERY}}" stays as it is. A label
+search builds one frame per sample and mode (`summarizer_frame`) and
+renders through it every candidate's table text, which it joins from a
+per-table rendering (`transforms.render_table`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .transforms import cap_hash_runs, highlight, linearize
 __all__ = [
     "OUTPUT_MARKER",
     "DEFAULT_TOKEN_BUDGET",
+    "PromptFrame",
     "PromptTemplate",
     "RenderedPrompt",
     "build_distill_prompt",
@@ -46,6 +49,7 @@ __all__ = [
     "load_example_blocks",
     "load_template",
     "parse_evidence_output",
+    "summarizer_frame",
     "summarizer_prompt_from_text",
 ]
 
@@ -63,7 +67,7 @@ _ROLE_SLOTS: dict[str, tuple[str, ...]] = {
 _SLOT_RE = re.compile(r"\{\{(TABLE|QUERY|REFERENCE|EXAMPLES)\}\}")
 _INT_RE = re.compile(r"\d+")
 
-# How many template texts `_assemble` keeps split. A run renders with a few
+# How many template texts `PromptFrame` keeps split. A run renders with a few
 # templates, one or two per role.
 _SPLIT_TEMPLATES = 16
 
@@ -174,19 +178,19 @@ def format_evidence(evidence: Evidence) -> str:
 
 
 @lru_cache(maxsize=_SPLIT_TEMPLATES)
-def _template_pieces(text: str) -> tuple[tuple[str, ...], bool]:
+def _template_pieces(text: str) -> tuple[tuple[str, ...], bool, int]:
     """A template's text split around its slots, literal text at even
-    positions and a slot name at each odd one; and whether a value's '#'
-    can run on into a neighbouring piece: a literal touches a slot with a
-    '#', or two slots are side by side. (The last literal ends the template
-    with a newline, so the completion after it starts no run.)"""
+    positions and a slot name at each odd one; whether a value's '#' can run
+    on into a neighbouring piece (a literal touches a slot with a '#', or two
+    slots are side by side; the last literal ends with a newline, so the
+    completion starts no run); and the position of the table's slot."""
     pieces = tuple(_SLOT_RE.split(text))
     literals = pieces[::2]
     seams = (
         any(literal[-1:] == "#" for literal in literals[:-1])
         or any(literal[:1] in ("#", "") for literal in literals[1:])
     )
-    return pieces, seams
+    return pieces, seams, 2 * pieces[1::2].index("TABLE") + 1
 
 
 def _join_at_seams(pieces: list[str]) -> str:
@@ -212,26 +216,50 @@ def _join_at_seams(pieces: list[str]) -> str:
     return "".join(out)
 
 
+class PromptFrame:
+    """What the prompts of one template, role, set of values and completion
+    share: all but the table's text, which `render` joins in. Threads may
+    share a frame."""
+
+    def __init__(
+        self, template: PromptTemplate, values: dict[str, str], completion: str, role: str,
+        token_budget: int,
+    ) -> None:
+        if template.name != role:
+            raise TemplateError(f"a {template.name} template cannot build a {role} prompt")
+        split, self._seams, at = _template_pieces(template.text)
+        pieces = list(split)
+        for k in range(1, len(pieces), 2):
+            if k != at:
+                pieces[k] = cap_hash_runs(values[pieces[k]])
+        pieces.append(cap_hash_runs(completion))
+        self._pieces, self._at, self.token_budget = pieces, at, token_budget
+        self._head, self._tail = "".join(pieces[:at]), "".join(pieces[at + 1 :])
+
+    def render(self, table_text: str) -> str:
+        """The prompt's text with `table_text`, capped, in the table's slot;
+        checked against the token budget, then for its one output marker."""
+        table_text = cap_hash_runs(table_text)
+        if self._seams:
+            pieces, at = self._pieces, self._at
+            text = _join_at_seams([*pieces[:at], table_text, *pieces[at + 1 :]])
+        else:
+            text = "".join((self._head, table_text, self._tail))
+        estimate = estimate_tokens(text)
+        if estimate > self.token_budget:
+            raise PromptTooLongError(estimate, self.token_budget)
+        if text.count(OUTPUT_MARKER) != 1:
+            raise TemplateError(f"prompt must contain exactly one {OUTPUT_MARKER!r}")
+        return text
+
+
 def _assemble(
-    template: PromptTemplate,
-    values: dict[str, str],
-    completion: str,
-    role: str,
-    sample_id: str,
-    token_budget: int,
+    template: PromptTemplate, values: dict[str, str], completion: str, role: str,
+    sample_id: str, token_budget: int,
 ) -> RenderedPrompt:
-    if template.name != role:
-        raise TemplateError(f"a {template.name} template cannot build a {role} prompt")
-    template_pieces, seams = _template_pieces(template.text)
-    pieces = list(template_pieces)
-    for i in range(1, len(pieces), 2):
-        pieces[i] = cap_hash_runs(values[pieces[i]])
-    pieces.append(cap_hash_runs(completion))
-    text = _join_at_seams(pieces) if seams else "".join(pieces)
-    estimate = estimate_tokens(text)
-    if estimate > token_budget:
-        raise PromptTooLongError(estimate, token_budget)
-    return RenderedPrompt(text=text, role=role, sample_id=sample_id)
+    """The prompt of `values`, the table's text among them: one frame, one render."""
+    frame = PromptFrame(template, values, completion, role, token_budget)
+    return RenderedPrompt(text=frame.render(values["TABLE"]), role=role, sample_id=sample_id)
 
 
 def build_highlighter_prompt(
@@ -282,21 +310,26 @@ def build_summarizer_prompt(
     )
 
 
+def summarizer_frame(
+    query: str, reference: str | None = None, *,
+    template: PromptTemplate | None = None, token_budget: int = DEFAULT_TOKEN_BUDGET,
+) -> PromptFrame:
+    """The frame of every summarizer prompt of `query` (and `reference`): it
+    renders a table's text as `summarizer_prompt_from_text` does."""
+    if template is None:
+        template = load_template("summarizer")
+    completion = reference if reference is not None else ""
+    return PromptFrame(template, {"QUERY": query}, completion, "summarizer", token_budget)
+
+
 def summarizer_prompt_from_text(
-    table_text: str,
-    query: str,
-    reference: str | None = None,
-    *,
-    template: PromptTemplate | None = None,
-    sample_id: str = "",
+    table_text: str, query: str, reference: str | None = None, *,
+    template: PromptTemplate | None = None, sample_id: str = "",
     token_budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> RenderedPrompt:
     """`build_summarizer_prompt` of a table already linearized to `table_text`."""
-    if template is None:
-        template = load_template("summarizer")
-    values = {"TABLE": table_text, "QUERY": query}
-    completion = reference if reference is not None else ""
-    return _assemble(template, values, completion, "summarizer", sample_id, token_budget)
+    frame = summarizer_frame(query, reference, template=template, token_budget=token_budget)
+    return RenderedPrompt(text=frame.render(table_text), role="summarizer", sample_id=sample_id)
 
 
 def build_distill_prompt(

@@ -51,9 +51,9 @@ from tablehelm.feedback import (
 )
 from tablehelm.prompting import (
     OUTPUT_MARKER,
+    PromptFrame,
     estimate_tokens,
     load_example_blocks,
-    summarizer_prompt_from_text,
 )
 from tablehelm.table_core import Dataset, Evidence, Sample, Table
 from tablehelm.transforms import render_table
@@ -290,15 +290,16 @@ class TestGreedySearch:
     def test_an_over_budget_prompt_is_rendered_once_per_candidate(
         self, champions_sample, monkeypatch
     ):
-        # A search builds each candidate's prompt from the table's rendering
-        # through `summarizer_prompt_from_text`, where the budget is checked.
+        # A search renders each candidate's prompt from its sample's one
+        # frame (`PromptFrame.render`), where the budget is checked.
         rendered = []
+        original = PromptFrame.render
 
-        def counting_build(*args, **kwargs):
-            rendered.append(args)
-            return summarizer_prompt_from_text(*args, **kwargs)
+        def counting_render(frame, table_text):
+            rendered.append(table_text)
+            return original(frame, table_text)
 
-        monkeypatch.setattr(feedback, "summarizer_prompt_from_text", counting_build)
+        monkeypatch.setattr(PromptFrame, "render", counting_render)
         client = CountingClient(EchoClient())
         with pytest.raises(PromptTooLongError):
             greedy_search(champions_sample, client, settings=RoleSettings(token_budget=5))
@@ -306,21 +307,29 @@ class TestGreedySearch:
         assert client.calls == 0
 
     def test_a_search_renders_each_row_once(self, champions_sample, monkeypatch):
-        # The header and each row body are rendered once per search; every
-        # one of the 2n prompts is joined from them.
-        rendered = []
+        # The header and each row body are rendered once per search, and the
+        # prompts are framed once; every one of the 2n prompts is joined
+        # from them.
+        rendered, frames = [], []
         original = transforms._render_cells
+        original_frame = PromptFrame.__init__
 
         def counting(cells):
             rendered.append(cells)
             return original(cells)
 
+        def counting_frame(frame, *args):
+            frames.append(args)
+            original_frame(frame, *args)
+
         monkeypatch.setattr(transforms, "_render_cells", counting)
+        monkeypatch.setattr(PromptFrame, "__init__", counting_frame)
         table = champions_sample.table
         client = CountingClient(EchoClient())
         greedy_search(champions_sample, client)
         assert client.calls == 2 * table.n_rows
         assert rendered == [table.header, *table.rows]
+        assert len(frames) == 1
 
     def test_a_prompt_without_a_table_is_evaluated_once(self, champions_sample):
         client = AlwaysFailingClient(NoTableFoundError)

@@ -16,6 +16,7 @@ import socketserver
 import sqlite3
 import string
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -1320,6 +1321,74 @@ class TestResponseCache:
             scope.put("m", prompt, cfg, f"text {i}")
         return prompts
 
+    # Configs that compare equal but that JSON writes differently (0.0 and
+    # -0.0, 1 and 1.0), as shared objects and as a fresh object per draw.
+    equal_spellings = st.one_of(
+        st.sampled_from([
+            SamplingConfig(temperature=0.0, nucleus_p=1.0),
+            SamplingConfig(temperature=-0.0, nucleus_p=1.0),
+            SamplingConfig(temperature=0.0, nucleus_p=1),
+        ]),
+        st.builds(
+            SamplingConfig,
+            temperature=st.sampled_from([0.0, -0.0]),
+            nucleus_p=st.sampled_from([1, 1.0]),
+        ),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(
+        st.tuples(st.sampled_from(["m", "m2"]), key_text, equal_spellings),
+        min_size=1, max_size=8,
+    ))
+    def test_a_scopes_keys_are_the_caches_keys(self, calls):
+        # A scope keeps the text around the prompt of the backend and config
+        # it was last asked with; every key must still be `ResponseCache.key`,
+        # whatever model id or config a call names after the first.
+        with tempfile.TemporaryDirectory() as directory, closing(
+            ResponseCache(directory)
+        ) as cache:
+            scope = CacheScope(cache, self.PREFIX)
+            stored = {}
+            for n, (model_id, prompt, cfg) in enumerate(calls):
+                assert scope.get(model_id, prompt, cfg) == stored.get(
+                    ResponseCache.key(model_id, prompt, cfg)
+                )
+                scope.put(model_id, prompt, cfg, f"text {n}")
+                stored[ResponseCache.key(model_id, prompt, cfg)] = f"text {n}"
+            with closing(sqlite3.connect(cache.path)) as conn:
+                rows = conn.execute("SELECT key, text FROM entries").fetchall()
+            assert dict(rows) == {self.PREFIX + key: text for key, text in stored.items()}
+            fresh = CacheScope(cache, self.PREFIX)
+            for model_id, prompt, cfg in reversed(calls):
+                assert fresh.get(model_id, prompt, cfg) == stored[
+                    ResponseCache.key(model_id, prompt, cfg)
+                ]
+
+    def test_a_scope_keeps_equal_but_differently_written_configs_apart(self, tmp_path):
+        scope = CacheScope(ResponseCache(tmp_path), self.PREFIX)
+        for first, second in (
+            (SamplingConfig(temperature=0.0), SamplingConfig(temperature=-0.0)),
+            (SamplingConfig(nucleus_p=1.0), SamplingConfig(nucleus_p=1)),
+        ):
+            assert first == second
+            scope.put("m", "p", first, "first")
+            assert scope.get("m", "p", second) is None
+            scope.put("m", "p", second, "second")
+            assert (scope.get("m", "p", first), scope.get("m", "p", second)) == (
+                "first", "second",
+            )
+
+    def test_a_scope_asked_with_another_model_or_config_misses(self, tmp_path):
+        cfg = SamplingConfig()
+        scope = CacheScope(ResponseCache(tmp_path), self.PREFIX)
+        scope.put("m", "p", cfg, "text")
+        assert scope.get("m2", "p", cfg) is None
+        assert scope.get("m", "p", SamplingConfig(max_new_tokens=7)) is None
+        # An equal config, built anew, is the same request.
+        assert scope.get("m", "p", SamplingConfig()) == "text"
+        assert scope.get("m", "p", cfg) == "text"
+
     # Every row of a scope comes back as its bytes and stored type: one not
     # stored as TEXT (a BLOB, an INTEGER, a REAL), or not UTF-8, is evicted.
     # The text column is made without a type, as another program sharing the
@@ -1485,6 +1554,29 @@ class TestResponseCache:
         assert statements[0].startswith(
             "SELECT key, CAST(text AS BLOB), typeof(text) FROM entries WHERE key >= "
         )
+
+    def test_a_warm_search_with_an_equal_config_generates_nothing(self, tmp_path):
+        # The scope's keys are built for the config object a search passes; one
+        # built anew but equal is the same request, and -0.0 is another one.
+        sample, planted = support.planted_sample("equal-config", 6, 2, (1, 4), salt="e")
+        cache = ResponseCache(tmp_path)
+        cold_client = CountingClient(EchoClient())
+        cold = greedy_search(
+            sample, cold_client,
+            settings=RoleSettings(cache=cache, cfg=SamplingConfig(temperature=0.0)),
+        )
+        warm_client = CountingClient(EchoClient())
+        warm = greedy_search(
+            sample, warm_client,
+            settings=RoleSettings(cache=cache, cfg=SamplingConfig(temperature=0.0)),
+        )
+        assert warm == cold and warm[0] == planted
+        assert warm_client.calls == 0
+        other = CountingClient(EchoClient())
+        greedy_search(
+            sample, other, settings=RoleSettings(cache=cache, cfg=SamplingConfig(temperature=-0.0))
+        )
+        assert other.calls == cold_client.calls
 
     def test_a_warm_merge_looks_its_distinct_sets_up_in_one_statement(self, tmp_path):
         sample, planted = support.planted_sample("merge-statement", 6, 2, (1, 4), salt="m")

@@ -32,6 +32,8 @@ from tablehelm.prompting import (
     load_template,
     _assemble,
     parse_evidence_output,
+    summarizer_frame,
+    summarizer_prompt_from_text,
 )
 from tablehelm.feedback import (
     REWARD_MODES,
@@ -469,6 +471,73 @@ def test_values_side_by_side_spell_no_second_marker():
     values = {"QUERY": "#", "TABLE": "###Output"}
     prompt = _assemble(template, values, "", "summarizer", "s", DEFAULT_TOKEN_BUDGET)
     assert prompt.text == "##Output###Output\n"
+
+
+# ------------------------------------------------ one frame, many tables
+# A label search builds one frame per sample and mode (`summarizer_frame`)
+# and renders every candidate's table text through it. Each prompt must be
+# the one `summarizer_prompt_from_text` and assembly by substitution make,
+# and fail as they fail.
+
+_FRAME_TEMPLATES = [
+    None,  # the packaged summarizer template
+    PromptTemplate(name="summarizer", text="Query: {{QUERY}}\nTable:\n{{TABLE}}\n###Output"),
+    # A '#' touching each slot: the seams are capped at the join.
+    PromptTemplate(name="summarizer", text="Q: #{{QUERY}}\n{{TABLE}}#\n###Output"),
+]
+_MARKED_CELLS = ("#", "###", "#####", OUTPUT_MARKER, "##" + OUTPUT_MARKER, OUTPUT_MARKER + "###")
+
+
+@st.composite
+def _table_texts(draw) -> str:
+    """A linearized table whose cells hold hash runs and output markers, or
+    any text at all: the frame takes the table's text as it comes."""
+    if draw(st.booleans()):
+        return draw(_values)
+    cell = st.one_of(st.sampled_from(_MARKED_CELLS), _probe_cells)
+    n_cols = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[cell] * n_cols), min_size=1, max_size=4))
+    title = draw(st.one_of(st.just(""), cell))
+    return linearize(Table(header=draw(st.tuples(*[cell] * n_cols)), rows=rows, title=title)).text
+
+
+@given(st.data())
+def test_a_frame_renders_the_assemblers_prompts(data):
+    template = data.draw(st.sampled_from(_FRAME_TEMPLATES))
+    query = data.draw(_values)
+    reference = data.draw(st.one_of(st.none(), _values))
+    # Small budgets put some prompts over budget.
+    budget = data.draw(st.one_of(st.just(DEFAULT_TOKEN_BUDGET), st.integers(0, 120)))
+    frame = summarizer_frame(query, reference, template=template, token_budget=budget)
+    for table_text in data.draw(st.lists(_table_texts(), min_size=1, max_size=5)):
+        expected = assemble_by_substitution(
+            template or load_template("summarizer"),
+            {"TABLE": table_text, "QUERY": query},
+            reference if reference is not None else "",
+        )
+        estimate = estimate_tokens(expected)
+
+        def assembled(token_budget):
+            return summarizer_prompt_from_text(
+                table_text, query, reference, template=template, token_budget=token_budget
+            )
+
+        if estimate > budget or expected.count(OUTPUT_MARKER) != 1:
+            with pytest.raises((PromptTooLongError, TemplateError)) as by_assembler:
+                assembled(budget)
+            with pytest.raises(type(by_assembler.value)) as by_frame:
+                frame.render(table_text)
+            assert str(by_frame.value) == str(by_assembler.value)
+        else:
+            assert frame.render(table_text) == assembled(budget).text == expected
+        # One token under the estimate, both refuse the prompt alike.
+        tight = summarizer_frame(query, reference, template=template, token_budget=estimate - 1)
+        with pytest.raises(PromptTooLongError) as by_assembler:
+            assembled(estimate - 1)
+        with pytest.raises(PromptTooLongError) as by_frame:
+            tight.render(table_text)
+        assert str(by_frame.value) == str(by_assembler.value)
+        assert (by_frame.value.estimate, by_frame.value.budget) == (estimate, estimate - 1)
 
 
 # ------------------------------------------- reward prompts from a rendering
