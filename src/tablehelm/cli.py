@@ -29,7 +29,8 @@ patch made in the layer itself (`tablehelm.feedback.HttpClient`) before any
 command runs would be bound here and outlive its undoing.
 
 Exit codes: 0 success, 2 validation problem, 3 backend/transport failure,
-4 finished but with a success rate below the configured threshold.
+4 finished but with a success rate below the configured threshold, 141
+stdout closed early (its reader went away, as in `| head`).
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BACKEND = 3
 EXIT_PARTIAL = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports for a writer its reader left
 
 
 def make_client(endpoint: str, model_id: str, run: RunConfig) -> GeneratorClient:
@@ -220,7 +222,7 @@ def existing_ids(path: str | Path) -> set[str]:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # not JSON, or nested too deeply
                 continue
             sample_id = record.get("id") if isinstance(record, dict) else None
             if isinstance(sample_id, str):
@@ -273,8 +275,9 @@ def run_batch(
             for note in notes:
                 print(note, file=sys.stderr)
             succeeded += ok
+    code = _job_exit(succeeded, len(todo), failures, run)  # failures to stderr, before stdout
     print(summary(succeeded, len(todo), len(done), len(todo) - len(failures)))
-    return _job_exit(succeeded, len(todo), failures, run)
+    return code
 
 
 def _load_input(path: str, run: RunConfig) -> Dataset:
@@ -607,11 +610,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if sample.id in predictions
     ]
     report = corpus_evaluate(pairs)
-    print(report.format_table())
     report_path = args.report or f"{args.predictions}.scores.json"
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(report.to_record(), ensure_ascii=False))
         handle.write("\n")
+    print(report.format_table())
     print(f"report -> {report_path}")
     return EXIT_OK
 
@@ -745,7 +748,14 @@ _shared_parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Every command prints to stdout after it has written its files. What
+        # is left goes to devnull, so that the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except BACKEND_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BACKEND

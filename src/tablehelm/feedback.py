@@ -254,7 +254,7 @@ class HttpClient:
                 raise TransportError(f"HTTP {status} from {self.endpoint}")
             try:
                 decoded = json.loads(reply)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
                 raise MalformedResponseError(f"response is not JSON: {exc}") from exc
             return self._extract_text(decoded)
         if rate_limited:

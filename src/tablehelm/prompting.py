@@ -10,23 +10,24 @@ value has runs of '#' capped at two, and so does a run that a value's first
 or last '#' forms with the '#' of the piece beside it (the template's own
 '#' are kept), which keeps "###Output" unique per prompt.
 
-Each template text is split around its slots once, and the split is
-memoised for a fixed number of recent texts. Every builder then assembles
-in two steps: a `PromptFrame` checks the role and caps every slot's value
-but the table's, once; its `render` joins one table's capped text with the
-literal pieces, those values and the capped completion, then checks that
-prompt's token budget and its one "###Output". Values are never scanned for
-slots, so a query that itself contains "{{QUERY}}" stays as it is. A label
-search builds one frame per sample and mode (`summarizer_frame`) and
-renders through it every candidate's table text, which it joins from a
-per-table rendering (`transforms.render_table`).
+A `PromptTemplate` is split around its slots when it is validated. Every
+prompt is assembled along one path, each check taken once: a `PromptFrame`
+resolves a missing template to its role's packaged one, checks the role and
+caps every slot's value but the table's; its `render` joins one table's
+capped text with the literal pieces, those values and the capped
+completion, then checks the token budget and the one "###Output". Values
+are never scanned for slots, so a query holding "{{QUERY}}" stays as it is.
+The builders render through one frame each (`_assemble`); a label search
+builds one frame per sample and mode (`summarizer_frame`) and renders
+through it every candidate's table text, which it joins from a per-table
+rendering (`transforms.render_table`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -50,7 +51,6 @@ __all__ = [
     "load_template",
     "parse_evidence_output",
     "summarizer_frame",
-    "summarizer_prompt_from_text",
 ]
 
 OUTPUT_MARKER = "###Output"
@@ -67,32 +67,33 @@ _ROLE_SLOTS: dict[str, tuple[str, ...]] = {
 _SLOT_RE = re.compile(r"\{\{(TABLE|QUERY|REFERENCE|EXAMPLES)\}\}")
 _INT_RE = re.compile(r"\d+")
 
-# How many template texts `PromptFrame` keeps split. A run renders with a few
-# templates, one or two per role.
-_SPLIT_TEMPLATES = 16
-
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """One role's template text, validated at construction."""
+    """One role's template text, validated and split at construction: its
+    `pieces` are literal text at even positions and a slot name at each odd
+    one; `seams`, whether a value's '#' can run on into a neighbouring piece
+    (a literal touches a slot with a '#', or two slots are side by side; the
+    last literal ends with a newline, so the completion starts no run)."""
 
     name: str
     text: str
+    pieces: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    seams: bool = field(init=False, repr=False, compare=False)
+    table_at: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name not in ROLES:
             raise TemplateError(f"unknown template role: {self.name!r}")
         if self.text.count(OUTPUT_MARKER) != 1:
-            raise TemplateError(
-                f"{self.name} template must contain exactly one {OUTPUT_MARKER!r}"
-            )
+            raise TemplateError(f"{self.name} template must contain exactly one {OUTPUT_MARKER!r}")
         head, _, tail = self.text.partition(OUTPUT_MARKER)
         if tail.strip():
-            raise TemplateError(
-                f"{self.name} template has content after {OUTPUT_MARKER!r}"
-            )
-        declared = _ROLE_SLOTS[self.name]
-        found = [m.group(1) for m in _SLOT_RE.finditer(head)]
+            raise TemplateError(f"{self.name} template has content after {OUTPUT_MARKER!r}")
+        # Normalized form: head, marker, single trailing newline.
+        text = head + OUTPUT_MARKER + "\n"
+        pieces = tuple(_SLOT_RE.split(text))
+        declared, found, literals = _ROLE_SLOTS[self.name], pieces[1::2], pieces[::2]
         for slot in declared:
             if found.count(slot) != 1:
                 raise TemplateError(
@@ -103,23 +104,24 @@ class PromptTemplate:
                 raise TemplateError(
                     f"{self.name} template does not take {{{{{slot}}}}}"
                 )
-        # Normalized form: head, marker, single trailing newline.
-        object.__setattr__(self, "text", head + OUTPUT_MARKER + "\n")
+        seams = (
+            any(literal[-1:] == "#" for literal in literals[:-1])
+            or any(literal[:1] in ("#", "") for literal in literals[1:])
+        )
+        for name, value in (
+            ("text", text), ("pieces", pieces), ("seams", seams),
+            ("table_at", 2 * found.index("TABLE") + 1),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """A fully assembled prompt string for one sample and role."""
+    """A prompt for one sample and role, as `_assemble` makes and checks it."""
 
     text: str
     role: str
     sample_id: str = ""
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise TemplateError(f"unknown prompt role: {self.role!r}")
-        if self.text.count(OUTPUT_MARKER) != 1:
-            raise TemplateError(f"prompt must contain exactly one {OUTPUT_MARKER!r}")
 
 
 def _read_packaged(filename: str) -> str:
@@ -177,22 +179,6 @@ def format_evidence(evidence: Evidence) -> str:
     return "{" + ", ".join(str(i) for i in evidence) + "}"
 
 
-@lru_cache(maxsize=_SPLIT_TEMPLATES)
-def _template_pieces(text: str) -> tuple[tuple[str, ...], bool, int]:
-    """A template's text split around its slots, literal text at even
-    positions and a slot name at each odd one; whether a value's '#' can run
-    on into a neighbouring piece (a literal touches a slot with a '#', or two
-    slots are side by side; the last literal ends with a newline, so the
-    completion starts no run); and the position of the table's slot."""
-    pieces = tuple(_SLOT_RE.split(text))
-    literals = pieces[::2]
-    seams = (
-        any(literal[-1:] == "#" for literal in literals[:-1])
-        or any(literal[:1] in ("#", "") for literal in literals[1:])
-    )
-    return pieces, seams, 2 * pieces[1::2].index("TABLE") + 1
-
-
 def _join_at_seams(pieces: list[str]) -> str:
     """`pieces` joined, where literal text sits at even positions and capped
     values at odd ones, with every run of '#' that crosses a seam capped:
@@ -217,18 +203,20 @@ def _join_at_seams(pieces: list[str]) -> str:
 
 
 class PromptFrame:
-    """What the prompts of one template, role, set of values and completion
-    share: all but the table's text, which `render` joins in. Threads may
-    share a frame."""
+    """What the prompts of one template (None: the role's packaged one),
+    role, set of values and completion share: all but the table's text, which
+    `render` joins in. Threads may share a frame."""
 
     def __init__(
-        self, template: PromptTemplate, values: dict[str, str], completion: str, role: str,
-        token_budget: int,
+        self, template: PromptTemplate | None, values: dict[str, str], completion: str,
+        role: str, token_budget: int,
     ) -> None:
-        if template.name != role:
+        if template is None:
+            template = load_template(role)
+        elif template.name != role:
             raise TemplateError(f"a {template.name} template cannot build a {role} prompt")
-        split, self._seams, at = _template_pieces(template.text)
-        pieces = list(split)
+        self._seams, at = template.seams, template.table_at
+        pieces = list(template.pieces)
         for k in range(1, len(pieces), 2):
             if k != at:
                 pieces[k] = cap_hash_runs(values[pieces[k]])
@@ -254,10 +242,11 @@ class PromptFrame:
 
 
 def _assemble(
-    template: PromptTemplate, values: dict[str, str], completion: str, role: str,
+    template: PromptTemplate | None, values: dict[str, str], completion: str, role: str,
     sample_id: str, token_budget: int,
 ) -> RenderedPrompt:
-    """The prompt of `values`, the table's text among them: one frame, one render."""
+    """The prompt of `values`, the table's text among them: one frame, one
+    render. Every builder's prompt is made here."""
     frame = PromptFrame(template, values, completion, role, token_budget)
     return RenderedPrompt(text=frame.render(values["TABLE"]), role=role, sample_id=sample_id)
 
@@ -276,8 +265,6 @@ def build_highlighter_prompt(
     With `golden_evidence` the rendered index set follows the output marker
     (training form); without it the output area is left blank (inference).
     """
-    if template is None:
-        template = load_template("highlighter")
     completion = ""
     if golden_evidence is not None:
         golden_evidence.check_range(table.n_rows)
@@ -304,10 +291,9 @@ def build_summarizer_prompt(
     training mode.
     """
     shown = table if evidence is None else highlight(table, evidence)
-    return summarizer_prompt_from_text(
-        linearize(shown).text, query, reference,
-        template=template, sample_id=sample_id, token_budget=token_budget,
-    )
+    values = {"TABLE": linearize(shown).text, "QUERY": query}
+    completion = reference if reference is not None else ""
+    return _assemble(template, values, completion, "summarizer", sample_id, token_budget)
 
 
 def summarizer_frame(
@@ -315,21 +301,9 @@ def summarizer_frame(
     template: PromptTemplate | None = None, token_budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> PromptFrame:
     """The frame of every summarizer prompt of `query` (and `reference`): it
-    renders a table's text as `summarizer_prompt_from_text` does."""
-    if template is None:
-        template = load_template("summarizer")
+    renders a linearized table's text as `build_summarizer_prompt` would."""
     completion = reference if reference is not None else ""
     return PromptFrame(template, {"QUERY": query}, completion, "summarizer", token_budget)
-
-
-def summarizer_prompt_from_text(
-    table_text: str, query: str, reference: str | None = None, *,
-    template: PromptTemplate | None = None, sample_id: str = "",
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
-) -> RenderedPrompt:
-    """`build_summarizer_prompt` of a table already linearized to `table_text`."""
-    frame = summarizer_frame(query, reference, template=template, token_budget=token_budget)
-    return RenderedPrompt(text=frame.render(table_text), role="summarizer", sample_id=sample_id)
 
 
 def build_distill_prompt(
@@ -347,8 +321,6 @@ def build_distill_prompt(
     The reference is part of the prompt body here; the output area is left
     blank for the model's evidence indices.
     """
-    if template is None:
-        template = load_template("distill")
     if not examples:
         raise TemplateError("distill prompt needs at least one example block")
     for block in examples:

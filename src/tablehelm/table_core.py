@@ -415,6 +415,8 @@ def _json_object(line: str) -> dict[str, Any]:
     except json.JSONDecodeError as exc:
         # Its own "line 1 column C" would misname the line in the file.
         raise SchemaError("record", f"not JSON: {exc.msg} at column {exc.colno}") from None
+    except RecursionError:
+        raise SchemaError("record", "not JSON: nested too deeply to decode") from None
     if not isinstance(record, dict):
         raise SchemaError("record", "not a JSON object")
     if _SURROGATE_ESCAPE.search(line):
@@ -433,10 +435,11 @@ def read_records(
     """Yield `parse(record)` for the JSON object on each non-blank line of a
     JSONL file, in file order.
 
-    A line that is not UTF-8, not a JSON object, holds a lone surrogate
-    escape (`"\\ud800"`), or that `parse` rejects raises `SchemaError`
-    reading `<path>, line N: <message>`; when `failures` is given, the line
-    is recorded there (its message names no line) and skipped instead.
+    A line that is not UTF-8, not a JSON object (or one nested too deeply to
+    decode), holds a lone surrogate escape (`"\\ud800"`), or that `parse`
+    rejects raises `SchemaError` reading `<path>, line N: <message>`; when
+    `failures` is given, the line is recorded there (its message names no
+    line) and skipped instead.
     """
     # Iterate the handle, which ends lines at newlines only: JSON strings may
     # hold U+2028, U+2029 and U+0085 raw, and str.splitlines() splits there.

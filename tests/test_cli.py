@@ -7,6 +7,8 @@ import json
 import os
 import re
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -15,7 +17,13 @@ import pytest
 
 import support
 import tablehelm.cli as cli
-from tablehelm.cli import EXIT_BACKEND, EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION
+from tablehelm.cli import (
+    EXIT_BACKEND,
+    EXIT_CLOSED_STDOUT,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    EXIT_VALIDATION,
+)
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, EndpointNotFoundError, SchemaError, TransportError
 from tablehelm.evidence_lab import WINDOW_PER_WORKER, LabeledSample, load_labels
@@ -1075,6 +1083,19 @@ class TestResume:
         assert stdout.startswith("predicted 8/8 samples (2 skipped);")
         assert out.read_bytes() == kept + b"".join(lines[2:])
 
+    def test_a_line_nested_too_deeply_is_skipped_like_any_non_json(
+        self, two_planted, tmp_path, capsys
+    ):
+        # Too deep for the decoder, which raises RecursionError, not ValueError.
+        data, _, _ = two_planted
+        out = tmp_path / "search.jsonl"
+        assert run_cli(["search-labels", data, out], capsys)[0] == EXIT_OK
+        out.write_bytes(out.read_bytes() + b"[" * 100_000 + b"\n")
+        assert cli.existing_ids(out) == {"cli-1", "cli-2"}
+        code, stdout, stderr = run_cli(["search-labels", data, out], capsys)
+        assert (code, stderr) == (EXIT_OK, "")
+        assert stdout.startswith("searched 0/0 samples (skipped 2 already labeled);")
+
 
 class TestDistillLabels:
     def test_fixed_endpoint_labels_every_sample(self, two_planted, tmp_path, capsys):
@@ -1643,6 +1664,17 @@ class TestStrictInputLines:
         assert not out.exists()
         assert not cache_dir.exists()
 
+    def test_a_dataset_line_nested_too_deeply(self, two_planted, tmp_path, capsys):
+        data, _, _ = two_planted
+        self.append_line(data, b"[" * 200_000)
+        out = tmp_path / "search.jsonl"
+        code, _, stderr = run_cli(["search-labels", data, out], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr == (
+            f"error: SchemaError: {data}, line 3: not JSON: nested too deeply to decode\n"
+        )
+        assert not out.exists()
+
     def test_a_prediction_line(self, two_planted, tmp_path, capsys):
         data, (first, _), _ = two_planted
         preds = tmp_path / "pred.jsonl"
@@ -1741,6 +1773,44 @@ class TestEvaluate:
         code, _, stderr = run_cli(["evaluate", preds, data], capsys)
         assert code == EXIT_VALIDATION
         assert "error: SchemaError" in stderr
+
+
+class TestClosedStdout:
+    """A command whose stdout's reader has gone (`| head -0`) has written its
+    files by then, and exits with its own documented code, no traceback."""
+
+    def run_without_a_reader(self, argv, unbuffered=""):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to `write_end` now fails with EPIPE
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "tablehelm", *map(str, argv)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+
+    # Unbuffered, the first print fails; buffered, the flush before exit.
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_evaluate_writes_its_report_first(self, tmp_path, capsys, unbuffered):
+        preds, report = tmp_path / "pred.jsonl", tmp_path / "r2.json"
+        assert run_cli(["pipeline", TOY, preds], capsys)[0] == EXIT_OK
+        child = self.run_without_a_reader(
+            ["evaluate", preds, TOY, "--report", report], unbuffered
+        )
+        assert (child.returncode, child.stderr) == (EXIT_CLOSED_STDOUT, b"")
+        golden = Path(__file__).resolve().parent / "goldens" / "toy_scores.json"
+        assert report.read_bytes() == golden.read_bytes()
+
+    def test_a_batch_command_writes_every_record_first(self, tmp_path, capsys):
+        whole, out = tmp_path / "whole.jsonl", tmp_path / "out.jsonl"
+        assert run_cli(["search-labels", TOY, whole], capsys)[0] == EXIT_OK
+        child = self.run_without_a_reader(["search-labels", TOY, out])
+        assert (child.returncode, child.stderr) == (EXIT_CLOSED_STDOUT, b"")
+        assert out.read_bytes() == whole.read_bytes()
 
 
 class TestSharedParser:

@@ -376,6 +376,13 @@ class TestHttpClient:
             client.generate("p", SamplingConfig())
         assert len(transport.requests) == 1
 
+    def test_a_body_nested_too_deeply_is_malformed(self):
+        # 200 KB, far under the body cap; the decoder raises RecursionError.
+        client, transport, _ = make_http([(200, b"[" * 100_000 + b"]" * 100_000)])
+        with pytest.raises(MalformedResponseError, match="response is not JSON"):
+            client.generate("p", SamplingConfig())
+        assert len(transport.requests) == 1
+
     @pytest.mark.parametrize(
         "body",
         [

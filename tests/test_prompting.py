@@ -21,8 +21,8 @@ from tablehelm.prompting import (
     DEFAULT_TOKEN_BUDGET,
     OUTPUT_MARKER,
     ROLES,
+    PromptFrame,
     PromptTemplate,
-    RenderedPrompt,
     build_distill_prompt,
     build_highlighter_prompt,
     build_summarizer_prompt,
@@ -33,7 +33,6 @@ from tablehelm.prompting import (
     _assemble,
     parse_evidence_output,
     summarizer_frame,
-    summarizer_prompt_from_text,
 )
 from tablehelm.feedback import (
     REWARD_MODES,
@@ -45,6 +44,7 @@ from tablehelm.feedback import (
 from tablehelm.table_core import Evidence, Table
 from tablehelm.transforms import (
     cap_hash_runs,
+    highlight,
     linearize,
     render_table,
     subtable,
@@ -101,17 +101,6 @@ class TestPromptTemplate:
             PromptTemplate(name="editor", text=HIGHLIGHTER_TEXT)
 
 
-class TestRenderedPrompt:
-    def test_requires_known_role(self):
-        with pytest.raises(TemplateError):
-            RenderedPrompt(text=OUTPUT_MARKER + "\n", role="editor")
-
-    @pytest.mark.parametrize("text", ["no marker here", OUTPUT_MARKER * 2])
-    def test_requires_exactly_one_marker(self, text):
-        with pytest.raises(TemplateError):
-            RenderedPrompt(text=text, role="summarizer")
-
-
 class TestLoadTemplate:
     @pytest.mark.parametrize("role", ["highlighter", "summarizer", "distill"])
     def test_packaged_defaults_are_valid(self, role):
@@ -152,6 +141,17 @@ class TestLoadTemplate:
         # A highlighter template has the summarizer's slots, so it would render.
         with pytest.raises(TemplateError, match="highlighter template cannot build a summarizer"):
             build_summarizer_prompt(table, None, query, template=load_template("highlighter"))
+        with pytest.raises(TemplateError, match="summarizer template cannot build a distill"):
+            build_distill_prompt(
+                table, query, "r", ("ex",), template=load_template("summarizer")
+            )
+
+    def test_a_frame_refuses_an_unknown_role(self):
+        # Its packaged template is looked up by role; a given one must match.
+        with pytest.raises(TemplateError, match="unknown template role"):
+            PromptFrame(None, {}, "", "editor", DEFAULT_TOKEN_BUDGET)
+        with pytest.raises(TemplateError, match="cannot build a editor prompt"):
+            PromptFrame(load_template("summarizer"), {}, "", "editor", DEFAULT_TOKEN_BUDGET)
 
 
 class TestLoadExampleBlocks:
@@ -473,11 +473,106 @@ def test_values_side_by_side_spell_no_second_marker():
     assert prompt.text == "##Output###Output\n"
 
 
+# A custom template per role with a '#' beside a slot or two slots side by
+# side, so that its values are joined at the seams.
+_SEAM_TEMPLATES = [
+    PromptTemplate(name="highlighter", text="Pick: #{{QUERY}}\n{{TABLE}}#\n###Output"),
+    PromptTemplate(name="summarizer", text="Q: #{{QUERY}}\n{{TABLE}}#\n###Output"),
+    PromptTemplate(
+        name="distill", text="{{EXAMPLES}}#{{TABLE}}{{QUERY}}\n{{REFERENCE}}\n###Output"
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "template", _TEMPLATES + _SEAM_TEMPLATES, ids=lambda t: f"{t.name}:{t.text[:12]!r}"
+)
+def test_a_template_records_its_split(template):
+    literals = template.pieces[::2]
+    assert template.pieces == tuple(_SLOT_RE.split(template.text))
+    assert template.pieces[template.table_at] == "TABLE"
+    assert template.seams == any(
+        a[-1:] == "#" or b[:1] in ("#", "") for a, b in zip(literals, literals[1:])
+    )
+    # The split is derived from the text, so it neither tells templates apart
+    # nor shows in their repr.
+    twin = PromptTemplate(name=template.name, text=template.text)
+    assert twin == template and hash(twin) == hash(template)
+    assert repr(template) == f"PromptTemplate(name={template.name!r}, text={template.text!r})"
+
+
+def test_the_seam_templates_join_at_the_seams():
+    assert [t.seams for t in _SEAM_TEMPLATES] == [True, True, True]
+    assert not any(load_template(role).seams for role in ROLES)
+
+
+def _build(role, table, query, evidence, template):
+    """A builder's prompt, with the values, completion and table text that
+    it renders from."""
+    shown, completion = table, ""
+    values = {"QUERY": query}
+    if role == "highlighter":
+        prompt = build_highlighter_prompt(table, query, evidence, template=template, sample_id="s")
+        completion = format_evidence(evidence) if evidence is not None else ""
+    elif role == "summarizer":
+        prompt = build_summarizer_prompt(table, evidence, query, "ref ##", template=template,
+                                         sample_id="s")
+        shown = highlight(table, evidence) if evidence is not None else table
+        completion = "ref ##"
+    else:
+        examples = ("ex #1", "ex ##2")
+        prompt = build_distill_prompt(table, query, "ref #", examples, template=template,
+                                      sample_id="s")
+        values.update(EXAMPLES="\n\n".join(examples), REFERENCE="ref #")
+    return prompt, values, completion, linearize(shown).text
+
+
+@pytest.mark.parametrize("seams", [False, True], ids=["packaged", "seams"])
+@pytest.mark.parametrize(
+    "role, evidence",
+    [(role, None) for role in ROLES] + [(role, Evidence((2,))) for role in ROLES[:2]],
+    ids=[*ROLES, "highlighter-golden", "summarizer-highlighted"],
+)
+def test_a_builders_prompt_is_a_frame_render(champions_sample, role, seams, evidence):
+    template = _SEAM_TEMPLATES[ROLES.index(role)] if seams else None
+    prompt, values, completion, table_text = _build(
+        role, champions_sample.table, "which ##year?", evidence, template
+    )
+    frame = PromptFrame(template, values, completion, role, DEFAULT_TOKEN_BUDGET)
+    assert (prompt.role, prompt.sample_id) == (role, "s")
+    assert prompt.text == frame.render(table_text)
+    assert prompt.text == assemble_by_substitution(
+        template or load_template(role), {**values, "TABLE": table_text}, completion
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t, q: build_highlighter_prompt(t, q, template=PromptTemplate(
+            name="highlighter", text="{{TABLE}}\nQ: #{{QUERY}}##Output\n###Output")),
+        lambda t, q: build_summarizer_prompt(t, None, q, template=PromptTemplate(
+            name="summarizer", text="{{TABLE}}\nQ: #{{QUERY}}##Output\n###Output")),
+        lambda t, q: build_distill_prompt(t, q, "r", ("ex",), template=PromptTemplate(
+            name="distill",
+            text="{{EXAMPLES}}{{TABLE}}{{REFERENCE}}\nQ: #{{QUERY}}##Output\n###Output",
+        )),
+    ],
+    ids=ROLES,
+)
+def test_no_builder_returns_a_prompt_with_two_markers(champions_table, build):
+    # Only the template's own '#' can spell a second marker: an empty value
+    # between "#" and "##Output". The prompt is refused, never returned.
+    assert build(champions_table, "x").text.count(OUTPUT_MARKER) == 1
+    with pytest.raises(TemplateError, match="prompt must contain exactly one"):
+        build(champions_table, "")
+
+
 # ------------------------------------------------ one frame, many tables
 # A label search builds one frame per sample and mode (`summarizer_frame`)
 # and renders every candidate's table text through it. Each prompt must be
-# the one `summarizer_prompt_from_text` and assembly by substitution make,
-# and fail as they fail.
+# the one assembly by substitution makes, and fail with the errors the
+# builders raise.
 
 _FRAME_TEMPLATES = [
     None,  # the packaged summarizer template
@@ -516,27 +611,21 @@ def test_a_frame_renders_the_assemblers_prompts(data):
             reference if reference is not None else "",
         )
         estimate = estimate_tokens(expected)
-
-        def assembled(token_budget):
-            return summarizer_prompt_from_text(
-                table_text, query, reference, template=template, token_budget=token_budget
-            )
-
-        if estimate > budget or expected.count(OUTPUT_MARKER) != 1:
-            with pytest.raises((PromptTooLongError, TemplateError)) as by_assembler:
-                assembled(budget)
-            with pytest.raises(type(by_assembler.value)) as by_frame:
+        if estimate > budget:
+            with pytest.raises(PromptTooLongError) as by_frame:
                 frame.render(table_text)
-            assert str(by_frame.value) == str(by_assembler.value)
+            assert str(by_frame.value) == str(PromptTooLongError(estimate, budget))
+        elif expected.count(OUTPUT_MARKER) != 1:
+            with pytest.raises(TemplateError) as by_frame:
+                frame.render(table_text)
+            assert str(by_frame.value) == f"prompt must contain exactly one {OUTPUT_MARKER!r}"
         else:
-            assert frame.render(table_text) == assembled(budget).text == expected
-        # One token under the estimate, both refuse the prompt alike.
+            assert frame.render(table_text) == expected
+        # One token under the estimate, the prompt is refused.
         tight = summarizer_frame(query, reference, template=template, token_budget=estimate - 1)
-        with pytest.raises(PromptTooLongError) as by_assembler:
-            assembled(estimate - 1)
         with pytest.raises(PromptTooLongError) as by_frame:
             tight.render(table_text)
-        assert str(by_frame.value) == str(by_assembler.value)
+        assert str(by_frame.value) == str(PromptTooLongError(estimate, estimate - 1))
         assert (by_frame.value.estimate, by_frame.value.budget) == (estimate, estimate - 1)
 
 

@@ -515,6 +515,20 @@ class TestLoadDataset:
             load_dataset(path, strict=True)
         assert str(excinfo.value) == f"{path}, line 2: not JSON: Expecting value at column 1"
 
+    @pytest.mark.parametrize("opener", ["[", '{"a":'])
+    def test_a_line_nested_too_deeply_fails_alone(self, tmp_path, opener):
+        # The decoder raises RecursionError here, not ValueError.
+        lines = [json.dumps(canonical_record()), opener * 200_000]
+        path = self.write(tmp_path, lines + [json.dumps(canonical_record(id="s2"))])
+        dataset, report = load_dataset(path)
+        assert [s.id for s in dataset] == ["s1", "s2"]
+        assert [(f.line, f.message) for f in report.failures] == [
+            (2, "not JSON: nested too deeply to decode")
+        ]
+        with pytest.raises(SchemaError) as excinfo:
+            load_dataset(path, strict=True)
+        assert str(excinfo.value) == f"{path}, line 2: not JSON: nested too deeply to decode"
+
     def test_a_line_of_invalid_utf8_fails_alone(self, tmp_path):
         good = [
             json.dumps(canonical_record(id=f"s{i}", query="Ré\u2028sumé?"), ensure_ascii=False)
