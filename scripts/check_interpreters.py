@@ -114,8 +114,14 @@ def chain(work: Path, endpoint: str) -> dict[str, list[str]]:
     """Output name -> the command that writes it, the toy chain first;
     `endpoint` is the server of the HTTP runs."""
     toy = str(ROOT / "data" / "toy.jsonl")
-    roles = ["--highlighter-endpoint", "echo", "--summarizer-endpoint", "echo",
-             "--distill-endpoint", "fixed:{1}"]
+    # The offline endpoints of the roles each command runs: a command gets
+    # only the config flags of the keys it reads (`cli.COMMAND_KEYS`).
+    roles = {
+        "search-labels": ["--feedbacker-endpoint", "echo"],
+        "distill-labels": ["--distill-endpoint", "fixed:{1}"],
+        "merge-labels": ["--feedbacker-endpoint", "echo"],
+        "pipeline": ["--highlighter-endpoint", "echo", "--summarizer-endpoint", "echo"],
+    }
 
     def path(name: str) -> str:
         return str(work / name)
@@ -145,15 +151,15 @@ def chain(work: Path, endpoint: str) -> dict[str, list[str]]:
                                 path("tables-search.jsonl"),
                                 "--trace", path("tables-trace.jsonl")],
     }
-    runs = {name: argv + ["--feedbacker-endpoint", "echo"] + roles
-            for name, argv in commands.items()}
+    runs = {name: argv + roles.get(argv[0], []) for name, argv in commands.items()}
     runs["toy-search-http.jsonl"] = ["search-labels", toy, path("toy-search-http.jsonl"),
-                                     "--feedbacker-endpoint", endpoint] + roles
+                                     "--feedbacker-endpoint", endpoint]
     runs["toy-pipeline-http.jsonl"] = ["pipeline", toy, path("toy-pipeline-http.jsonl"),
                                        "--workers", "2", "--highlighter-endpoint", endpoint,
                                        "--summarizer-endpoint", endpoint]
     runs["toy-pipeline-fixed.jsonl"] = ["pipeline", toy, path("toy-pipeline-fixed.jsonl"),
-                                        "--highlighter-endpoint", "fixed:{1}"]
+                                        "--highlighter-endpoint", "fixed:{1}",
+                                        "--summarizer-endpoint", "echo"]
     return runs
 
 

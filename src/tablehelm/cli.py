@@ -1,6 +1,9 @@
 """Operator commands: ingest, search-labels, distill-labels, merge-labels,
 highlight, export-train, pipeline, evaluate.
 
+`ROLES` names each model role's config keys, and `build_role` alone reads
+them; `COMMAND_KEYS` lists the keys each command reads.
+
 Batch commands share one runner, `run_batch`, the only code that writes
 their id-keyed JSONL outputs (search's `--trace` file is one too): samples
 fan out over `map_ordered` only as far as their clients can wait (with
@@ -40,11 +43,11 @@ import functools
 import json
 import os
 import sys
-from contextlib import ExitStack, closing, nullcontext
+from contextlib import ExitStack
 from dataclasses import fields, replace
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, ContextManager, TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
 try:
     import fcntl
@@ -65,6 +68,7 @@ from .errors import (
 if TYPE_CHECKING:
     from .evidence_lab import SearchTrace
     from .feedback import CountingClient, GeneratorClient
+    from .prompting import PromptTemplate
     from .table_core import Dataset, Sample
 
 # The names this module calls in each layer, bound as module globals by
@@ -161,32 +165,64 @@ def cache_for(run: RunConfig) -> ResponseCache | None:
     return ResponseCache(run.cache_dir) if run.cache_dir else None
 
 
-def closing_cache(cache: ResponseCache | None) -> ContextManager[object]:
-    """Close `cache` when the block ends, so that the command leaves only the
-    database file behind (see `ResponseCache.close`)."""
-    return closing(cache) if cache is not None else nullcontext()
+# Where each model role's config keys live: its endpoint and model are
+# `<role>_endpoint` and `<role>_model`; its decoding, the sampling role's
+# `_temperature` and `_nucleus_p`; its prompt, the template role's
+# `_template`. An empty endpoint is the fallback role's, or an error if none.
+ROLES = {  # role: (sampling role, template role, fallback role)
+    "highlighter": ("highlighter", "highlighter", ""),
+    "summarizer": ("summarizer", "summarizer", ""),
+    "feedbacker": ("feedbacker", "summarizer", ""),  # it scores summaries
+    "distill": ("feedbacker", "distill", "feedbacker"),
+}
 
 
-def settings_for(
-    run: RunConfig,
-    sampling_role: str,
-    template_role: str,
-    cache: ResponseCache | None = None,
-) -> RoleSettings:
-    """A model role's settings: `cache`, the decoding settings of
-    `sampling_role` ("highlighter", "summarizer" or "feedbacker"), the
-    template of `template_role` ("highlighter", "summarizer" or "distill")
-    and the run's token budget."""
-    return RoleSettings(
-        cache=cache,
-        cfg=SamplingConfig(
-            nucleus_p=getattr(run, f"{sampling_role}_nucleus_p"),
-            temperature=getattr(run, f"{sampling_role}_temperature"),
-            max_new_tokens=run.max_new_tokens,
-        ),
-        template=load_template(template_role, getattr(run, f"{template_role}_template") or None),
-        token_budget=run.token_budget,
+def role_template(run: RunConfig, role: str) -> PromptTemplate:
+    name = ROLES[role][1]
+    return load_template(name, getattr(run, f"{name}_template") or None)
+
+
+def build_role(
+    run: RunConfig, role: str, cache: ResponseCache | None = None
+) -> tuple[CountingClient, RoleSettings]:
+    """`role`'s client (`make_client`, counted) and settings over `cache`,
+    from its keys (`ROLES`) and the run's `max_new_tokens` and token budget."""
+    sampling, _, fallback = ROLES[role]
+    endpoint = getattr(run, f"{role}_endpoint")
+    if not endpoint and fallback:
+        endpoint = getattr(run, f"{fallback}_endpoint")
+    client = CountingClient(make_client(endpoint, getattr(run, f"{role}_model"), run))
+    cfg = SamplingConfig(
+        nucleus_p=getattr(run, f"{sampling}_nucleus_p"),
+        temperature=getattr(run, f"{sampling}_temperature"),
+        max_new_tokens=run.max_new_tokens,
     )
+    return client, RoleSettings(cache, cfg, role_template(run, role), run.token_budget)
+
+
+def role_keys(role: str) -> set[str]:
+    """The keys `build_role` reads for `role`, `make_client`'s among them."""
+    sampling, template, fallback = ROLES[role]
+    keys = {f"{role}_endpoint", f"{role}_model", f"{template}_template"}
+    keys |= {f"{sampling}_temperature", f"{sampling}_nucleus_p"}
+    keys |= {"max_new_tokens", "token_budget", "timeout", "max_attempts", "max_in_flight"}
+    return keys | ({f"{fallback}_endpoint"} if fallback else set())
+
+
+_BATCH_KEYS = {"dataset_format", "cache_dir", "workers", "success_threshold"}
+
+# The config keys each command reads: its roles' and its own. `--help`
+# lists only these; the command's other config flags parse and are checked.
+COMMAND_KEYS = {
+    "search-labels": role_keys("feedbacker") | _BATCH_KEYS | {"search_fallback", "step_cap"},
+    "distill-labels": role_keys("distill") | _BATCH_KEYS | {"distill_examples"},
+    "merge-labels": role_keys("feedbacker") | _BATCH_KEYS,
+    "highlight": {"dataset_format"},
+    "export-train": {"dataset_format", "highlighter_template", "summarizer_template",
+                     "token_budget"},
+    "pipeline": role_keys("highlighter") | role_keys("summarizer") | _BATCH_KEYS | {"ablation"},
+    "evaluate": {"dataset_format"},
+}
 
 
 def open_locked(path: str | Path) -> TextIO:
@@ -237,6 +273,7 @@ def run_batch(
     clients: list[CountingClient],
     work: Callable[[Sample], tuple[list[dict[str, object]], list[str], bool]],
     summary: Callable[[int, int, int, int], str],
+    cache: ResponseCache | None,
 ) -> int:
     """The resumable loop of the batch commands: lock each of `outputs` and
     read its ids, run `work` over the samples whose id is not in all of
@@ -252,8 +289,12 @@ def run_batch(
     A redone sample's second record supersedes its first in an output that
     held it (the last record of an id wins when labels are read). Outputs
     are opened last first, so a side file that cannot be opened leaves no
-    main output behind, and all are locked before any generator call."""
+    main output behind, and all are locked before any generator call.
+    `cache`, the clients' response cache, is closed before the summary, so
+    that the command leaves only its database file (`ResponseCache.close`)."""
     with ExitStack() as stack:
+        if cache is not None:
+            stack.callback(cache.close)
         handles: list[TextIO] = []
         seen: list[set[str]] = []
         for path in reversed(outputs):
@@ -334,10 +375,7 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
     if args.trace and _same_file(args.trace, args.output):
         raise SchemaError("trace", f"--trace names the output file {args.output}")
     dataset = _load_input(args.input, run)
-    feedbacker = CountingClient(
-        make_client(run.feedbacker_endpoint, run.feedbacker_model, run)
-    )
-    settings = settings_for(run, "feedbacker", "summarizer", cache_for(run))
+    feedbacker, settings = build_role(run, "feedbacker", cache_for(run))
     oracle_calls: list[int] = []  # one per sample; `append` is atomic
 
     def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
@@ -368,8 +406,7 @@ def cmd_search_labels(args: argparse.Namespace) -> int:
         )
 
     outputs = [args.output, args.trace] if args.trace else [args.output]
-    with closing_cache(settings.cache):
-        return run_batch(dataset, outputs, run, [feedbacker], work, summary)
+    return run_batch(dataset, outputs, run, [feedbacker], work, summary, settings.cache)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -401,9 +438,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
     _bind("table_core", "prompting", "feedback", "evidence_lab")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
-    endpoint = run.distill_endpoint or run.feedbacker_endpoint
-    client = CountingClient(make_client(endpoint, run.distill_model, run))
-    settings = settings_for(run, "feedbacker", "distill", cache_for(run))
+    client, settings = build_role(run, "distill", cache_for(run))
     examples = load_example_blocks(run.distill_examples or None)
 
     def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
@@ -418,8 +453,7 @@ def cmd_distill_labels(args: argparse.Namespace) -> int:
             f" generator calls {client.calls}"
         )
 
-    with closing_cache(settings.cache):
-        return run_batch(dataset, [args.output], run, [client], work, summary)
+    return run_batch(dataset, [args.output], run, [client], work, summary, settings.cache)
 
 
 def cmd_merge_labels(args: argparse.Namespace) -> int:
@@ -427,10 +461,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     sources = [load_labels(path) for path in args.labels]
-    feedbacker = CountingClient(
-        make_client(run.feedbacker_endpoint, run.feedbacker_model, run)
-    )
-    settings = settings_for(run, "feedbacker", "summarizer", cache_for(run))
+    feedbacker, settings = build_role(run, "feedbacker", cache_for(run))
 
     def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
         merged = LabeledSample(sample_id=sample.id, e_manual=sample.manual_evidence)
@@ -454,8 +485,7 @@ def cmd_merge_labels(args: argparse.Namespace) -> int:
             f" generator calls {feedbacker.calls}"
         )
 
-    with closing_cache(settings.cache):
-        return run_batch(dataset, [args.output], run, [feedbacker], work, summary)
+    return run_batch(dataset, [args.output], run, [feedbacker], work, summary, settings.cache)
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
@@ -495,28 +525,25 @@ def _resolve_evidence(
         evidence = _parse_flag_evidence(args.evidence)
         evidence.check_range(sample.table.n_rows)
         return evidence
-    record = labels.get(sample.id)
-    if record is not None:
-        source = args.source
-        chosen = getattr(record, f"e_{source}")
-        if chosen is not None:
-            return chosen
-    return sample.manual_evidence
+    chosen = getattr(labels.get(sample.id), f"e_{args.source}", None)
+    return chosen if chosen is not None else sample.manual_evidence
 
 
 def cmd_export_train(args: argparse.Namespace) -> int:
     _bind("table_core", "prompting", "feedback", "evidence_lab")
+    if args.role == "highlighter" and args.source is not None:
+        raise SchemaError("source", "source: only a summarizer export takes --source")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
     labels = load_labels(args.labels)
-    settings = settings_for(run, args.role, args.role)
+    settings = RoleSettings(template=role_template(run, args.role), token_budget=run.token_budget)
     if args.role == "highlighter":
         count = export_highlighter_training(
             dataset, labels, args.output, strict=args.strict, settings=settings
         )
     else:
         count = export_summarizer_training(
-            dataset, labels, args.output, source=args.source, strict=args.strict,
+            dataset, labels, args.output, source=args.source or "merge", strict=args.strict,
             settings=settings,
         )
     print(f"exported {count} {args.role} records -> {args.output}")
@@ -527,27 +554,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _bind("table_core", "prompting", "feedback", "evidence_lab")
     run = _run_config(args)
     dataset = _load_input(args.input, run)
-    highlighter = CountingClient(
-        make_client(run.highlighter_endpoint, run.highlighter_model, run)
-    )
-    summarizer = CountingClient(
-        make_client(run.summarizer_endpoint, run.summarizer_model, run)
-    )
     cache = cache_for(run)
-    h_settings = settings_for(run, "highlighter", "highlighter", cache)
-    s_settings = settings_for(run, "summarizer", "summarizer", cache)
+    highlighter, h_settings = build_role(run, "highlighter", cache)
+    summarizer, s_settings = build_role(run, "summarizer", cache)
 
     def work(sample: Sample) -> tuple[list[dict[str, object]], list[str], bool]:
         flags: list[str] = []
         evidence = Evidence(())
         if run.ablation != "no_highlight":
             h_prompt = build_highlighter_prompt(
-                sample.table,
-                sample.query,
-                None,
-                template=h_settings.template,
-                sample_id=sample.id,
-                token_budget=h_settings.token_budget,
+                sample.table, sample.query, template=h_settings.template,
+                sample_id=sample.id, token_budget=h_settings.token_budget,
             )
             raw = cached_generate(highlighter, cache, h_prompt.text, h_settings.cfg)
             try:
@@ -562,13 +579,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         mode = "subtable" if run.ablation == "subtab" and evidence else "highlight"
         shown, marked = shown_rows(sample.table, evidence, mode)
         s_prompt = build_summarizer_prompt(
-            shown,
-            marked,
-            sample.query,
-            None,
-            template=s_settings.template,
-            sample_id=sample.id,
-            token_budget=s_settings.token_budget,
+            shown, marked, sample.query, template=s_settings.template,
+            sample_id=sample.id, token_budget=s_settings.token_budget,
         )
         record = {
             "id": sample.id,
@@ -584,8 +596,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             f" highlighter calls {highlighter.calls}, summarizer calls {summarizer.calls}"
         )
 
-    with closing_cache(cache):
-        return run_batch(dataset, [args.output], run, [highlighter, summarizer], work, summary)
+    return run_batch(dataset, [args.output], run, [highlighter, summarizer], work, summary, cache)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -622,17 +633,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------- arg parsing
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """`--config` and a flag per config key; `--help` shows the flags of the
+    keys that `command` reads (`COMMAND_KEYS`)."""
     parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
     group = parser.add_argument_group(
-        "config overrides", "highest precedence; see RunConfig for keys"
+        "config overrides", "highest precedence; the keys this command reads"
     )
     for f in fields(RunConfig):
         group.add_argument(
             "--" + f.name.replace("_", "-"),
             dest=f"cfg_{f.name}",
             metavar="V",
-            help=f"override config key {f.name}",
+            help=f"override config key {f.name}"
+            if f.name in COMMAND_KEYS[command] else argparse.SUPPRESS,
         )
 
 
@@ -653,9 +667,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="convert a dataset to canonical JSONL")
-    p.add_argument("input")
-    p.add_argument("output")
+    def command(
+        name: str, func: Callable[[argparse.Namespace], int], help: str, *positional: str
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", cmd_ingest, "convert a dataset to canonical JSONL", "input", "output")
     p.add_argument(
         "--format",
         choices=("canonical", "fetaqa", "qtsumm"),
@@ -667,35 +688,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="fail on the first bad line instead of reporting and skipping",
     )
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("search-labels", help="greedy evidence search per sample")
-    p.add_argument("input")
-    p.add_argument("output")
+    p = command("search-labels", cmd_search_labels, "greedy evidence search per sample",
+                "input", "output")
     p.add_argument("--trace", help="also append full search traces to this file")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_search_labels)
 
-    p = sub.add_parser("distill-labels", help="few-shot evidence distillation")
-    p.add_argument("input")
-    p.add_argument("output")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_distill_labels)
+    command("distill-labels", cmd_distill_labels, "few-shot evidence distillation",
+            "input", "output")
 
-    p = sub.add_parser("merge-labels", help="pick the best label source by reward")
-    p.add_argument("input")
-    p.add_argument("output")
+    p = command("merge-labels", cmd_merge_labels, "pick the best label source by reward",
+                "input", "output")
     p.add_argument(
         "--labels",
         action="append",
         default=[],
         help="label file to merge (repeatable); manual labels come from the dataset",
     )
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_merge_labels)
 
-    p = sub.add_parser("highlight", help="print highlighted or sub-table renderings")
-    p.add_argument("input")
+    p = command("highlight", cmd_highlight, "print highlighted or sub-table renderings",
+                "input")
     p.add_argument("--id", action="append", help="sample id (repeatable; default all)")
     p.add_argument("--evidence", help="comma-separated row indices, e.g. 1,3")
     p.add_argument("--labels", help="label file to pull evidence from")
@@ -706,37 +717,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="which label source to render when --labels is given",
     )
     p.add_argument("--mode", choices=("highlight", "subtab"), default="highlight")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_highlight)
 
-    p = sub.add_parser("export-train", help="write instruction-tuning JSONL")
-    p.add_argument("input")
-    p.add_argument("labels")
-    p.add_argument("output")
+    p = command("export-train", cmd_export_train, "write instruction-tuning JSONL",
+                "input", "labels", "output")
     p.add_argument("--role", choices=("highlighter", "summarizer"), required=True)
     p.add_argument(
         "--source",
         choices=("merge", "distill"),
-        default="merge",
-        help="evidence source for summarizer exports",
+        help="evidence source of a summarizer export (default merge)",
     )
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_export_train)
 
-    p = sub.add_parser("pipeline", help="two-step inference: highlight, summarize")
-    p.add_argument("input")
-    p.add_argument("output")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_pipeline)
+    command("pipeline", cmd_pipeline, "two-step inference: highlight, summarize",
+            "input", "output")
 
-    p = sub.add_parser("evaluate", help="score a predictions file against references")
-    p.add_argument("predictions")
-    p.add_argument("dataset")
+    p = command("evaluate", cmd_evaluate, "score a predictions file against references",
+                "predictions", "dataset")
     p.add_argument("--report", help="structured report path (default <predictions>.scores.json)")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_evaluate)
 
+    for name in COMMAND_KEYS:
+        _add_config_flags(sub.choices[name], name)
     return parser
 
 

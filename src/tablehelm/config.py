@@ -153,7 +153,8 @@ class RunConfig:
             "distill_examples",
         ):
             path = getattr(self, key)
-            if path and not Path(path).is_file():
+            # Path.is_file would raise OSError on a name too long.
+            if path and not os.path.isfile(path):
                 raise _invalid(key, f"file not found: {path}")
 
     @property
@@ -180,25 +181,30 @@ def _coerce(key: str, raw: str) -> object:
         if kind == "float":
             return float(raw)
     except ValueError as exc:
-        raise _invalid(key, f"not a {kind}: {raw!r}") from exc
+        raise _invalid(key, f"not {'an' if kind == 'int' else 'a'} {kind}: {raw!r}") from exc
     return raw
 
 
 def _read_config_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Parse 'key = value' lines ('#' starts a comment, blanks are skipped)
-    into key -> (raw value, "<file>:<line>" it was read from)."""
+    into key -> (raw value, "<file>:<line>" it was read from). A line that
+    is not UTF-8 is an error of that line, as in `table_core.read_records`."""
     values: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SchemaError("config", f"{path}:{line_no}: not valid UTF-8") from None
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             key, sep, value = stripped.partition("=")
-            if not sep:
+            key = key.strip()
+            if not sep or not key:
                 raise SchemaError(
                     "config", f"{path}:{line_no}: expected key=value, got {stripped!r}"
                 )
-            key = key.strip()
             if key not in _FIELD_TYPES:
                 raise SchemaError(key, f"{path}:{line_no}: {key}: unknown config key")
             values[key] = (value.strip(), f"{path}:{line_no}")

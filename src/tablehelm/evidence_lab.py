@@ -190,10 +190,10 @@ def _scorer(
     """
     table, query = sample.table, sample.query
     rendering = render_table(table)
-    settings = reward_settings(settings, feedbacker, rendering, query, mode)
     frame = summarizer_frame(
         query, template=settings.template, token_budget=settings.token_budget
     )
+    settings = reward_settings(settings, feedbacker, frame, rendering, query, mode)
     width = getattr(feedbacker, "max_in_flight", 1)
 
     def score(evidence: Evidence, prompt: str | None = None) -> float | Exception:

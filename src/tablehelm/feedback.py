@@ -45,7 +45,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import eval_reward
-from .prompting import PromptFrame, PromptTemplate, load_template, summarizer_frame
+from .prompting import PromptFrame, PromptTemplate, summarizer_frame
 from .prompting import build_summarizer_prompt  # not called; benchmark/spans.py wraps it
 from .table_core import Evidence, Table
 from .transforms import ROW_LINE_RE, TableRendering, render_table, subtable, unescape_cell
@@ -651,20 +651,21 @@ def reward_prompt(
 def _scope_prefix(
     feedbacker: GeneratorClient,
     settings: RoleSettings,
+    frame: PromptFrame,
     rendering: TableRendering,
     query: str,
     mode: str,
 ) -> str:
     """The first `_SCOPE_DIGITS` hex digits of the SHA-256 of everything a
     reward prompt of this table is made from, but the evidence: the backend
-    and sampling fields (as `_key_frame` writes them), the mode, the template
-    text, the query and the table's rendering, joined by NUL characters.
-    Two tables whose parts join alike would share one scope, which costs
-    only a larger read: each entry's request key covers its whole prompt."""
+    and sampling fields (as `_key_frame` writes them), the mode, the text of
+    the template that `frame` resolved, the query and the table's rendering,
+    joined by NUL characters. Two tables whose parts join alike would share
+    one scope, which costs only a larger read: each entry's request key
+    covers its whole prompt."""
     head, tail = _key_frame_of(_cache_identity(feedbacker), settings.cfg)
-    template = settings.template or load_template("summarizer")
     payload = "\0".join(
-        (head, tail, mode, template.text, query, rendering.head, *rendering.bodies)
+        (head, tail, mode, frame.template.text, query, rendering.head, *rendering.bodies)
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:_SCOPE_DIGITS]
 
@@ -672,18 +673,20 @@ def _scope_prefix(
 def reward_settings(
     settings: RoleSettings,
     feedbacker: GeneratorClient,
+    frame: PromptFrame,
     rendering: TableRendering,
     query: str,
     mode: str,
 ) -> RoleSettings:
     """`settings` with its cache narrowed to the `CacheScope` of the reward
-    prompts of one table (its `rendering`) and `query` in `mode`: every
-    answer cached for them is read with one statement, here, and every
-    later lookup of the caller is served from that read. With no cache,
-    `settings` as they are."""
+    prompts of one table (its `rendering`) and `query` in `mode`, framed by
+    `frame` (`summarizer_frame` of `query` and `settings`): every answer
+    cached for them is read with one statement, here, and every later lookup
+    of the caller is served from that read. With no cache, `settings` as
+    they are."""
     if settings.cache is None:
         return settings
-    prefix = _scope_prefix(feedbacker, settings, rendering, query, mode)
+    prefix = _scope_prefix(feedbacker, settings, frame, rendering, query, mode)
     return replace(settings, cache=CacheScope(settings.cache, prefix))
 
 

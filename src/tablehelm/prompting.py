@@ -203,9 +203,9 @@ def _join_at_seams(pieces: list[str]) -> str:
 
 
 class PromptFrame:
-    """What the prompts of one template (None: the role's packaged one),
-    role, set of values and completion share: all but the table's text, which
-    `render` joins in. Threads may share a frame."""
+    """What the prompts of one template (None: the role's packaged one, which
+    `template` then holds), role, set of values and completion share: all but
+    the table's text, which `render` joins in. Threads may share a frame."""
 
     def __init__(
         self, template: PromptTemplate | None, values: dict[str, str], completion: str,
@@ -215,6 +215,7 @@ class PromptFrame:
             template = load_template(role)
         elif template.name != role:
             raise TemplateError(f"a {template.name} template cannot build a {role} prompt")
+        self.template = template
         self._seams, at = template.seams, template.table_at
         pieces = list(template.pieces)
         for k in range(1, len(pieces), 2):

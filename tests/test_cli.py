@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import os
 import re
@@ -11,6 +12,8 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict, fields
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -27,10 +30,18 @@ from tablehelm.cli import (
 from tablehelm.config import RunConfig
 from tablehelm.errors import AuthError, EndpointNotFoundError, SchemaError, TransportError
 from tablehelm.evidence_lab import WINDOW_PER_WORKER, LabeledSample, load_labels
-from tablehelm.feedback import EchoClient, FixedClient, HttpClient, ResponseCache, SamplingConfig
+from tablehelm.feedback import (
+    EchoClient,
+    FixedClient,
+    HttpClient,
+    ResponseCache,
+    SamplingConfig,
+    echo_oracle_generate,
+)
 from tablehelm.table_core import Evidence, serialize_sample
 
-TOY = Path(__file__).resolve().parent.parent / "data" / "toy.jsonl"
+ROOT = Path(__file__).resolve().parent.parent
+TOY = ROOT / "data" / "toy.jsonl"
 
 
 class FailingClient:
@@ -608,6 +619,16 @@ class TestConfigErrors:
         assert stdout == ""
         assert stderr == f"error: SchemaError: {message.format(**paths)}\n"
 
+    def test_a_config_file_that_is_not_utf8_names_its_line(self, two_planted, tmp_path, capsys):
+        data, _, _ = two_planted
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"# run\n\xffworkers = 2\n")
+        argv = ["evaluate", tmp_path / "pred.jsonl", data, "--config", config]
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr == f"error: SchemaError: {config}:2: not valid UTF-8\n"
+
 
 class RecordingClient:
     """Answers "{1}" to every prompt and records, per call, the model id,
@@ -728,6 +749,120 @@ class TestRoleSettings:
         assert code != EXIT_OK
         assert "exceeds budget 5" in stderr
         assert calls == []
+
+
+KEYS = {f.name for f in fields(RunConfig)}
+
+
+class RecordingConfig(RunConfig):
+    """A RunConfig that adds each config key read from it to its `reads`,
+    once that is set: checking the keys reads them all."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if name in KEYS and reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def loopback_handler():
+    """The benchmark's loopback chat-completions handler: "{1}" to the
+    highlighter and distill models, the echo oracle's answer to the rest."""
+    spec = importlib.util.spec_from_file_location("loopback", ROOT / "benchmark" / "loopback.py")
+    loopback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loopback)
+    return loopback.make_handler(loopback.Counters(), 0.0, echo_oracle_generate)
+
+
+class TestCommandKeys:
+    """`COMMAND_KEYS` lists the config keys each command reads: no command
+    reads a key outside its entry, and between a run on the offline clients
+    and one with HTTP roles, it reads every key of its entry."""
+
+    @pytest.fixture
+    def server(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), loopback_handler())
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def runs(self, work, endpoint):
+        """The toy chain on the offline clients, then each command with
+        HTTP roles."""
+        toy, at = TOY, lambda name: work / name
+        offline = [
+            ["search-labels", toy, at("search.jsonl"), "--cache-dir", at("cache")],
+            ["distill-labels", toy, at("distill.jsonl")],  # on the feedbacker's endpoint
+            ["merge-labels", toy, at("merged.jsonl"), "--labels", at("search.jsonl")],
+            ["export-train", toy, at("merged.jsonl"), at("h.jsonl"), "--role", "highlighter"],
+            ["export-train", toy, at("merged.jsonl"), at("s.jsonl"), "--role", "summarizer"],
+            ["highlight", toy, "--labels", at("merged.jsonl")],
+            ["pipeline", toy, at("predictions.jsonl")],
+            ["evaluate", at("predictions.jsonl"), toy, "--report", at("scores.json")],
+        ]
+        http = [
+            ["search-labels", toy, at("search-http.jsonl"), "--feedbacker-endpoint", endpoint],
+            ["distill-labels", toy, at("distill-http.jsonl"), "--distill-endpoint", endpoint],
+            ["merge-labels", toy, at("merged-http.jsonl"), "--labels", at("search.jsonl"),
+             "--feedbacker-endpoint", endpoint],
+            ["pipeline", toy, at("predictions-http.jsonl"), "--workers", "2",
+             "--highlighter-endpoint", endpoint, "--summarizer-endpoint", endpoint],
+        ]
+        return offline + http
+
+    def test_each_command_reads_exactly_its_keys(self, server, tmp_path, monkeypatch, capsys):
+        reads: list[set[str]] = []
+        build_config = cli.build_config
+
+        def recording(*args, **kwargs):
+            stand_in = RecordingConfig(**asdict(build_config(*args, **kwargs)))
+            reads.append(set())
+            object.__setattr__(stand_in, "reads", reads[-1])
+            return stand_in
+
+        monkeypatch.setattr(cli, "build_config", recording)
+        union: dict[str, set[str]] = {command: set() for command in cli.COMMAND_KEYS}
+        for argv in self.runs(tmp_path, server):
+            code, _, stderr = run_cli(argv, capsys)
+            assert code == EXIT_OK, (argv, stderr)
+            (read,) = reads  # one config per command
+            reads.clear()
+            assert read <= cli.COMMAND_KEYS[argv[0]], (argv[0], read - cli.COMMAND_KEYS[argv[0]])
+            union[argv[0]] |= read
+        assert union == cli.COMMAND_KEYS
+        assert set().union(*cli.COMMAND_KEYS.values()) == KEYS
+
+
+class TestHelp:
+    """`--help` lists the config flags of the keys a command reads; every
+    config flag still parses on every command that takes config flags."""
+
+    def config_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        text = capsys.readouterr().out
+        flags = re.findall(r"--[a-z-]+", text)
+        return {flag for flag in flags if flag[2:].replace("-", "_") in KEYS}
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+    def test_help_lists_the_keys_the_command_reads(self, command, capsys):
+        keys = cli.COMMAND_KEYS[command]
+        assert self.config_flags(command, capsys) == {"--" + k.replace("_", "-") for k in keys}
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+    def test_every_config_flag_parses(self, command):
+        flags = [arg for key in sorted(KEYS) for arg in ("--" + key.replace("_", "-"), "v")]
+        positional = {"evaluate": 2, "highlight": 1, "export-train": 3}.get(command, 2)
+        extra = ["--role", "summarizer"] if command == "export-train" else []
+        args = cli.build_parser().parse_args([command, *["x"] * positional, *extra, *flags])
+        assert {key for key in KEYS if getattr(args, f"cfg_{key}") == "v"} == KEYS
 
 
 class TestOneWriterPerOutput:
@@ -1404,6 +1539,19 @@ class TestExportTrain:
         assert "exported 2 summarizer records" in stdout
         records = [json.loads(l) for l in out.read_text("utf-8").splitlines()]
         assert all("*" in r["prompt"] for r in records)
+
+    @pytest.mark.parametrize("source", ["merge", "distill"])
+    def test_a_highlighter_export_refuses_a_source(self, source, two_planted, tmp_path, capsys):
+        # A highlighter export's completions are always the merged labels.
+        data, _, _ = two_planted
+        labels = self.make_labels(tmp_path)
+        out = tmp_path / "train.jsonl"
+        argv = ["export-train", data, labels, out, "--role", "highlighter", "--source", source]
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr == "error: SchemaError: source: only a summarizer export takes --source\n"
+        assert not out.exists()
 
     def test_strict_export_fails_on_missing_labels(
         self, two_planted, tmp_path, capsys

@@ -7,7 +7,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from tablehelm.cli import COMMAND_KEYS
 from tablehelm.config import ENV_PREFIX, RunConfig, build_config
 from tablehelm.errors import SchemaError
 from tablehelm.feedback import SamplingConfig
@@ -66,6 +69,14 @@ class TestConfigFile:
         assert exc_info.value.field == "worker_count"
         assert str(exc_info.value) == f"{path}:1: worker_count: unknown config key"
 
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"workers = 2\ncache_dir = caf\xe9\n")
+        with pytest.raises(SchemaError) as exc_info:
+            build_config(path, {})
+        assert exc_info.value.field == "config"
+        assert str(exc_info.value) == f"{path}:2: not valid UTF-8"
+
     def test_line_without_equals_is_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just some words\n", encoding="utf-8")
@@ -73,6 +84,14 @@ class TestConfigFile:
             build_config(path, {})
         assert exc_info.value.field == "config"
         assert "1" in str(exc_info.value)
+
+    def test_line_without_a_key_is_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("workers = 2\n = 3\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc_info:
+            build_config(path, {})
+        assert exc_info.value.field == "config"
+        assert str(exc_info.value) == f"{path}:2: expected key=value, got '= 3'"
 
 
 class TestLayering:
@@ -164,7 +183,8 @@ class TestCoercion:
         with pytest.raises(SchemaError) as exc_info:
             build_config(env={}, overrides={key: raw})
         assert exc_info.value.field == key
-        assert str(exc_info.value).startswith(f"{key}: not a ")
+        kind = "a float" if key == "timeout" else "an int"
+        assert str(exc_info.value) == f"{key}: not {kind}: {raw!r}"
 
     def test_strings_pass_through(self):
         cfg = build_config(env={}, overrides={"summarizer_endpoint": "fixed:hello"})
@@ -228,14 +248,72 @@ class TestValidation:
         assert RunConfig(highlighter_template="").highlighter_template == ""
 
 
+KEYS = sorted(f.name for f in fields(RunConfig))
+
+# Text that stays on one line of a config file.
+one_line = st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
+# Values of every kind a reader may meet: any text, numbers, 5,000-digit
+# integers, non-finite floats and '=' signs.
+values = st.one_of(
+    one_line,
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["9" * 5000, "-" + "1" * 5000, "0." + "3" * 5000, "nan", "inf", "-inf",
+                     "1e309", "true", "off", "a=b=c", "fixed:x=1", "echo", "http://h/v1"]),
+)
+keys = st.one_of(st.sampled_from(KEYS), one_line)
+file_lines = st.one_of(
+    st.tuples(keys, values).map(lambda kv: f"{kv[0]} = {kv[1]}".encode("utf-8")),
+    one_line.map(lambda text: text.encode("utf-8")),  # no '=', a comment, blank
+    st.binary(max_size=8).filter(lambda raw: b"\n" not in raw and b"\r" not in raw),
+)
+# An environment value or flag whose bytes are not UTF-8, as Python decodes
+# `os.environ` and `sys.argv`.
+undecodable = st.binary(max_size=8).map(lambda raw: raw.decode("utf-8", "surrogateescape"))
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    lines=st.lists(file_lines, max_size=6),
+    env=st.dictionaries(keys, st.one_of(values, undecodable), max_size=4),
+    overrides=st.dictionaries(keys, st.one_of(values, undecodable), max_size=4),
+)
+@example(lines=[], env={}, overrides={"distill_template": "9" * 5000})  # a name too long
+def test_any_input_builds_a_config_or_names_its_key(tmp_path, lines, env, overrides):
+    """Config files, `HELM_*` values and flags of any content build a
+    RunConfig or raise a SchemaError about one key (or one file line):
+    never another exception."""
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\n".join(lines))
+    environment = {ENV_PREFIX + key.upper(): value for key, value in env.items()}
+    try:
+        build_config(path, environment, overrides)
+    except SchemaError as exc:
+        message = re.sub(rf"^{re.escape(str(path))}:\d+: ", "", str(exc))
+        if exc.field in KEYS:
+            assert message.startswith(f"{exc.field}: ")
+        elif not message.endswith(f"{exc.field}: unknown config key"):
+            # A file line with no key: not UTF-8, or no key before an '='.
+            assert exc.field == "config"
+            assert message == "not valid UTF-8" or message.startswith("expected key=value")
+
+
 def test_readme_configuration_table_matches_run_config():
+    """Every key has one row, and its "read by" column names the commands
+    whose `COMMAND_KEYS` entry holds it."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text("utf-8").split("## Configuration", 1)[1]
     section = section.split("\n## ", 1)[0]
-    documented = set()
+    readers: dict[str, set[str]] = {}
     for line in section.splitlines():
         if line.startswith("| `"):
-            documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
-    keys = {f.name for f in fields(RunConfig)}
-    assert documented - keys == set(), "README documents keys RunConfig lacks"
-    assert keys - documented == set(), "RunConfig keys missing from README"
+            cells = line.split("|")
+            commands = set(re.findall(r"`([\w-]+)`", cells[3]))
+            for key in re.findall(r"`(\w+)`", cells[1]):
+                assert key not in readers, f"{key} has two rows"
+                readers[key] = commands
+    assert set(readers) == set(KEYS)
+    for key, commands in readers.items():
+        assert commands == {c for c, read in COMMAND_KEYS.items() if key in read}, key

@@ -54,6 +54,7 @@ from tablehelm.prompting import (
     PromptFrame,
     estimate_tokens,
     load_example_blocks,
+    summarizer_frame,
 )
 from tablehelm.table_core import Dataset, Evidence, Sample, Table
 from tablehelm.transforms import render_table
@@ -879,8 +880,11 @@ def test_greedy_search_recovers_random_planted_subsets(rng_seed):
 
 
 def one_by_one(sample, mode, feedbacker, role):
+    frame = summarizer_frame(
+        sample.query, template=role.template, token_budget=role.token_budget
+    )
     role = feedback.reward_settings(
-        role, feedbacker, render_table(sample.table), sample.query, mode
+        role, feedbacker, frame, render_table(sample.table), sample.query, mode
     )
 
     def score(evidence):
@@ -1072,6 +1076,21 @@ def test_no_cache_computes_no_scope(monkeypatch):
     assert exhaustive_search(sample, EchoClient())[0] == planted
     labeled = LabeledSample(sample_id=sample.id, e_search=planted, e_distill=Evidence((1,)))
     assert merge_labels(labeled, sample, EchoClient()).e_merge == planted
+
+
+@pytest.mark.parametrize(
+    ("mode", "digest"), [("highlight", "298da9b93ddd90a3"), ("subtable", "bcbb785eeba754d5")]
+)
+def test_a_scope_prefix_keeps_its_digest(mode, digest):
+    # Digests of the packaged summarizer template's scope, as earlier
+    # releases wrote them: a cache filled by those releases stays warm.
+    table = Table(header=("year", "team"), rows=(("1999", "Ajax"), ("2001", "PSV")))
+    query = "Who won in 2001?"
+    frame = summarizer_frame(query)
+    prefix = feedback._scope_prefix(
+        EchoClient(), RoleSettings(), frame, render_table(table), query, mode
+    )
+    assert prefix == digest
 
 
 def test_a_repeated_singleton_prompt_is_generated_once_per_cold_search(tmp_path):

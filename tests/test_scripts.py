@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from tablehelm.cli import COMMAND_KEYS
+from tablehelm.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,3 +94,16 @@ def test_check_interpreters_gives_one_digest_per_output(tmp_path):
     ):
         expected = (ROOT / "tests" / "goldens" / golden).read_bytes()
         assert (tmp_path / "run-0" / output).read_bytes() == expected, output
+
+
+def test_check_interpreters_gives_each_command_only_the_flags_of_its_keys(tmp_path):
+    path = ROOT / "scripts" / "check_interpreters.py"
+    spec = importlib.util.spec_from_file_location("check_interpreters", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    keys = {f.name for f in fields(RunConfig)}
+    runs = script.chain(tmp_path, "http://127.0.0.1:1/v1/chat")
+    assert len(runs) == 13
+    for name, argv in runs.items():
+        flags = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+        assert flags & keys <= COMMAND_KEYS[argv[0]], name
